@@ -1,7 +1,8 @@
 """Command-line front end: solve, bench, order, sweep-mu, sweep-h, basin.
 
 All numerical failure modes print as verdicts; only usage errors exit
-nonzero through argparse (code 2).  ``solve --expect-converge`` exits 1
+nonzero (code 2), through argparse or, for a bad option value, with one
+``rootflow: ...`` line on stderr.  ``solve --expect-converge`` exits 1
 when the run does not converge, and ``bench`` exits 1 when the verdict
 pattern differs from the reference pattern.  Identical invocations produce
 byte-identical output.
@@ -10,8 +11,10 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .analysis import verify_quadratic_convergence
 from .harness import (
@@ -25,7 +28,7 @@ from .harness import (
     sweep_h,
     sweep_mu,
 )
-from .problems import builtin_problems
+from .problems import ProblemSpec, builtin_problems
 from .solvers import SolverConfig, run
 
 CLI_SCHEMES = {
@@ -170,20 +173,32 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"rootflow: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_values(raw: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
-        print(f"rootflow: invalid {flag} list: {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"invalid {flag} list: {raw!r}")
     if not values:
-        print(f"rootflow: empty {flag} list", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"empty {flag} list")
+    if not all(math.isfinite(v) for v in values):
+        _usage_error(f"non-finite value in {flag} list: {raw!r}")
     return values
 
 
+def _solver_config(**fields) -> SolverConfig:
+    try:
+        return SolverConfig(**fields)
+    except ValueError as exc:
+        _usage_error(str(exc))
+
+
 def _config(inv: CliInvocation, scheme: str) -> SolverConfig:
-    return SolverConfig(
+    return _solver_config(
         scheme=scheme,
         mu=inv.mu,
         h=inv.h,
@@ -192,6 +207,15 @@ def _config(inv: CliInvocation, scheme: str) -> SolverConfig:
         bootstrap=inv.bootstrap,
         stop_rule=inv.stop_rule,
     )
+
+
+def _x0(inv: CliInvocation, p: ProblemSpec) -> float:
+    if inv.x0 is None:
+        return p.default_x0
+    a, b = p.domain
+    if not (a <= inv.x0 <= b):
+        _usage_error(f"--x0 {inv.x0!r} is outside the {p.name} domain [{a!r}, {b!r}]")
+    return inv.x0
 
 
 def _bench_table(rows) -> str:
@@ -206,8 +230,7 @@ def _bench_table(rows) -> str:
 def _cmd_solve(args) -> int:
     inv = _invocation(args)
     p = builtin_problems()[inv.problem]
-    x0 = inv.x0 if inv.x0 is not None else p.default_x0
-    outcome = run(p, _config(inv, inv.scheme), x0)
+    outcome = run(p, _config(inv, inv.scheme), _x0(inv, p))
 
     if inv.format == "csv":
         lines = ["n,x,f"]
@@ -230,6 +253,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _solver_config(epsilon=args.epsilon, max_iters=args.max_iters)  # rejects bad flags
     rows = run_benchmark(epsilon=args.epsilon, max_iters=args.max_iters)
     text = rows_to_csv(rows) if args.format == "csv" else _bench_table(rows)
     _emit(text, args.output)
@@ -239,8 +263,7 @@ def _cmd_bench(args) -> int:
 def _cmd_order(args) -> int:
     inv = _invocation(args)
     p = builtin_problems()[inv.problem]
-    x0 = inv.x0 if inv.x0 is not None else p.default_x0
-    report = verify_quadratic_convergence(p, inv.mu, x0, _config(inv, "secant_dyn"))
+    report = verify_quadratic_convergence(p, inv.mu, _x0(inv, p), _config(inv, "secant_dyn"))
     _emit(report.to_text() + "\n", inv.output)
     return 0
 
@@ -248,9 +271,8 @@ def _cmd_order(args) -> int:
 def _cmd_sweep_mu(args) -> int:
     inv = _invocation(args)
     p = builtin_problems()[inv.problem]
-    x0 = inv.x0 if inv.x0 is not None else p.default_x0
     mu_values = _parse_values(args.mu_values, "--mu-values")
-    rows = sweep_mu(p, inv.scheme, mu_values, x0, _config(inv, inv.scheme))
+    rows = sweep_mu(p, inv.scheme, mu_values, _x0(inv, p), _config(inv, inv.scheme))
     _emit(rows_to_csv(rows), inv.output)
     return 0
 
@@ -258,9 +280,10 @@ def _cmd_sweep_mu(args) -> int:
 def _cmd_sweep_h(args) -> int:
     inv = _invocation(args)
     p = builtin_problems()[inv.problem]
-    x0 = inv.x0 if inv.x0 is not None else p.default_x0
     h_values = _parse_values(args.h_values, "--h-values")
-    rows = sweep_h(p, inv.mu, h_values, x0, _config(inv, "euler_flow"))
+    if any(h <= 0.0 for h in h_values):
+        _usage_error(f"--h-values must all be positive: {args.h_values!r}")
+    rows = sweep_h(p, inv.mu, h_values, _x0(inv, p), _config(inv, "euler_flow"))
     _emit(rows_to_csv(rows), inv.output)
     return 0
 
@@ -269,8 +292,10 @@ def _cmd_basin(args) -> int:
     inv = _invocation(args)
     p = builtin_problems()[inv.problem]
     mu_values = _parse_values(args.mu_values, "--mu-values")
-    x0_axis = default_x0_axis(p, args.x0_count)
-    grid = map_basin(p, inv.scheme, mu_values, x0_axis, _config(inv, inv.scheme))
+    if args.x0_count < 1:
+        _usage_error(f"--x0-count must be at least 1, got {args.x0_count}")
+    cfg = _config(inv, inv.scheme)
+    grid = map_basin(p, inv.scheme, mu_values, default_x0_axis(p, args.x0_count), cfg)
     _emit(basin_to_csv(grid, h=inv.h), inv.output)
     if args.grid_output is not None:
         with open(args.grid_output, "w", newline="\n") as fh:

@@ -118,7 +118,7 @@ def _row_from_outcome(p: ProblemSpec, scheme: str, mu: float, h: float, x0: floa
         reason=outcome.reason,
         iterations=outcome.iterations if converged else None,
         final_x=outcome.final_x if converged else None,
-        residual=abs(outcome.trace.points[-1].fx),
+        residual=abs(outcome.final_fx),
     )
 
 
@@ -129,7 +129,7 @@ def _cell_from_outcome(outcome: RunOutcome) -> BasinCell:
         iterations=outcome.iterations if converged else None,
         reason=outcome.reason,
         final_x=outcome.final_x if converged else None,
-        residual=abs(outcome.trace.points[-1].fx),
+        residual=abs(outcome.final_fx),
     )
 
 
@@ -222,7 +222,8 @@ def default_x0_axis(p: ProblemSpec, count: int = 201) -> tuple[float, ...]:
     a, b = p.domain
     if count == 1:
         return (a,)
-    return tuple(a + (b - a) * i / (count - 1) for i in range(count))
+    # a + (b - a) can round past b, so the last point is b itself.
+    return tuple(a + (b - a) * i / (count - 1) for i in range(count - 1)) + (b,)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,11 @@ def eval_f_unchecked(p: ProblemSpec, x: float) -> float:
         value = p.f(x)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteValue(x) from exc
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError) as exc:  # a complex value, or an int past float range
+        raise NonFiniteValue(x) from exc
+    if not finite:
         raise NonFiniteValue(x)
     return value
 

@@ -10,7 +10,7 @@ exhausted budget) into a :class:`RunOutcome` instead of an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .problems import (
@@ -24,9 +24,20 @@ from .problems import (
 # Below this magnitude a denominator is treated as exactly degenerate.
 DENOMINATOR_GUARD = 1e-300
 
-SCHEMES = ("newton", "euler_flow", "wu", "zheng", "secant_dyn", "secant")
-DERIVATIVE_SCHEMES = ("newton", "euler_flow", "wu")
-TWO_POINT_SCHEMES = ("secant_dyn", "secant")
+# Three update rules; the other three schemes are parameter aliases of them.
+# scheme -> (rule, fixed mu, fixed h), where None takes the config's value.
+# newton is the flow step with mu = 0 and h = 1 bit for bit, because 1*f and
+# 0*f + f' are exact for finite f.
+_FLOW, _ZHENG, _SECANT = "flow", "zheng", "secant"
+_SCHEME_TABLE = {
+    "newton": (_FLOW, 0.0, 1.0),
+    "euler_flow": (_FLOW, None, None),
+    "wu": (_FLOW, None, 1.0),
+    "zheng": (_ZHENG, None, None),
+    "secant_dyn": (_SECANT, None, None),
+    "secant": (_SECANT, 0.0, None),
+}
+SCHEMES = tuple(_SCHEME_TABLE)
 BOOTSTRAPS = ("zheng_first_step", "offset_x0")
 STOP_RULES = ("step_size", "residual", "either")
 
@@ -43,6 +54,15 @@ REASON_ESCAPE = "escape_bound_exceeded"
 REASON_MAX_ITERS = "max_iters_reached"
 
 CONVERGED_REASONS = (REASON_STEP, REASON_RESIDUAL)
+_VERDICT_OF_REASON = {
+    REASON_STEP: VERDICT_CONVERGED,
+    REASON_RESIDUAL: VERDICT_CONVERGED,
+    REASON_MAX_ITERS: VERDICT_EXHAUSTED,
+    REASON_DOMAIN: VERDICT_DIVERGED,
+    REASON_NONFINITE: VERDICT_DIVERGED,
+    REASON_UNDERFLOW: VERDICT_DIVERGED,
+    REASON_ESCAPE: VERDICT_DIVERGED,
+}
 
 
 class DerivativeZero(Exception):
@@ -84,8 +104,10 @@ class SolverConfig:
             raise ValueError(f"unknown bootstrap {self.bootstrap!r}; expected one of {BOOTSTRAPS}")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"unknown stop_rule {self.stop_rule!r}; expected one of {STOP_RULES}")
-        if not (self.h > 0.0):
-            raise ValueError("h must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not (0.0 < self.h < math.inf):
+            raise ValueError("h must be positive and finite")
         if not (self.epsilon > 0.0):
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
@@ -117,20 +139,41 @@ class IterationTrace:
         return cls(points=pts, errors=errors, known_root=known_root)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunOutcome:
     """Verdict of one solver run.
 
     ``iterations`` counts applications of the scheme's recurrence; the
     production of the second starting point of a two-point scheme is
-    recorded in the trace but not counted.
+    recorded in the trace but not counted.  ``final_fx`` is f(final_x), NaN
+    when f(x0) itself is not a finite real.  ``trace`` is built on first
+    read, so callers that need only the final point never pay for it.
     """
 
     verdict: str
     reason: str
     iterations: int
     final_x: float
-    trace: IterationTrace
+    final_fx: float
+    # The accepted (x, f(x)) pairs until ``trace`` is first read, then the
+    # trace, so the two are never held at once.
+    _path: list | IterationTrace = field(repr=False, compare=False)
+    _known_root: float | None = field(repr=False, compare=False)
+
+    @property
+    def trace(self) -> IterationTrace:
+        path = self._path
+        if not isinstance(path, IterationTrace):
+            path = IterationTrace.from_points(path, self._known_root)
+            object.__setattr__(self, "_path", path)
+        return path
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.reason, self.iterations, self.final_x, self.final_fx, self.trace)
+                == (other.verdict, other.reason, other.iterations, other.final_x, other.final_fx,
+                    other.trace))
 
     @property
     def converged(self) -> bool:
@@ -178,8 +221,15 @@ def _secant_update(x_prev: float, f_prev: float, x_curr: float, f_curr: float, m
 def _eval_df(p: ProblemSpec, x: float) -> float:
     if p.df is None:
         raise ValueError(f"problem {p.name!r} has no derivative evaluator")
-    value = p.df(x)
-    if not math.isfinite(value):
+    try:
+        value = p.df(x)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteValue(x) from exc
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError) as exc:  # a complex value, or an int past float range
+        raise NonFiniteValue(x) from exc
+    if not finite:
         raise NonFiniteValue(x)
     return value
 
@@ -250,90 +300,77 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     a, b = p.domain
     if not (a <= x0 <= b):
         raise DomainViolation(x0, p.domain)
-    if cfg.scheme in DERIVATIVE_SCHEMES and p.df is None:
+    rule, mu, h = _SCHEME_TABLE[cfg.scheme]
+    if rule is _FLOW and p.df is None:
         raise ValueError(f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
+    mu = cfg.mu if mu is None else mu
+    h = cfg.h if h is None else h
+    flow, two_point = rule is _FLOW, rule is _SECANT
+    offset_bootstrap = cfg.bootstrap == "offset_x0"
+    stop_on_step = cfg.stop_rule != "residual"
+    stop_on_residual = cfg.stop_rule != "step_size"
+    epsilon, escape_bound, max_iters = cfg.epsilon, cfg.escape_bound, cfg.max_iters
 
-    mu = 0.0 if cfg.scheme in ("newton", "secant") else cfg.mu
-    two_point = cfg.scheme in TWO_POINT_SCHEMES
-
+    x, fx = x0, math.nan
     points: list[tuple[float, float]] = []
-    iterations = 0
-
-    def outcome(verdict, reason, final_x):
-        trace = IterationTrace.from_points(points, p.known_root)
-        return RunOutcome(verdict=verdict, reason=reason, iterations=iterations,
-                          final_x=final_x, trace=trace)
-
-    x_prev = f_prev = None
-    x = x0
-    try:
-        fx = eval_f(p, x0)
-    except NonFiniteValue:
-        points.append((x0, math.nan))
-        return outcome(VERDICT_DIVERGED, REASON_NONFINITE, x0)
-    points.append((x, fx))
-
     applications = 0
     try:
-        while applications < cfg.max_iters:
-            bootstrapping = two_point and x_prev is None
-            if cfg.scheme == "newton":
-                candidate = _newton_update(x, fx, _eval_df(p, x))
-            elif cfg.scheme == "euler_flow":
-                candidate = _flow_update(x, fx, _eval_df(p, x), mu, cfg.h)
-            elif cfg.scheme == "wu":
-                candidate = _flow_update(x, fx, _eval_df(p, x), mu, 1.0)
-            elif cfg.scheme == "zheng":
-                candidate = _zheng_update(p, x, fx, mu)
-            elif bootstrapping:
-                if cfg.bootstrap == "zheng_first_step":
+        fx = eval_f(p, x)
+        points.append((x, fx))
+        while applications < max_iters:
+            if two_point:
+                if applications:
+                    candidate = _secant_update(x_prev, f_prev, x, fx, mu)
+                elif offset_bootstrap:
+                    candidate = x - math.copysign(1.0, fx) * epsilon * max(1.0, abs(x))
+                else:
                     candidate = _zheng_update(p, x, fx, mu)
-                else:  # offset_x0
-                    candidate = x - math.copysign(1.0, fx) * cfg.epsilon * max(1.0, abs(x))
+            elif flow:
+                candidate = _flow_update(x, fx, _eval_df(p, x), mu, h)
             else:
-                candidate = _secant_update(x_prev, f_prev, x, fx, mu)
+                candidate = _zheng_update(p, x, fx, mu)
             applications += 1
-            if not bootstrapping:
-                iterations += 1
 
             if not math.isfinite(candidate):
-                return outcome(VERDICT_DIVERGED, REASON_NONFINITE, x)
+                reason = REASON_NONFINITE
+                break
             if not (a <= candidate <= b):
-                return outcome(VERDICT_DIVERGED, REASON_DOMAIN, x)
-            if abs(candidate) > cfg.escape_bound:
-                return outcome(VERDICT_DIVERGED, REASON_ESCAPE, x)
+                reason = REASON_DOMAIN
+                break
+            if abs(candidate) > escape_bound:
+                reason = REASON_ESCAPE
+                break
             f_cand = eval_f(p, candidate)
             points.append((candidate, f_cand))
+            x_prev, f_prev, x, fx = x, fx, candidate, f_cand
 
-            step_small = abs(candidate - x) <= cfg.epsilon
-            residual_small = abs(f_cand) <= cfg.epsilon
-            x_prev, f_prev = x, fx
-            x, fx = candidate, f_cand
-
-            if cfg.stop_rule == "step_size":
-                if step_small:
-                    return outcome(VERDICT_CONVERGED, REASON_STEP, x)
-            elif cfg.stop_rule == "residual":
-                if residual_small:
-                    return outcome(VERDICT_CONVERGED, REASON_RESIDUAL, x)
-            else:
-                if step_small:
-                    return outcome(VERDICT_CONVERGED, REASON_STEP, x)
-                if residual_small:
-                    return outcome(VERDICT_CONVERGED, REASON_RESIDUAL, x)
-        return outcome(VERDICT_EXHAUSTED, REASON_MAX_ITERS, x)
+            if stop_on_step and abs(x - x_prev) <= epsilon:
+                reason = REASON_STEP
+                break
+            if stop_on_residual and abs(fx) <= epsilon:
+                reason = REASON_RESIDUAL
+                break
+        else:
+            reason = REASON_MAX_ITERS
     except DomainViolation:
-        return outcome(VERDICT_DIVERGED, REASON_DOMAIN, x)
+        reason = REASON_DOMAIN
     except NonFiniteValue:
-        return outcome(VERDICT_DIVERGED, REASON_NONFINITE, x)
-    except (DerivativeZero, DenominatorUnderflow):
-        return outcome(VERDICT_DIVERGED, REASON_UNDERFLOW, x)
+        reason = REASON_NONFINITE
+        if not points:  # f(x0) itself is not a finite real
+            points.append((x, fx))
+    except DenominatorUnderflow:
+        reason = REASON_UNDERFLOW
     except StagnantPair:
         # The pair gap is below any sensible epsilon, so under a step-based
         # rule this is convergence; under a pure residual rule it is only
         # convergence if the residual test passes.
-        if cfg.stop_rule in ("step_size", "either"):
-            return outcome(VERDICT_CONVERGED, REASON_STEP, x)
-        if abs(fx) <= cfg.epsilon:
-            return outcome(VERDICT_CONVERGED, REASON_RESIDUAL, x)
-        return outcome(VERDICT_DIVERGED, REASON_UNDERFLOW, x)
+        if stop_on_step:
+            reason = REASON_STEP
+        elif abs(fx) <= epsilon:
+            reason = REASON_RESIDUAL
+        else:
+            reason = REASON_UNDERFLOW
+
+    # The bootstrap production of a two-point scheme is not an iteration.
+    iterations = applications - 1 if two_point and applications else applications
+    return RunOutcome(_VERDICT_OF_REASON[reason], reason, iterations, x, fx, points, p.known_root)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from rootflow.cli import main
@@ -166,6 +168,73 @@ def test_basin_runs_are_byte_identical(tmp_path, capsys):
         assert code == 0
         capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+USAGE_ERRORS = {
+    "x0": ["solve", "--problem", "log", "--scheme", "newton", "--x0", "7"],
+    "epsilon": ["solve", "--problem", "log", "--scheme", "newton", "--epsilon", "0"],
+    "h": ["solve", "--problem", "log", "--scheme", "euler", "--h", "-0.5"],
+    "max-iters": ["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1",
+                  "--max-iters", "0"],
+    "x0-count": ["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
+                 "--x0-count", "0"],
+    "mu": ["order", "--problem", "log", "--mu", "nan"],
+    "h-values": ["sweep-h", "--problem", "log", "--h-values", "0.5,0"],
+    "bench-epsilon": ["bench", "--epsilon", "-1"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(USAGE_ERRORS))
+def test_bad_flag_values_are_usage_errors(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(USAGE_ERRORS[flag])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rootflow: ")
+    assert err.count("\n") == 1
+
+
+def test_trig_basin_at_the_default_count(capsys):
+    code, out, _ = run_cli(capsys, [
+        "basin", "--problem", "trig", "--scheme", "secant-dyn", "--mu-values", "2.65"])
+    assert code == 0
+    assert len(out.strip().split("\n")) == 202
+
+
+# ---------------------------------------------------------------------------
+# the README commands, byte for byte against outputs captured from the
+# implementation that built a full trace in every run
+
+GOLDEN = Path(__file__).parent / "golden"
+README_COMMANDS = {
+    "bench.txt": ["bench"],
+    "bench_csv.txt": ["bench", "--format", "csv"],
+    "sweep_mu.txt": ["sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
+                     "--mu-values", "0.1,0.135,0.5"],
+    "sweep_h.txt": ["sweep-h", "--problem", "log", "--mu", "0.135",
+                    "--h-values", "0.05,0.1,0.5,1"],
+    "solve.txt": ["solve", "--problem", "trig", "--scheme", "secant-dyn", "--mu", "2.65"],
+    "order.txt": ["order", "--problem", "log", "--mu", "1", "--x0", "1.5", "--epsilon", "1e-13"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_output_is_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, README_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_readme_basin_output_is_pinned(tmp_path, capsys):
+    csv_path, grid_path = tmp_path / "basin.csv", tmp_path / "basin.grid"
+    code, out, _ = run_cli(capsys, [
+        "basin", "--problem", "log", "--scheme", "secant-dyn", "--mu-values", "0.135",
+        "--output", str(csv_path), "--grid-output", str(grid_path)])
+    assert code == 0
+    assert out == ""
+    assert csv_path.read_bytes() == (GOLDEN / "basin.csv").read_bytes()
+    assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -199,6 +199,14 @@ def test_default_x0_axis_spans_the_domain(problems):
     assert len(axis) == 201
     assert axis[0] == 0.5
     assert axis[-1] == 5.0
+    # every built-in domain at every count: inside [a, b], ascending, ending at b
+    for p in problems.values():
+        a, b = p.domain
+        for count in range(2, 402):
+            axis = default_x0_axis(p, count)
+            assert len(axis) == count
+            assert axis[0] == a and axis[-1] == b
+            assert all(x < y for x, y in zip(axis, axis[1:]))
 
 
 # ---------------------------------------------------------------------------

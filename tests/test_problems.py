@@ -65,6 +65,14 @@ def test_eval_f_unchecked_allows_finite_values_anywhere(problems):
         eval_f_unchecked(problems["log"], 0.0)
 
 
+def test_eval_f_unchecked_rejects_non_real_values():
+    # x ** 0.5 is complex below zero; an int past the float range is not finite
+    for f in (lambda x: x ** 0.5, lambda x: 10 ** 400):
+        p = ProblemSpec(name="odd", f=f, domain=(-1e9, 1e9), default_x0=1.0)
+        with pytest.raises(NonFiniteValue):
+            eval_f_unchecked(p, -4.0)
+
+
 @given(x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_eval_f_never_returns_nonfinite(x):
     for p in builtin_problems().values():

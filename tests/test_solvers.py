@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rootflow import (
+    BOOTSTRAPS,
+    SCHEMES,
+    STOP_RULES,
     DenominatorUnderflow,
     DomainViolation,
     ProblemSpec,
@@ -329,6 +332,12 @@ def test_config_validation():
         SolverConfig(scheme="banana")
     with pytest.raises(ValueError):
         SolverConfig(h=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(h=bad)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(mu=bad)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
@@ -337,3 +346,69 @@ def test_config_validation():
         SolverConfig(bootstrap="nope")
     with pytest.raises(ValueError):
         SolverConfig(stop_rule="sometimes")
+
+
+# ---------------------------------------------------------------------------
+# user problems that misbehave end in a verdict, not an exception
+
+def test_run_complex_valued_f_diverges():
+    # x ** 0.5 is complex for x < 0
+    p = ProblemSpec(name="sqrt", f=lambda x: x ** 0.5, domain=WIDE, default_x0=-4.0)
+    for scheme in ("zheng", "secant_dyn"):
+        out = run(p, SolverConfig(scheme=scheme, mu=0.5), -4.0)
+        assert out.verdict == "diverged"
+        assert out.reason == "nonfinite"
+
+
+def test_run_raising_derivative_diverges():
+    p = ProblemSpec(name="baddf", f=lambda x: x * x - 1.0, df=lambda x: 1.0 / (x - x),
+                    domain=WIDE, default_x0=1.5)
+    for scheme in ("newton", "euler_flow", "wu"):
+        out = run(p, SolverConfig(scheme=scheme, mu=0.5), 1.5)
+        assert out.verdict == "diverged"
+        assert out.reason == "nonfinite"
+        assert out.final_x == 1.5
+
+
+# ---------------------------------------------------------------------------
+# the trace is built on first read and agrees with the final point
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _check_lazy_trace(out):
+    trace = out.trace
+    assert out.trace is trace
+    assert out.final_x == trace.points[-1].x
+    assert _same_float(out.final_fx, trace.points[-1].fx)
+    if trace.errors is not None:
+        assert len(trace.errors) == len(trace.points)
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("bootstrap", BOOTSTRAPS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_lazy_trace_contract(problems, scheme, bootstrap, stop_rule):
+    for p in problems.values():
+        a, b = p.domain
+        for x0 in (p.default_x0, a, b, a + 0.3 * (b - a)):
+            cfg = SolverConfig(scheme=scheme, mu=0.7, bootstrap=bootstrap, stop_rule=stop_rule)
+            out = run(p, cfg, x0)
+            _check_lazy_trace(out)
+            assert out.trace.errors is not None
+            # equality does not depend on whether the trace was read
+            fresh = run(p, cfg, x0)
+            assert fresh == out
+            assert out == run(p, cfg, x0)
+
+
+def test_lazy_trace_contract_on_nonfinite_start():
+    p = ProblemSpec(name="blows", f=lambda x: math.exp(x), domain=(-1e6, 1e6),
+                    default_x0=1000.0)
+    out = run(p, SolverConfig(scheme="secant_dyn"), 1000.0)
+    assert out.reason == "nonfinite"
+    assert math.isnan(out.final_fx)
+    _check_lazy_trace(out)
+    assert out.trace.errors is None
+    assert run(p, SolverConfig(scheme="secant_dyn"), 1000.0) == out
