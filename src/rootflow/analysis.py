@@ -52,7 +52,6 @@ class OrderEstimate:
     constant_estimates: tuple[float, ...]
     final_constant: float
     usable_steps: int
-    predicted_constant: float | None = None
 
 
 def _usable_errors(trace: IterationTrace) -> list[float]:
@@ -191,7 +190,6 @@ def verify_quadratic_convergence(
                 predicted = None
         if predicted is not None:
             constant_rel_error = abs(estimate.final_constant - predicted) / max(1.0, abs(predicted))
-            estimate = replace(estimate, predicted_constant=predicted)
         order_gap = abs(estimate.final_order - 2.0)
     return ConvergenceReport(
         problem=p.name,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .analysis import verify_quadratic_convergence
 from .harness import (
+    VERDICT_DIVERGENCE,
     basin_to_csv,
     basin_to_grid_text,
     benchmark_verdicts_match,
@@ -61,25 +61,7 @@ SCHEME_HELP = (
 )
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """Normalized arguments of one CLI call."""
-
-    subcommand: str
-    problem: str | None
-    scheme: str | None
-    mu: float
-    h: float
-    x0: float | None
-    epsilon: float
-    max_iters: int
-    bootstrap: str
-    stop_rule: str
-    output: str | None
-    format: str
-
-
-def _add_common(sub, scheme_default="secant-dyn"):
+def _add_common(sub):
     sub.add_argument("--problem", required=True, choices=sorted(builtin_problems()),
                      help="registry problem name")
     sub.add_argument("--mu", type=float, default=0.0,
@@ -96,6 +78,7 @@ def _add_common(sub, scheme_default="secant-dyn"):
     sub.add_argument("--stop-rule", choices=sorted(CLI_STOP_RULES), default="step-size",
                      help="smallness test declaring convergence")
     sub.add_argument("--output", default=None, help="write to this file instead of stdout")
+    sub.set_defaults(h=1.0)  # the Euler step for subcommands without --h
     return sub
 
 
@@ -148,34 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _invocation(args: argparse.Namespace) -> CliInvocation:
-    return CliInvocation(
-        subcommand=args.subcommand,
-        problem=getattr(args, "problem", None),
-        scheme=CLI_SCHEMES[args.scheme] if getattr(args, "scheme", None) else None,
-        mu=getattr(args, "mu", 0.0),
-        h=getattr(args, "h", 1.0),
-        x0=getattr(args, "x0", None),
-        epsilon=getattr(args, "epsilon", 1e-5),
-        max_iters=getattr(args, "max_iters", 500),
-        bootstrap=CLI_BOOTSTRAPS[getattr(args, "bootstrap", "zheng-first-step")],
-        stop_rule=CLI_STOP_RULES[getattr(args, "stop_rule", "step-size")],
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "table"),
-    )
+def _usage_error(message: str) -> NoReturn:
+    print(f"rootflow: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", newline="\n") as fh:
             fh.write(text)
-
-
-def _usage_error(message: str) -> NoReturn:
-    print(f"rootflow: {message}", file=sys.stderr)
-    raise SystemExit(2)
+    except OSError as exc:
+        _usage_error(f"cannot write {output}: {exc.strerror or exc}")
 
 
 def _parse_values(raw: str, flag: str) -> list[float]:
@@ -197,25 +166,25 @@ def _solver_config(**fields) -> SolverConfig:
         _usage_error(str(exc))
 
 
-def _config(inv: CliInvocation, scheme: str) -> SolverConfig:
+def _config(args: argparse.Namespace, scheme: str) -> SolverConfig:
     return _solver_config(
         scheme=scheme,
-        mu=inv.mu,
-        h=inv.h,
-        epsilon=inv.epsilon,
-        max_iters=inv.max_iters,
-        bootstrap=inv.bootstrap,
-        stop_rule=inv.stop_rule,
+        mu=args.mu,
+        h=args.h,
+        epsilon=args.epsilon,
+        max_iters=args.max_iters,
+        bootstrap=CLI_BOOTSTRAPS[args.bootstrap],
+        stop_rule=CLI_STOP_RULES[args.stop_rule],
     )
 
 
-def _x0(inv: CliInvocation, p: ProblemSpec) -> float:
-    if inv.x0 is None:
+def _x0(args: argparse.Namespace, p: ProblemSpec) -> float:
+    if args.x0 is None:
         return p.default_x0
     a, b = p.domain
-    if not (a <= inv.x0 <= b):
-        _usage_error(f"--x0 {inv.x0!r} is outside the {p.name} domain [{a!r}, {b!r}]")
-    return inv.x0
+    if not (a <= args.x0 <= b):
+        _usage_error(f"--x0 {args.x0!r} is outside the {p.name} domain [{a!r}, {b!r}]")
+    return args.x0
 
 
 def _bench_table(rows) -> str:
@@ -228,11 +197,10 @@ def _bench_table(rows) -> str:
 
 
 def _cmd_solve(args) -> int:
-    inv = _invocation(args)
-    p = builtin_problems()[inv.problem]
-    outcome = run(p, _config(inv, inv.scheme), _x0(inv, p))
+    p = builtin_problems()[args.problem]
+    outcome = run(p, _config(args, CLI_SCHEMES[args.scheme]), _x0(args, p))
 
-    if inv.format == "csv":
+    if args.format == "csv":
         lines = ["n,x,f"]
         for pt in outcome.trace.points:
             lines.append(f"{pt.n},{pt.x:.17g},{pt.fx:.17g}")
@@ -241,12 +209,12 @@ def _cmd_solve(args) -> int:
         lines = [f"{'n':>4}  {'x_n':<24} f(x_n)"]
         for pt in outcome.trace.points:
             lines.append(f"{pt.n:>4}  {pt.x:<24.17g} {pt.fx:.17g}")
-        verdict = outcome.verdict if outcome.converged else "divergence"
+        verdict = outcome.verdict if outcome.converged else VERDICT_DIVERGENCE
         lines.append(f"verdict    : {verdict} ({outcome.reason})")
         lines.append(f"iterations : {outcome.iterations}")
         lines.append(f"final_x    : {outcome.final_x:.6f} ({outcome.final_x:.17g})")
         text = "\n".join(lines) + "\n"
-    _emit(text, inv.output)
+    _emit(text, args.output)
     if args.expect_converge and not outcome.converged:
         return 1
     return 0
@@ -261,45 +229,42 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    inv = _invocation(args)
-    p = builtin_problems()[inv.problem]
-    report = verify_quadratic_convergence(p, inv.mu, _x0(inv, p), _config(inv, "secant_dyn"))
-    _emit(report.to_text() + "\n", inv.output)
+    p = builtin_problems()[args.problem]
+    report = verify_quadratic_convergence(p, args.mu, _x0(args, p), _config(args, "secant_dyn"))
+    _emit(report.to_text() + "\n", args.output)
     return 0
 
 
 def _cmd_sweep_mu(args) -> int:
-    inv = _invocation(args)
-    p = builtin_problems()[inv.problem]
+    p = builtin_problems()[args.problem]
+    scheme = CLI_SCHEMES[args.scheme]
     mu_values = _parse_values(args.mu_values, "--mu-values")
-    rows = sweep_mu(p, inv.scheme, mu_values, _x0(inv, p), _config(inv, inv.scheme))
-    _emit(rows_to_csv(rows), inv.output)
+    rows = sweep_mu(p, scheme, mu_values, _x0(args, p), _config(args, scheme))
+    _emit(rows_to_csv(rows), args.output)
     return 0
 
 
 def _cmd_sweep_h(args) -> int:
-    inv = _invocation(args)
-    p = builtin_problems()[inv.problem]
+    p = builtin_problems()[args.problem]
     h_values = _parse_values(args.h_values, "--h-values")
     if any(h <= 0.0 for h in h_values):
         _usage_error(f"--h-values must all be positive: {args.h_values!r}")
-    rows = sweep_h(p, inv.mu, h_values, _x0(inv, p), _config(inv, "euler_flow"))
-    _emit(rows_to_csv(rows), inv.output)
+    rows = sweep_h(p, args.mu, h_values, _x0(args, p), _config(args, "euler_flow"))
+    _emit(rows_to_csv(rows), args.output)
     return 0
 
 
 def _cmd_basin(args) -> int:
-    inv = _invocation(args)
-    p = builtin_problems()[inv.problem]
+    p = builtin_problems()[args.problem]
+    scheme = CLI_SCHEMES[args.scheme]
     mu_values = _parse_values(args.mu_values, "--mu-values")
     if args.x0_count < 1:
         _usage_error(f"--x0-count must be at least 1, got {args.x0_count}")
-    cfg = _config(inv, inv.scheme)
-    grid = map_basin(p, inv.scheme, mu_values, default_x0_axis(p, args.x0_count), cfg)
-    _emit(basin_to_csv(grid, h=inv.h), inv.output)
+    cfg = _config(args, scheme)
+    grid = map_basin(p, scheme, mu_values, default_x0_axis(p, args.x0_count), cfg)
+    _emit(basin_to_csv(grid), args.output)
     if args.grid_output is not None:
-        with open(args.grid_output, "w", newline="\n") as fh:
-            fh.write(basin_to_grid_text(grid))
+        _emit(basin_to_grid_text(grid), args.grid_output)
     return 0
 
 

@@ -7,20 +7,22 @@ roots.  Sweeps vary mu or the Euler step length h.  The basin mapper grids
 initial values (and mu) and runs every cell independently, which quantifies
 how much wider the two-point scheme's set of workable starting points is.
 
-Exhausted runs are reported as "divergence" here, with the precise reason
-retained in the CSV.
+Every table row is one run, a :class:`BenchmarkRow`, whether it comes from
+the benchmark, a sweep or a basin cell.  Diverged and exhausted runs are
+both reported as "divergence" here, with the precise reason retained in
+the CSV.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .problems import ProblemSpec, builtin_problems
-from .solvers import SolverConfig, RunOutcome, run
+from .solvers import VERDICT_CONVERGED, SolverConfig, run
 
-VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGENCE = "divergence"
 
 CSV_HEADER = "problem,scheme,mu,h,x0,verdict,reason,iterations,final_x,residual"
@@ -58,9 +60,8 @@ BENCH_EXPECTED_VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
-    """One (problem, scheme, mu, x0) experiment in benchmark-table form.
+class BenchmarkRow(NamedTuple):
+    """One (problem, scheme, mu, h, x0) run in table form.
 
     Divergent rows carry no iteration count and no final root; the cause
     stays in ``reason`` and the last accepted residual in ``residual``.
@@ -78,19 +79,11 @@ class BenchmarkRow:
     residual: float
 
 
-class BasinCell(NamedTuple):
-    verdict: str
-    iterations: int | None
-    reason: str
-    final_x: float | None
-    residual: float
-
-
 @dataclass(frozen=True)
 class BasinGrid:
     """Verdict matrix over a mu axis and an initial-value axis.
 
-    ``cells[i][j]`` is the outcome for ``mu_axis[i]`` and ``x0_axis[j]``;
+    ``cells[i][j]`` is the row for ``mu_axis[i]`` and ``x0_axis[j]``;
     every cell is an independent pure run.
     """
 
@@ -98,39 +91,21 @@ class BasinGrid:
     scheme: str
     mu_axis: tuple[float, ...]
     x0_axis: tuple[float, ...]
-    cells: tuple[tuple[BasinCell, ...], ...]
+    cells: tuple[tuple[BenchmarkRow, ...], ...]
 
     def converged_fraction(self, mu_index: int) -> float:
         row = self.cells[mu_index]
         return sum(1 for c in row if c.verdict == VERDICT_CONVERGED) / len(row)
 
 
-def _row_from_outcome(p: ProblemSpec, scheme: str, mu: float, h: float, x0: float,
-                      outcome: RunOutcome) -> BenchmarkRow:
-    converged = outcome.converged
-    return BenchmarkRow(
-        problem=p.name,
-        scheme=scheme,
-        mu=mu,
-        h=h,
-        x0=x0,
-        verdict=VERDICT_CONVERGED if converged else VERDICT_DIVERGENCE,
-        reason=outcome.reason,
-        iterations=outcome.iterations if converged else None,
-        final_x=outcome.final_x if converged else None,
-        residual=abs(outcome.final_fx),
-    )
-
-
-def _cell_from_outcome(outcome: RunOutcome) -> BasinCell:
-    converged = outcome.converged
-    return BasinCell(
-        verdict=VERDICT_CONVERGED if converged else VERDICT_DIVERGENCE,
-        iterations=outcome.iterations if converged else None,
-        reason=outcome.reason,
-        final_x=outcome.final_x if converged else None,
-        residual=abs(outcome.final_fx),
-    )
+def _row(p: ProblemSpec, cfg: SolverConfig, x0: float) -> BenchmarkRow:
+    outcome = run(p, cfg, x0)
+    if outcome.converged:
+        verdict, iterations, final_x = VERDICT_CONVERGED, outcome.iterations, outcome.final_x
+    else:
+        verdict, iterations, final_x = VERDICT_DIVERGENCE, None, None
+    return BenchmarkRow(p.name, cfg.scheme, cfg.mu, cfg.h, x0, verdict, outcome.reason,
+                        iterations, final_x, abs(outcome.final_fx))
 
 
 def run_benchmark(epsilon: float = 1e-5, max_iters: int = 500) -> list[BenchmarkRow]:
@@ -147,8 +122,7 @@ def run_benchmark(epsilon: float = 1e-5, max_iters: int = 500) -> list[Benchmark
         for scheme in BENCH_SCHEME_ORDER:
             mu = BENCH_MU.get(scheme, {}).get(pname, 0.0)
             cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, max_iters=max_iters)
-            outcome = run(p, cfg, p.default_x0)
-            rows.append(_row_from_outcome(p, scheme, mu, cfg.h, p.default_x0, outcome))
+            rows.append(_row(p, cfg, p.default_x0))
     return rows
 
 
@@ -164,11 +138,7 @@ def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Sequence[float], x0: float,
     if not mu_values:
         raise ValueError("mu_values must be non-empty")
     base = cfg if cfg is not None else SolverConfig()
-    rows = []
-    for mu in mu_values:
-        c = replace(base, scheme=scheme, mu=mu)
-        rows.append(_row_from_outcome(p, scheme, mu, c.h, x0, run(p, c, x0)))
-    return rows
+    return [_row(p, replace(base, scheme=scheme, mu=mu), x0) for mu in mu_values]
 
 
 def sweep_h(p: ProblemSpec, mu: float, h_values: Sequence[float], x0: float,
@@ -181,11 +151,7 @@ def sweep_h(p: ProblemSpec, mu: float, h_values: Sequence[float], x0: float,
     if any(h <= 0.0 for h in h_values):
         raise ValueError("all h values must be positive")
     base = cfg if cfg is not None else SolverConfig()
-    rows = []
-    for h in h_values:
-        c = replace(base, scheme="euler_flow", mu=mu, h=h)
-        rows.append(_row_from_outcome(p, "euler_flow", mu, h, x0, run(p, c, x0)))
-    return rows
+    return [_row(p, replace(base, scheme="euler_flow", mu=mu, h=h), x0) for h in h_values]
 
 
 def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
@@ -205,7 +171,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
     cells = []
     for mu in mu_axis:
         c = replace(base, scheme=scheme, mu=mu)
-        cells.append(tuple(_cell_from_outcome(run(p, c, x0)) for x0 in x0_axis))
+        cells.append(tuple(_row(p, c, x0) for x0 in x0_axis))
     return BasinGrid(
         problem=p.name,
         scheme=scheme,
@@ -237,12 +203,7 @@ def _final(v: float | None) -> str:
     return "" if v is None else f"{v:.6f}"
 
 
-def rows_to_csv(rows: Iterable[BenchmarkRow]) -> str:
-    """Render benchmark rows as CSV, one header row first.
-
-    Reals carry 17 significant digits except final_x, which uses the
-    6-decimal table rendering.
-    """
+def _csv(rows: Iterable[BenchmarkRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(",".join([
@@ -260,25 +221,20 @@ def rows_to_csv(rows: Iterable[BenchmarkRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def basin_to_csv(grid: BasinGrid, h: float = 1.0) -> str:
-    """Render every basin cell as one CSV row (same columns as rows_to_csv)."""
-    lines = [CSV_HEADER]
-    for i, mu in enumerate(grid.mu_axis):
-        for j, x0 in enumerate(grid.x0_axis):
-            c = grid.cells[i][j]
-            lines.append(",".join([
-                grid.problem,
-                grid.scheme,
-                _real(mu),
-                _real(h),
-                _real(x0),
-                c.verdict,
-                c.reason,
-                "" if c.iterations is None else str(c.iterations),
-                _final(c.final_x),
-                _real(c.residual),
-            ]))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(rows: Iterable[BenchmarkRow]) -> str:
+    """Render rows as CSV, one header row first.
+
+    Reals carry 17 significant digits except final_x, which uses the
+    6-decimal table rendering.
+    """
+    return _csv(rows)
+
+
+def basin_to_csv(grid: BasinGrid) -> str:
+    """Render every basin cell as one CSV row, mu-major, as rows_to_csv does."""
+    # Through _csv rather than rows_to_csv, so that wrapping one public
+    # renderer never sees the other's calls.
+    return _csv(chain.from_iterable(grid.cells))
 
 
 def basin_to_grid_text(grid: BasinGrid) -> str:
@@ -287,9 +243,7 @@ def basin_to_grid_text(grid: BasinGrid) -> str:
     Converged cells print as C<iterations>, everything else as D.
     """
     lines = ["x0: " + " ".join(_real(x) for x in grid.x0_axis)]
-    for i, mu in enumerate(grid.mu_axis):
-        codes = []
-        for c in grid.cells[i]:
-            codes.append(f"C{c.iterations}" if c.verdict == VERDICT_CONVERGED else "D")
+    for mu, row in zip(grid.mu_axis, grid.cells):
+        codes = (f"C{c.iterations}" if c.verdict == VERDICT_CONVERGED else "D" for c in row)
         lines.append(f"{_real(mu)}: " + " ".join(codes))
     return "\n".join(lines) + "\n"

@@ -195,6 +195,26 @@ def test_bad_flag_values_are_usage_errors(capsys, flag):
     assert err.count("\n") == 1
 
 
+UNWRITABLE_OUTPUTS = {
+    "bench --output": ["bench", "--output"],
+    "solve --output": ["solve", "--problem", "log", "--scheme", "newton", "--output"],
+    "basin --grid-output": ["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
+                            "--x0-count", "3", "--grid-output"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, target):
+    path = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main(UNWRITABLE_OUTPUTS[command] + [str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rootflow: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_trig_basin_at_the_default_count(capsys):
     code, out, _ = run_cli(capsys, [
         "basin", "--problem", "trig", "--scheme", "secant-dyn", "--mu-values", "2.65"])

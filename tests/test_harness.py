@@ -185,6 +185,18 @@ def test_basin_cells_are_order_independent(problems):
     assert [unperm[x0] for x0 in axis] == list(base.cells[0])
 
 
+def test_basin_cells_are_the_rows_a_sweep_makes(problems):
+    # a cell carries the h it ran with, like a sweep row does
+    cfg = SolverConfig(h=0.5)
+    for scheme in ("newton", "euler_flow", "zheng", "secant_dyn"):
+        grid = map_basin(problems["log"], scheme, [0.135], [5.0], cfg)
+        assert grid.cells[0][0] == sweep_mu(problems["log"], scheme, [0.135], 5.0, cfg)[0]
+    grid = map_basin(problems["log"], "euler_flow", [0.135], [5.0], cfg)
+    [line] = basin_to_csv(grid).strip().split("\n")[1:]
+    assert line.split(",")[3] == "0.5"
+    assert line == rows_to_csv(sweep_h(problems["log"], 0.135, [0.5], 5.0)).strip().split("\n")[1]
+
+
 def test_basin_validates_axes(problems):
     with pytest.raises(ValueError):
         map_basin(problems["log"], "newton", [], [5.0])
@@ -245,6 +257,10 @@ def test_basin_csv_and_grid_text(problems):
     lines = csv_text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 2 * 5
+    # one renderer: the basin CSV is rows_to_csv over the cells, mu-major
+    rows = [cell for row in grid.cells for cell in row]
+    assert [(r.mu, r.x0) for r in rows] == [(mu, x0) for mu in (0.135, 0.5) for x0 in axis]
+    assert csv_text == rows_to_csv(rows)
 
     grid_text = basin_to_grid_text(grid)
     glines = grid_text.strip().split("\n")
