@@ -1,8 +1,9 @@
 """Command-line front end: solve, bench, order, sweep-mu, sweep-h, basin.
 
 All numerical failure modes print as verdicts; only usage errors exit
-nonzero (code 2), through argparse or, for a bad option value, with one
-``rootflow: ...`` line on stderr.  ``solve --expect-converge`` exits 1
+nonzero (code 2), through argparse or, for an option value the library
+rejects, with its message on one ``rootflow: ...`` line on stderr and
+nothing on stdout.  ``solve --expect-converge`` exits 1
 when the run does not converge, and ``bench`` exits 1 when the verdict
 pattern differs from the reference pattern.  Identical invocations produce
 byte-identical output.
@@ -11,7 +12,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import NoReturn
 
@@ -29,7 +29,7 @@ from .harness import (
     sweep_mu,
 )
 from .problems import ProblemSpec, builtin_problems
-from .solvers import SolverConfig, run
+from .solvers import BOOTSTRAPS, STOP_RULES, SolverConfig, run
 
 CLI_SCHEMES = {
     "newton": "newton",
@@ -38,15 +38,6 @@ CLI_SCHEMES = {
     "zheng": "zheng",
     "secant": "secant",
     "secant-dyn": "secant_dyn",
-}
-CLI_BOOTSTRAPS = {
-    "zheng-first-step": "zheng_first_step",
-    "offset-x0": "offset_x0",
-}
-CLI_STOP_RULES = {
-    "step-size": "step_size",
-    "residual": "residual",
-    "either": "either",
 }
 
 SCHEME_HELP = (
@@ -60,26 +51,49 @@ SCHEME_HELP = (
     "secant: secant-dyn with mu = 0"
 )
 
+# Every flag, declared once.  Bootstrap and stop-rule choices are the
+# library's names spelled with hyphens.
+_FLAGS = {
+    "--problem": dict(required=True, choices=sorted(builtin_problems()),
+                      help="registry problem name"),
+    "--scheme": dict(required=True, choices=sorted(CLI_SCHEMES), help=SCHEME_HELP),
+    "--mu": dict(type=float, default=0.0, help="flow parameter mu (default 0)"),
+    "--h": dict(type=float, default=1.0, help="Euler step length (euler only)"),
+    "--x0": dict(type=float, default=None, help="initial value (default: the problem's)"),
+    "--epsilon": dict(type=float, default=1e-5, help="convergence precision (default 1e-5)"),
+    "--max-iters": dict(type=int, default=500, help="iteration budget (default 500)"),
+    "--bootstrap": dict(choices=sorted(b.replace("_", "-") for b in BOOTSTRAPS),
+                        default="zheng-first-step",
+                        help="second starting point policy for two-point schemes"),
+    "--stop-rule": dict(choices=sorted(r.replace("_", "-") for r in STOP_RULES),
+                        default="step-size", help="smallness test declaring convergence"),
+    "--output": dict(default=None, help="write to this file instead of stdout"),
+    "--format": dict(choices=("table", "csv"), default="table"),
+    "--expect-converge": dict(action="store_true", help="exit 1 unless the run converges"),
+    "--mu-values": dict(required=True, help="comma-separated mu list, e.g. 0.1,0.5,1"),
+    "--h-values": dict(required=True, help="comma-separated h list, e.g. 0.1,0.5,1"),
+    "--x0-count": dict(type=int, default=201,
+                       help="number of evenly spaced initial values (default 201)"),
+    "--grid-output": dict(default=None, help="also write the dense C<iters>/D matrix to this file"),
+}
 
-def _add_common(sub):
-    sub.add_argument("--problem", required=True, choices=sorted(builtin_problems()),
-                     help="registry problem name")
-    sub.add_argument("--mu", type=float, default=0.0,
-                     help="flow parameter mu (default 0)")
-    sub.add_argument("--x0", type=float, default=None,
-                     help="initial value (default: the problem's)")
-    sub.add_argument("--epsilon", type=float, default=1e-5,
-                     help="convergence precision (default 1e-5)")
-    sub.add_argument("--max-iters", type=int, default=500,
-                     help="iteration budget (default 500)")
-    sub.add_argument("--bootstrap", choices=sorted(CLI_BOOTSTRAPS),
-                     default="zheng-first-step",
-                     help="second starting point policy for two-point schemes")
-    sub.add_argument("--stop-rule", choices=sorted(CLI_STOP_RULES), default="step-size",
-                     help="smallness test declaring convergence")
-    sub.add_argument("--output", default=None, help="write to this file instead of stdout")
-    sub.set_defaults(h=1.0)  # the Euler step for subcommands without --h
-    return sub
+# Each subcommand: its help line and the flags its handler reads, in usage order.
+_SUBCOMMANDS = {
+    "solve": ("run one scheme on one problem, print the trace",
+              "--problem --mu --x0 --epsilon --max-iters --bootstrap --stop-rule --output"
+              " --scheme --h --format --expect-converge"),
+    "bench": ("run the 3x3 reference benchmark", "--epsilon --max-iters --output --format"),
+    "order": ("estimate the two-point scheme's convergence order and constant",
+              "--problem --mu --x0 --epsilon --max-iters --bootstrap --stop-rule --output"),
+    "sweep-mu": ("run one scheme over a list of mu values",
+                 "--problem --x0 --epsilon --max-iters --bootstrap --stop-rule --output"
+                 " --scheme --mu-values"),
+    "sweep-h": ("run the Euler scheme over a list of step lengths",
+                "--problem --mu --x0 --epsilon --max-iters --stop-rule --output --h-values"),
+    "basin": ("map convergence over initial values and mu",
+              "--problem --epsilon --max-iters --bootstrap --stop-rule --output"
+              " --scheme --mu-values --x0-count --grid-output"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,46 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scalar nonlinear-equation solvers with an adjustable flow parameter.",
         epilog="Schemes: " + SCHEME_HELP,
     )
+    # What a handler reads for a flag its subcommand does not take.
+    parser.set_defaults(mu=0.0, h=1.0, bootstrap="zheng-first-step")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    solve = subs.add_parser("solve", help="run one scheme on one problem, print the trace")
-    _add_common(solve)
-    solve.add_argument("--scheme", required=True, choices=sorted(CLI_SCHEMES), help=SCHEME_HELP)
-    solve.add_argument("--h", type=float, default=1.0, help="Euler step length (euler only)")
-    solve.add_argument("--format", choices=("table", "csv"), default="table")
-    solve.add_argument("--expect-converge", action="store_true",
-                       help="exit 1 unless the run converges")
-
-    bench = subs.add_parser("bench", help="run the 3x3 reference benchmark")
-    bench.add_argument("--epsilon", type=float, default=1e-5)
-    bench.add_argument("--max-iters", type=int, default=500)
-    bench.add_argument("--output", default=None)
-    bench.add_argument("--format", choices=("table", "csv"), default="table")
-
-    order = subs.add_parser(
-        "order", help="estimate the two-point scheme's convergence order and constant")
-    _add_common(order)
-
-    sweepmu = subs.add_parser("sweep-mu", help="run one scheme over a list of mu values")
-    _add_common(sweepmu)
-    sweepmu.add_argument("--scheme", required=True, choices=sorted(CLI_SCHEMES), help=SCHEME_HELP)
-    sweepmu.add_argument("--mu-values", required=True,
-                         help="comma-separated mu list, e.g. 0.1,0.5,1")
-
-    sweeph = subs.add_parser("sweep-h", help="run the Euler scheme over a list of step lengths")
-    _add_common(sweeph)
-    sweeph.add_argument("--h-values", required=True,
-                        help="comma-separated h list, e.g. 0.1,0.5,1")
-
-    basin = subs.add_parser("basin", help="map convergence over initial values and mu")
-    _add_common(basin)
-    basin.add_argument("--scheme", required=True, choices=sorted(CLI_SCHEMES), help=SCHEME_HELP)
-    basin.add_argument("--mu-values", required=True,
-                       help="comma-separated mu axis")
-    basin.add_argument("--x0-count", type=int, default=201,
-                       help="number of evenly spaced initial values (default 201)")
-    basin.add_argument("--grid-output", default=None,
-                       help="also write the dense C<iters>/D matrix to this file")
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        # Without allow_abbrev=False, a removed or misspelt flag such as
+        # --x0 or --max would be read as a longer flag it prefixes.
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -149,42 +132,25 @@ def _emit(text: str, output: str | None) -> None:
 
 def _parse_values(raw: str, flag: str) -> list[float]:
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         _usage_error(f"invalid {flag} list: {raw!r}")
-    if not values:
-        _usage_error(f"empty {flag} list")
-    if not all(math.isfinite(v) for v in values):
-        _usage_error(f"non-finite value in {flag} list: {raw!r}")
-    return values
-
-
-def _solver_config(**fields) -> SolverConfig:
-    try:
-        return SolverConfig(**fields)
-    except ValueError as exc:
-        _usage_error(str(exc))
 
 
 def _config(args: argparse.Namespace, scheme: str) -> SolverConfig:
-    return _solver_config(
+    return SolverConfig(
         scheme=scheme,
         mu=args.mu,
         h=args.h,
         epsilon=args.epsilon,
         max_iters=args.max_iters,
-        bootstrap=CLI_BOOTSTRAPS[args.bootstrap],
-        stop_rule=CLI_STOP_RULES[args.stop_rule],
+        bootstrap=args.bootstrap.replace("-", "_"),
+        stop_rule=args.stop_rule.replace("-", "_"),
     )
 
 
 def _x0(args: argparse.Namespace, p: ProblemSpec) -> float:
-    if args.x0 is None:
-        return p.default_x0
-    a, b = p.domain
-    if not (a <= args.x0 <= b):
-        _usage_error(f"--x0 {args.x0!r} is outside the {p.name} domain [{a!r}, {b!r}]")
-    return args.x0
+    return p.default_x0 if args.x0 is None else args.x0
 
 
 def _bench_table(rows) -> str:
@@ -221,7 +187,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _solver_config(epsilon=args.epsilon, max_iters=args.max_iters)  # rejects bad flags
     rows = run_benchmark(epsilon=args.epsilon, max_iters=args.max_iters)
     text = rows_to_csv(rows) if args.format == "csv" else _bench_table(rows)
     _emit(text, args.output)
@@ -247,8 +212,6 @@ def _cmd_sweep_mu(args) -> int:
 def _cmd_sweep_h(args) -> int:
     p = builtin_problems()[args.problem]
     h_values = _parse_values(args.h_values, "--h-values")
-    if any(h <= 0.0 for h in h_values):
-        _usage_error(f"--h-values must all be positive: {args.h_values!r}")
     rows = sweep_h(p, args.mu, h_values, _x0(args, p), _config(args, "euler_flow"))
     _emit(rows_to_csv(rows), args.output)
     return 0
@@ -258,13 +221,11 @@ def _cmd_basin(args) -> int:
     p = builtin_problems()[args.problem]
     scheme = CLI_SCHEMES[args.scheme]
     mu_values = _parse_values(args.mu_values, "--mu-values")
-    if args.x0_count < 1:
-        _usage_error(f"--x0-count must be at least 1, got {args.x0_count}")
-    cfg = _config(args, scheme)
-    grid = map_basin(p, scheme, mu_values, default_x0_axis(p, args.x0_count), cfg)
-    _emit(basin_to_csv(grid), args.output)
+    grid = map_basin(p, scheme, mu_values, default_x0_axis(p, args.x0_count), _config(args, scheme))
+    # The grid file first: if it cannot be written, nothing has been output.
     if args.grid_output is not None:
         _emit(basin_to_grid_text(grid), args.grid_output)
+    _emit(basin_to_csv(grid), args.output)
     return 0
 
 
@@ -279,9 +240,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.subcommand](args)
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.subcommand](args)
+    except ValueError as exc:  # the library rejected an option value
+        _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -63,8 +63,10 @@ BENCH_EXPECTED_VERDICTS = {
 class BenchmarkRow(NamedTuple):
     """One (problem, scheme, mu, h, x0) run in table form.
 
-    Divergent rows carry no iteration count and no final root; the cause
-    stays in ``reason`` and the last accepted residual in ``residual``.
+    ``mu`` and ``h`` are the values the run used, which for an alias scheme
+    are the ones it fixes (see ``SolverConfig.resolved``).  Divergent rows
+    carry no iteration count and no final root; the cause stays in
+    ``reason`` and the last accepted residual in ``residual``.
     """
 
     problem: str
@@ -104,7 +106,8 @@ def _row(p: ProblemSpec, cfg: SolverConfig, x0: float) -> BenchmarkRow:
         verdict, iterations, final_x = VERDICT_CONVERGED, outcome.iterations, outcome.final_x
     else:
         verdict, iterations, final_x = VERDICT_DIVERGENCE, None, None
-    return BenchmarkRow(p.name, cfg.scheme, cfg.mu, cfg.h, x0, verdict, outcome.reason,
+    mu, h = cfg.resolved()
+    return BenchmarkRow(p.name, cfg.scheme, mu, h, x0, verdict, outcome.reason,
                         iterations, final_x, abs(outcome.final_fx))
 
 
@@ -146,10 +149,6 @@ def sweep_h(p: ProblemSpec, mu: float, h_values: Sequence[float], x0: float,
     """One row per Euler step length h, for the euler_flow scheme."""
     if not h_values:
         raise ValueError("h_values must be non-empty")
-    if p.df is None:
-        raise ValueError(f"problem {p.name!r} has no derivative; euler_flow needs one")
-    if any(h <= 0.0 for h in h_values):
-        raise ValueError("all h values must be positive")
     base = cfg if cfg is not None else SolverConfig()
     return [_row(p, replace(base, scheme="euler_flow", mu=mu, h=h), x0) for h in h_values]
 
@@ -163,10 +162,6 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
     """
     if not mu_axis or not x0_axis:
         raise ValueError("axes must be non-empty")
-    a, b = p.domain
-    for x0 in x0_axis:
-        if not (a <= x0 <= b):
-            raise ValueError(f"x0 = {x0!r} outside problem domain [{a!r}, {b!r}]")
     base = cfg if cfg is not None else SolverConfig()
     cells = []
     for mu in mu_axis:

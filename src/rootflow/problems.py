@@ -21,8 +21,8 @@ from typing import Callable
 ROOT_RESIDUAL_TOL = 1e-12
 
 
-class DomainViolation(Exception):
-    """An evaluation point left the problem's legal interval."""
+class DomainViolation(ValueError):
+    """An evaluation point left the problem's legal interval (for ``run``, a bad ``x0``)."""
 
     def __init__(self, x: float, domain: tuple[float, float] | None = None):
         self.x = x

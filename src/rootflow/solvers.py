@@ -26,6 +26,7 @@ DENOMINATOR_GUARD = 1e-300
 
 # Three update rules; the other three schemes are parameter aliases of them.
 # scheme -> (rule, fixed mu, fixed h), where None takes the config's value.
+# Only euler_flow takes h: the zheng and secant updates take a full step.
 # newton is the flow step with mu = 0 and h = 1 bit for bit, because 1*f and
 # 0*f + f' are exact for finite f.
 _FLOW, _ZHENG, _SECANT = "flow", "zheng", "secant"
@@ -33,9 +34,9 @@ _SCHEME_TABLE = {
     "newton": (_FLOW, 0.0, 1.0),
     "euler_flow": (_FLOW, None, None),
     "wu": (_FLOW, None, 1.0),
-    "zheng": (_ZHENG, None, None),
-    "secant_dyn": (_SECANT, None, None),
-    "secant": (_SECANT, 0.0, None),
+    "zheng": (_ZHENG, None, 1.0),
+    "secant_dyn": (_SECANT, None, 1.0),
+    "secant": (_SECANT, 0.0, 1.0),
 }
 SCHEMES = tuple(_SCHEME_TABLE)
 BOOTSTRAPS = ("zheng_first_step", "offset_x0")
@@ -66,7 +67,7 @@ _VERDICT_OF_REASON = {
 
 
 class DerivativeZero(Exception):
-    """|f'(x)| underflowed; the Newton correction is undefined."""
+    """|f'(x*)| is too small for the predicted error constant."""
 
 
 class DenominatorUnderflow(Exception):
@@ -81,11 +82,13 @@ class StagnantPair(Exception):
 class SolverConfig:
     """Scheme selection and the iteration protocol.
 
-    ``mu`` is the flow parameter of the parameterized denominators; it is
-    ignored by ``newton`` and ``secant``.  ``h`` is the Euler step length,
-    used only by ``euler_flow``.  ``bootstrap`` picks how the two-point
-    schemes obtain their second starting point, and ``stop_rule`` picks the
-    smallness test that declares convergence.
+    ``mu`` is the flow parameter of the parameterized denominators; ``newton``
+    and ``secant`` run with ``mu = 0``.  ``h`` is the Euler step length;
+    every scheme but ``euler_flow`` runs with ``h = 1``.  :meth:`resolved`
+    gives the pair a run uses.  ``bootstrap`` picks how the two-point schemes
+    obtain their second starting point, and ``stop_rule`` picks the
+    smallness test that declares convergence.  Every field is checked here,
+    and a bad value raises ``ValueError``.
     """
 
     scheme: str = "secant_dyn"
@@ -114,6 +117,11 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not (self.escape_bound > 0.0):
             raise ValueError("escape_bound must be positive")
+
+    def resolved(self) -> tuple[float, float]:
+        """The (mu, h) the scheme runs with: the scheme's fixed values, else the config's."""
+        _, mu, h = _SCHEME_TABLE[self.scheme]
+        return (self.mu if mu is None else mu, self.h if h is None else h)
 
 
 class TracePoint(NamedTuple):
@@ -184,12 +192,6 @@ class RunOutcome:
 # update rules on cached values (single source of the arithmetic, so the
 # public kernels and the driver agree bit for bit)
 
-def _newton_update(x: float, fx: float, dfx: float) -> float:
-    if abs(dfx) < DENOMINATOR_GUARD:
-        raise DerivativeZero(f"|f'({x!r})| < {DENOMINATOR_GUARD:g}")
-    return x - fx / dfx
-
-
 def _flow_update(x: float, fx: float, dfx: float, mu: float, h: float) -> float:
     den = mu * fx + dfx
     if abs(den) < DENOMINATOR_GUARD:
@@ -238,9 +240,8 @@ def _eval_df(p: ProblemSpec, x: float) -> float:
 # public one-step kernels
 
 def newton_step(p: ProblemSpec, x: float) -> float:
-    """Classical Newton step x - f(x)/f'(x)."""
-    fx = eval_f(p, x)
-    return _newton_update(x, fx, _eval_df(p, x))
+    """Classical Newton step x - f(x)/f'(x), the mu = 0, h = 1 case of euler_flow_step."""
+    return euler_flow_step(p, x, 0.0, 1.0)
 
 
 def euler_flow_step(p: ProblemSpec, x: float, mu: float, h: float) -> float:
@@ -293,18 +294,19 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     yields ``exhausted``.  The trace records every accepted iterate,
     starting with x0.
 
-    x0 must lie inside the problem's domain.  Two-point schemes first
-    produce their second starting point via the bootstrap policy; that
-    production is traced but not counted in ``iterations``.
+    x0 must lie inside the problem's domain, and a ``newton``, ``wu`` or
+    ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
+    ``ValueError``.  Two-point schemes first produce their second starting
+    point via the bootstrap policy; that production is traced but not
+    counted in ``iterations``.
     """
     a, b = p.domain
     if not (a <= x0 <= b):
         raise DomainViolation(x0, p.domain)
-    rule, mu, h = _SCHEME_TABLE[cfg.scheme]
+    rule = _SCHEME_TABLE[cfg.scheme][0]
     if rule is _FLOW and p.df is None:
         raise ValueError(f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
-    mu = cfg.mu if mu is None else mu
-    h = cfg.h if h is None else h
+    mu, h = cfg.resolved()
     flow, two_point = rule is _FLOW, rule is _SECANT
     offset_bootstrap = cfg.bootstrap == "offset_x0"
     stop_on_step = cfg.stop_rule != "residual"

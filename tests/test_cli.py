@@ -181,6 +181,8 @@ USAGE_ERRORS = {
     "mu": ["order", "--problem", "log", "--mu", "nan"],
     "h-values": ["sweep-h", "--problem", "log", "--h-values", "0.5,0"],
     "bench-epsilon": ["bench", "--epsilon", "-1"],
+    "mu-values": ["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1,inf"],
+    "x0-nan": ["order", "--problem", "log", "--x0", "nan"],
 }
 
 
@@ -210,9 +212,34 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, target):
     with pytest.raises(SystemExit) as exc:
         main(UNWRITABLE_OUTPUTS[command] + [str(path)])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"rootflow: cannot write {path}: ")
     assert err.count("\n") == 1
+
+
+# Flags a subcommand does not read, and an abbreviation of one it does.
+UNKNOWN_FLAGS = {
+    "basin --x0": ["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
+                   "--x0-count", "3", "--x0", "3"],
+    "basin --mu": ["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
+                   "--x0-count", "3", "--mu", "1"],
+    "sweep-mu --mu": ["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1",
+                      "--mu", "1"],
+    "sweep-h --bootstrap": ["sweep-h", "--problem", "log", "--h-values", "1",
+                            "--bootstrap", "offset-x0"],
+    "solve --max": ["solve", "--problem", "log", "--scheme", "newton", "--max", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNKNOWN_FLAGS))
+def test_unread_and_abbreviated_flags_are_usage_errors(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(UNKNOWN_FLAGS[command])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_trig_basin_at_the_default_count(capsys):

@@ -197,6 +197,23 @@ def test_basin_cells_are_the_rows_a_sweep_makes(problems):
     assert line == rows_to_csv(sweep_h(problems["log"], 0.135, [0.5], 5.0)).strip().split("\n")[1]
 
 
+def test_rows_name_the_mu_and_h_the_run_used(problems):
+    # newton fixes mu = 0 and h = 1, secant mu = 0, and every scheme but
+    # euler_flow h = 1; a row shows those, not the config's values
+    log = problems["log"]
+    rows = sweep_mu(log, "newton", [0.5, 2.0], 5.0)
+    assert [(r.mu, r.h) for r in rows] == [(0.0, 1.0), (0.0, 1.0)]
+    assert rows[0] == rows[1]
+    [row] = sweep_mu(log, "secant", [0.5], 5.0)
+    assert row.mu == 0.0
+    cfg = SolverConfig(h=0.5)
+    [row] = sweep_mu(log, "wu", [0.135], 5.0, cfg)
+    assert row.h == 1.0
+    assert row.iterations == sweep_mu(log, "euler_flow", [0.135], 5.0)[0].iterations
+    [row] = sweep_mu(log, "euler_flow", [0.135], 5.0, cfg)
+    assert row.h == 0.5
+
+
 def test_basin_validates_axes(problems):
     with pytest.raises(ValueError):
         map_basin(problems["log"], "newton", [], [5.0])

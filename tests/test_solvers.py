@@ -91,6 +91,13 @@ def test_wu_equals_euler_with_unit_step(name, t, mu):
     a, b = p.domain
     x = a + (b - a) * t
     try:
+        newton = euler_flow_step(p, x, 0.0, 1.0)
+    except DenominatorUnderflow:
+        with pytest.raises(DenominatorUnderflow):
+            newton_step(p, x)
+    else:
+        assert newton_step(p, x) == newton  # bit-for-bit
+    try:
         expected = euler_flow_step(p, x, mu, 1.0)
     except DenominatorUnderflow:
         with pytest.raises(DenominatorUnderflow):
