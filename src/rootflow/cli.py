@@ -109,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Without allow_abbrev=False, a removed or misspelt flag such as
         # --x0 or --max would be read as a longer flag it prefixes.
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.set_defaults(subparser=sub)
         for flag in flags.split():
             sub.add_argument(flag, **_FLAGS[flag])
     return parser
@@ -240,7 +241,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        # parse_args would report them with the top-level usage, not the subcommand's.
+        args.subparser.error("unrecognized arguments: " + " ".join(unread))
     try:
         return _COMMANDS[args.subcommand](args)
     except ValueError as exc:  # the library rejected an option value

@@ -139,7 +139,7 @@ def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Sequence[float], x0: float,
              cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One benchmark row per mu, in input order."""
     if not mu_values:
-        raise ValueError("mu_values must be non-empty")
+        raise ValueError("mu values must be non-empty")
     base = cfg if cfg is not None else SolverConfig()
     return [_row(p, replace(base, scheme=scheme, mu=mu), x0) for mu in mu_values]
 
@@ -148,7 +148,7 @@ def sweep_h(p: ProblemSpec, mu: float, h_values: Sequence[float], x0: float,
             cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One row per Euler step length h, for the euler_flow scheme."""
     if not h_values:
-        raise ValueError("h_values must be non-empty")
+        raise ValueError("h values must be non-empty")
     base = cfg if cfg is not None else SolverConfig()
     return [_row(p, replace(base, scheme="euler_flow", mu=mu, h=h), x0) for h in h_values]
 
@@ -160,8 +160,10 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
     Every x0 must lie inside the problem's domain.  Cells are pure and
     order-independent; the grid is evaluated row by row.
     """
-    if not mu_axis or not x0_axis:
-        raise ValueError("axes must be non-empty")
+    if not mu_axis:
+        raise ValueError("mu axis must be non-empty")
+    if not x0_axis:
+        raise ValueError("x0 axis must be non-empty")
     base = cfg if cfg is not None else SolverConfig()
     cells = []
     for mu in mu_axis:
@@ -179,7 +181,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
 def default_x0_axis(p: ProblemSpec, count: int = 201) -> tuple[float, ...]:
     """``count`` evenly spaced initial values across the problem domain."""
     if count < 1:
-        raise ValueError("count must be positive")
+        raise ValueError("x0 count must be at least 1")
     a, b = p.domain
     if count == 1:
         return (a,)

@@ -22,15 +22,12 @@ ROOT_RESIDUAL_TOL = 1e-12
 
 
 class DomainViolation(ValueError):
-    """An evaluation point left the problem's legal interval (for ``run``, a bad ``x0``)."""
+    """A point, called ``name`` in the message, left the problem's legal interval."""
 
-    def __init__(self, x: float, domain: tuple[float, float] | None = None):
+    def __init__(self, x: float, domain: tuple[float, float], name: str = "x"):
         self.x = x
         self.domain = domain
-        msg = f"x = {x!r} is outside the legal domain"
-        if domain is not None:
-            msg += f" [{domain[0]!r}, {domain[1]!r}]"
-        super().__init__(msg)
+        super().__init__(f"{name} = {x!r} is outside the legal domain [{domain[0]!r}, {domain[1]!r}]")
 
 
 class NonFiniteValue(Exception):

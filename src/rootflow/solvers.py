@@ -23,6 +23,8 @@ from .problems import (
 
 # Below this magnitude a denominator is treated as exactly degenerate.
 DENOMINATOR_GUARD = 1e-300
+# An iterate beyond this magnitude ends the run as escaped.
+ESCAPE_BOUND = 1e12
 
 # Three update rules; the other three schemes are parameter aliases of them.
 # scheme -> (rule, fixed mu, fixed h), where None takes the config's value.
@@ -98,7 +100,6 @@ class SolverConfig:
     max_iters: int = 500
     bootstrap: str = "zheng_first_step"
     stop_rule: str = "step_size"
-    escape_bound: float = 1e12
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -115,8 +116,6 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.escape_bound > 0.0):
-            raise ValueError("escape_bound must be positive")
 
     def resolved(self) -> tuple[float, float]:
         """The (mu, h) the scheme runs with: the scheme's fixed values, else the config's."""
@@ -149,43 +148,40 @@ class IterationTrace:
 
 @dataclass(frozen=True, slots=True)
 class RunOutcome:
-    """Verdict of one solver run.
+    """How one solver run ended, and the (x, f(x)) pairs it accepted from x0 on.
 
     ``iterations`` counts applications of the scheme's recurrence; the
-    production of the second starting point of a two-point scheme is
-    recorded in the trace but not counted.  ``final_fx`` is f(final_x), NaN
-    when f(x0) itself is not a finite real.  ``trace`` is built on first
-    read, so callers that need only the final point never pay for it.
+    production of the second starting point of a two-point scheme is a pair
+    but not an iteration.  The rest is derived: ``final_fx`` is the last
+    pair's f(x), NaN when f(x0) itself is not a finite real, and ``trace``
+    is built from the pairs on each read, so callers that need only the
+    final point never pay for one.
     """
 
-    verdict: str
     reason: str
     iterations: int
-    final_x: float
-    final_fx: float
-    # The accepted (x, f(x)) pairs until ``trace`` is first read, then the
-    # trace, so the two are never held at once.
-    _path: list | IterationTrace = field(repr=False, compare=False)
-    _known_root: float | None = field(repr=False, compare=False)
+    pairs: list[tuple[float, float]] = field(repr=False, hash=False)
+    known_root: float | None
 
     @property
-    def trace(self) -> IterationTrace:
-        path = self._path
-        if not isinstance(path, IterationTrace):
-            path = IterationTrace.from_points(path, self._known_root)
-            object.__setattr__(self, "_path", path)
-        return path
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.reason, self.iterations, self.final_x, self.final_fx, self.trace)
-                == (other.verdict, other.reason, other.iterations, other.final_x, other.final_fx,
-                    other.trace))
+    def verdict(self) -> str:
+        return _VERDICT_OF_REASON[self.reason]
 
     @property
     def converged(self) -> bool:
-        return self.verdict == VERDICT_CONVERGED
+        return self.reason in CONVERGED_REASONS
+
+    @property
+    def final_x(self) -> float:
+        return self.pairs[-1][0]
+
+    @property
+    def final_fx(self) -> float:
+        return self.pairs[-1][1]
+
+    @property
+    def trace(self) -> IterationTrace:
+        return IterationTrace.from_points(self.pairs, self.known_root)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     |x_{n+1} - x_n| <= epsilon, ``residual`` tests |f(x_{n+1})| <= epsilon,
     ``either`` accepts whichever fires first (step reported when both fire
     at once).  Any kernel error, domain exit, non-finite value or escape
-    beyond ``escape_bound`` yields a diverged verdict; an exhausted budget
+    beyond ``ESCAPE_BOUND`` yields a diverged verdict; an exhausted budget
     yields ``exhausted``.  The trace records every accepted iterate,
     starting with x0.
 
@@ -298,26 +294,25 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
     ``ValueError``.  Two-point schemes first produce their second starting
     point via the bootstrap policy; that production is traced but not
-    counted in ``iterations``.
+    counted in ``iterations``, and the step test skips an ``offset_x0`` one.
     """
     a, b = p.domain
     if not (a <= x0 <= b):
-        raise DomainViolation(x0, p.domain)
+        raise DomainViolation(x0, p.domain, "x0")
     rule = _SCHEME_TABLE[cfg.scheme][0]
     if rule is _FLOW and p.df is None:
         raise ValueError(f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
     mu, h = cfg.resolved()
     flow, two_point = rule is _FLOW, rule is _SECANT
-    offset_bootstrap = cfg.bootstrap == "offset_x0"
+    offset_bootstrap = two_point and cfg.bootstrap == "offset_x0"
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
-    epsilon, escape_bound, max_iters = cfg.epsilon, cfg.escape_bound, cfg.max_iters
+    epsilon, max_iters = cfg.epsilon, cfg.max_iters
 
-    x, fx = x0, math.nan
     points: list[tuple[float, float]] = []
     applications = 0
     try:
-        fx = eval_f(p, x)
+        x, fx = x0, eval_f(p, x0)
         points.append((x, fx))
         while applications < max_iters:
             if two_point:
@@ -339,14 +334,17 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
             if not (a <= candidate <= b):
                 reason = REASON_DOMAIN
                 break
-            if abs(candidate) > escape_bound:
+            if abs(candidate) > ESCAPE_BOUND:
                 reason = REASON_ESCAPE
                 break
             f_cand = eval_f(p, candidate)
             points.append((candidate, f_cand))
             x_prev, f_prev, x, fx = x, fx, candidate, f_cand
 
-            if stop_on_step and abs(x - x_prev) <= epsilon:
+            # The offset bootstrap's step is epsilon-sized by construction,
+            # so the step test would pass on it without any iteration.
+            if (stop_on_step and abs(x - x_prev) <= epsilon
+                    and not (offset_bootstrap and applications == 1)):
                 reason = REASON_STEP
                 break
             if stop_on_residual and abs(fx) <= epsilon:
@@ -354,25 +352,18 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 break
         else:
             reason = REASON_MAX_ITERS
-    except DomainViolation:
-        reason = REASON_DOMAIN
     except NonFiniteValue:
         reason = REASON_NONFINITE
         if not points:  # f(x0) itself is not a finite real
-            points.append((x, fx))
+            points.append((x0, math.nan))
     except DenominatorUnderflow:
         reason = REASON_UNDERFLOW
     except StagnantPair:
         # The pair gap is below any sensible epsilon, so under a step-based
-        # rule this is convergence; under a pure residual rule it is only
-        # convergence if the residual test passes.
-        if stop_on_step:
-            reason = REASON_STEP
-        elif abs(fx) <= epsilon:
-            reason = REASON_RESIDUAL
-        else:
-            reason = REASON_UNDERFLOW
+        # rule this is convergence.  Under the residual rule the current
+        # point's residual has already failed its test.
+        reason = REASON_STEP if stop_on_step else REASON_UNDERFLOW
 
     # The bootstrap production of a two-point scheme is not an iteration.
     iterations = applications - 1 if two_point and applications else applications
-    return RunOutcome(_VERDICT_OF_REASON[reason], reason, iterations, x, fx, points, p.known_root)
+    return RunOutcome(reason, iterations, points, p.known_root)

@@ -170,30 +170,41 @@ def test_basin_runs_are_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# Each bad value, and how the library's message starts: it names the input.
 USAGE_ERRORS = {
-    "x0": ["solve", "--problem", "log", "--scheme", "newton", "--x0", "7"],
-    "epsilon": ["solve", "--problem", "log", "--scheme", "newton", "--epsilon", "0"],
-    "h": ["solve", "--problem", "log", "--scheme", "euler", "--h", "-0.5"],
-    "max-iters": ["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1",
-                  "--max-iters", "0"],
-    "x0-count": ["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
-                 "--x0-count", "0"],
-    "mu": ["order", "--problem", "log", "--mu", "nan"],
-    "h-values": ["sweep-h", "--problem", "log", "--h-values", "0.5,0"],
-    "bench-epsilon": ["bench", "--epsilon", "-1"],
-    "mu-values": ["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1,inf"],
-    "x0-nan": ["order", "--problem", "log", "--x0", "nan"],
+    "x0": (["solve", "--problem", "log", "--scheme", "newton", "--x0", "7"],
+           "x0 = 7.0 is outside the legal domain [0.5, 5.0]"),
+    "epsilon": (["solve", "--problem", "log", "--scheme", "newton", "--epsilon", "0"],
+                "epsilon must"),
+    "h": (["solve", "--problem", "log", "--scheme", "euler", "--h", "-0.5"], "h must"),
+    "max-iters": (["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1",
+                   "--max-iters", "0"], "max_iters must"),
+    "x0-count": (["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
+                  "--x0-count", "0"], "x0 count must be at least 1"),
+    "mu": (["order", "--problem", "log", "--mu", "nan"], "mu must be finite"),
+    "h-values": (["sweep-h", "--problem", "log", "--h-values", "0.5,0"], "h must"),
+    "h-values-empty": (["sweep-h", "--problem", "log", "--h-values", ","],
+                       "h values must be non-empty"),
+    "bench-epsilon": (["bench", "--epsilon", "-1"], "epsilon must"),
+    "mu-values": (["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1,inf"],
+                  "mu must be finite"),
+    "mu-values-empty": (["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", ","],
+                        "mu values must be non-empty"),
+    "basin-mu-values-empty": (["basin", "--problem", "log", "--scheme", "zheng",
+                               "--mu-values", ","], "mu axis must be non-empty"),
+    "x0-nan": (["order", "--problem", "log", "--x0", "nan"], "x0 = nan is outside"),
 }
 
 
 @pytest.mark.parametrize("flag", sorted(USAGE_ERRORS))
 def test_bad_flag_values_are_usage_errors(capsys, flag):
+    argv, message = USAGE_ERRORS[flag]
     with pytest.raises(SystemExit) as exc:
-        main(USAGE_ERRORS[flag])
+        main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("rootflow: ")
+    assert err.startswith("rootflow: " + message)
     assert err.count("\n") == 1
 
 
@@ -239,6 +250,8 @@ def test_unread_and_abbreviated_flags_are_usage_errors(capsys, command):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
+    # the subcommand's usage, which lists the flags it does take
+    assert err.startswith(f"usage: rootflow {UNKNOWN_FLAGS[command][0]} ")
     assert "unrecognized arguments" in err
 
 

@@ -215,11 +215,11 @@ def test_rows_name_the_mu_and_h_the_run_used(problems):
 
 
 def test_basin_validates_axes(problems):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mu axis must be non-empty$"):
         map_basin(problems["log"], "newton", [], [5.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x0 axis must be non-empty$"):
         map_basin(problems["log"], "newton", [0.0], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x0 = 7\.0 is outside"):
         map_basin(problems["log"], "newton", [0.0], [7.0])
 
 

@@ -22,6 +22,7 @@ from rootflow import (
     wu_step,
     zheng_step,
 )
+from rootflow.solvers import ESCAPE_BOUND
 
 WIDE = (-1e9, 1e9)
 
@@ -218,6 +219,17 @@ def test_run_offset_bootstrap(problems):
     assert f"{out.final_x:.6f}" == "1.000000"
 
 
+@pytest.mark.parametrize("x0, iterations", [(0.6, 5), (0.9, 4)])
+def test_run_offset_bootstrap_is_not_step_tested(problems, x0, iterations):
+    # The offset step is epsilon * max(1, |x0|), which for |x0| <= 1 passes
+    # the step test; it must not count as convergence on its own.
+    cfg = SolverConfig(scheme="secant_dyn", mu=0.5, bootstrap="offset_x0")
+    out = run(problems["log"], cfg, x0)
+    assert out.reason == "step_below_epsilon"
+    assert out.iterations == iterations
+    assert abs(out.final_fx) < 1e-10
+
+
 def test_run_residual_stop_rule(problems):
     cfg = SolverConfig(scheme="zheng", mu=1.0, stop_rule="residual")
     out = run(problems["log"], cfg, 5.0)
@@ -249,12 +261,49 @@ def test_run_exhausts_budget_with_tiny_euler_step(problems):
 
 
 def test_run_escape_bound():
-    # e^{-x} has no root; Newton walks right by one per step forever
-    p = ProblemSpec(name="noroot", f=lambda x: math.exp(-x),
-                    df=lambda x: -math.exp(-x), domain=(-1e11, 1e11), default_x0=0.0)
-    out = run(p, SolverConfig(scheme="newton", escape_bound=100.0), 0.0)
+    # Newton on the cube root maps x to -2x, so |x| doubles every step and
+    # passes ESCAPE_BOUND = 1e12 long before the domain's edge at 1e15.
+    p = ProblemSpec(name="cbrt", f=lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x),
+                    df=lambda x: abs(x) ** (-2.0 / 3.0) / 3.0,
+                    domain=(-1e15, 1e15), default_x0=1.0)
+    out = run(p, SolverConfig(scheme="newton"), 1.0)
     assert out.verdict == "diverged"
     assert out.reason == "escape_bound_exceeded"
+    assert out.iterations == 40
+    assert abs(out.final_x) <= ESCAPE_BOUND < 2.0 * abs(out.final_x)
+
+
+def test_run_nonfinite_candidate_diverges():
+    # f(2) / f'(2) = 1e200 / 1e-290 overflows, so the first candidate is -inf
+    p = ProblemSpec(name="steep", f=lambda x: 1e200 * (x - 1.0), df=lambda x: 1e-290,
+                    domain=WIDE, default_x0=2.0)
+    out = run(p, SolverConfig(scheme="newton"), 2.0)
+    assert out.verdict == "diverged"
+    assert out.reason == "nonfinite"
+    assert out.iterations == 1
+    assert out.final_x == 2.0
+
+
+@pytest.mark.parametrize("stop_rule, reason", [
+    ("step_size", "step_below_epsilon"),
+    ("either", "step_below_epsilon"),
+    ("residual", "denominator_underflow"),
+])
+@pytest.mark.parametrize("bootstrap, mu, epsilon", [
+    # the bootstrap step 1/mu vanishes against x0
+    ("zheng_first_step", 1e20, 1e-5),
+    # the offset step is below the pair-gap guard
+    ("offset_x0", 0.5, 1e-310),
+])
+def test_run_stagnant_pair(problems, bootstrap, mu, epsilon, stop_rule, reason):
+    # Both starting points are 5.0: a step rule calls that convergence, the
+    # residual rule (|ln 5| > epsilon) a degenerate denominator.
+    cfg = SolverConfig(scheme="secant_dyn", mu=mu, epsilon=epsilon, bootstrap=bootstrap,
+                       stop_rule=stop_rule)
+    out = run(problems["log"], cfg, 5.0)
+    assert out.reason == reason
+    assert out.iterations == 0
+    assert [pt.x for pt in out.trace.points] == [5.0, 5.0]
 
 
 def test_run_flat_derivative_diverges():
@@ -386,7 +435,6 @@ def _same_float(a, b):
 
 def _check_lazy_trace(out):
     trace = out.trace
-    assert out.trace is trace
     assert out.final_x == trace.points[-1].x
     assert _same_float(out.final_fx, trace.points[-1].fx)
     if trace.errors is not None:
@@ -408,6 +456,7 @@ def test_lazy_trace_contract(problems, scheme, bootstrap, stop_rule):
             fresh = run(p, cfg, x0)
             assert fresh == out
             assert out == run(p, cfg, x0)
+            assert hash(fresh) == hash(out)
 
 
 def test_lazy_trace_contract_on_nonfinite_start():
