@@ -48,22 +48,31 @@ class OrderEstimate:
     """
 
     orders: tuple[float, ...]
-    final_order: float
     constant_estimates: tuple[float, ...]
-    final_constant: float
-    usable_steps: int
+
+    @property
+    def final_order(self) -> float:
+        return self.orders[-1]
+
+    @property
+    def final_constant(self) -> float:
+        return self.constant_estimates[-1]
+
+    @property
+    def usable_steps(self) -> int:
+        return len(self.constant_estimates)
 
 
 def _usable_errors(trace: IterationTrace) -> list[float]:
-    if trace.errors is None:
+    errors = trace.errors
+    if errors is None:
         raise InsufficientData("trace has no error sequence (problem lacks a known root)")
-    root = trace.known_root if trace.known_root is not None else 0.0
-    floor = SATURATION_FLOOR_FACTOR * max(1.0, abs(root))
+    floor = SATURATION_FLOOR_FACTOR * max(1.0, abs(trace.known_root))
     usable = []
-    for e in trace.errors:
+    for e in errors:
         # An exact zero or a sub-floor error ends the asymptotically
         # meaningful prefix; everything after it is rounding noise.
-        if e == 0.0 or abs(e) <= floor:
+        if abs(e) <= floor:
             break
         usable.append(e)
     return usable
@@ -89,13 +98,7 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
     if not orders:
         raise InsufficientData("no informative error ratios (|e_n| is not shrinking)")
     constants = [errs[n + 1] / (errs[n] * errs[n]) for n in range(len(errs) - 1)]
-    return OrderEstimate(
-        orders=tuple(orders),
-        final_order=orders[-1],
-        constant_estimates=tuple(constants),
-        final_constant=constants[-1],
-        usable_steps=len(constants),
-    )
+    return OrderEstimate(orders=tuple(orders), constant_estimates=tuple(constants))
 
 
 def predicted_constant(p: ProblemSpec, mu: float) -> float:
@@ -119,16 +122,31 @@ def predicted_constant(p: ProblemSpec, mu: float) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Observed versus predicted asymptotics for one two-point-scheme run."""
+    """Observed versus predicted asymptotics for one two-point-scheme run.
+
+    Only the run, the estimate and the prediction are stored; x0 and the
+    comparison metrics are derived from them.
+    """
 
     problem: str
     mu: float
-    x0: float
     outcome: RunOutcome
     estimate: OrderEstimate | None
     predicted: float | None
-    constant_rel_error: float | None
-    order_gap: float | None
+
+    @property
+    def x0(self) -> float:
+        return self.outcome.pairs[0][0]
+
+    @property
+    def constant_rel_error(self) -> float | None:
+        if self.estimate is None or self.predicted is None:
+            return None
+        return abs(self.estimate.final_constant - self.predicted) / max(1.0, abs(self.predicted))
+
+    @property
+    def order_gap(self) -> float | None:
+        return None if self.estimate is None else abs(self.estimate.final_order - 2.0)
 
     def to_text(self) -> str:
         lines = [
@@ -167,37 +185,15 @@ def verify_quadratic_convergence(
     the configuration should use a much tighter epsilon than the solve
     default (1e-13 is used when cfg is omitted).
     """
-    if cfg is None:
-        cfg = SolverConfig(scheme="secant_dyn", mu=mu, epsilon=1e-13)
-    else:
-        cfg = replace(cfg, scheme="secant_dyn", mu=mu)
+    cfg = replace(cfg or SolverConfig(epsilon=1e-13), scheme="secant_dyn", mu=mu)
     outcome = run(p, cfg, x0)
-
-    estimate = None
-    predicted = None
-    constant_rel_error = None
-    order_gap = None
+    estimate = predicted = None
     if outcome.converged:
+        # Without a known root the estimate fails first, so the prediction
+        # always has a root to use.
         try:
             estimate = estimate_order(outcome.trace)
-        except InsufficientData:
-            estimate = None
-    if estimate is not None:
-        if p.df is not None and p.known_root is not None:
-            try:
-                predicted = predicted_constant(p, mu)
-            except DerivativeZero:
-                predicted = None
-        if predicted is not None:
-            constant_rel_error = abs(estimate.final_constant - predicted) / max(1.0, abs(predicted))
-        order_gap = abs(estimate.final_order - 2.0)
-    return ConvergenceReport(
-        problem=p.name,
-        mu=mu,
-        x0=x0,
-        outcome=outcome,
-        estimate=estimate,
-        predicted=predicted,
-        constant_rel_error=constant_rel_error,
-        order_gap=order_gap,
-    )
+            predicted = predicted_constant(p, mu)
+        except (InsufficientData, MissingDerivative, DerivativeZero):
+            pass
+    return ConvergenceReport(p.name, mu, outcome, estimate, predicted)

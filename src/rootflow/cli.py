@@ -77,43 +77,6 @@ _FLAGS = {
     "--grid-output": dict(default=None, help="also write the dense C<iters>/D matrix to this file"),
 }
 
-# Each subcommand: its help line and the flags its handler reads, in usage order.
-_SUBCOMMANDS = {
-    "solve": ("run one scheme on one problem, print the trace",
-              "--problem --mu --x0 --epsilon --max-iters --bootstrap --stop-rule --output"
-              " --scheme --h --format --expect-converge"),
-    "bench": ("run the 3x3 reference benchmark", "--epsilon --max-iters --output --format"),
-    "order": ("estimate the two-point scheme's convergence order and constant",
-              "--problem --mu --x0 --epsilon --max-iters --bootstrap --stop-rule --output"),
-    "sweep-mu": ("run one scheme over a list of mu values",
-                 "--problem --x0 --epsilon --max-iters --bootstrap --stop-rule --output"
-                 " --scheme --mu-values"),
-    "sweep-h": ("run the Euler scheme over a list of step lengths",
-                "--problem --mu --x0 --epsilon --max-iters --stop-rule --output --h-values"),
-    "basin": ("map convergence over initial values and mu",
-              "--problem --epsilon --max-iters --bootstrap --stop-rule --output"
-              " --scheme --mu-values --x0-count --grid-output"),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rootflow",
-        description="Scalar nonlinear-equation solvers with an adjustable flow parameter.",
-        epilog="Schemes: " + SCHEME_HELP,
-    )
-    # What a handler reads for a flag its subcommand does not take.
-    parser.set_defaults(mu=0.0, h=1.0, bootstrap="zheng-first-step")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
-        # Without allow_abbrev=False, a removed or misspelt flag such as
-        # --x0 or --max would be read as a longer flag it prefixes.
-        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        sub.set_defaults(subparser=sub)
-        for flag in flags.split():
-            sub.add_argument(flag, **_FLAGS[flag])
-    return parser
-
 
 def _usage_error(message: str) -> NoReturn:
     print(f"rootflow: {message}", file=sys.stderr)
@@ -230,23 +193,59 @@ def _cmd_basin(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "bench": _cmd_bench,
-    "order": _cmd_order,
-    "sweep-mu": _cmd_sweep_mu,
-    "sweep-h": _cmd_sweep_h,
-    "basin": _cmd_basin,
+# Each subcommand: its help line, its handler and the flags the handler
+# reads, in usage order.
+_SUBCOMMANDS = {
+    "solve": ("run one scheme on one problem, print the trace", _cmd_solve,
+              "--problem --mu --x0 --epsilon --max-iters --bootstrap --stop-rule --output"
+              " --scheme --h --format --expect-converge"),
+    "bench": ("run the 3x3 reference benchmark", _cmd_bench,
+              "--epsilon --max-iters --output --format"),
+    "order": ("estimate the two-point scheme's convergence order and constant", _cmd_order,
+              "--problem --mu --x0 --epsilon --max-iters --bootstrap --stop-rule --output"),
+    "sweep-mu": ("run one scheme over a list of mu values", _cmd_sweep_mu,
+                 "--problem --x0 --epsilon --max-iters --bootstrap --stop-rule --output"
+                 " --scheme --mu-values"),
+    "sweep-h": ("run the Euler scheme over a list of step lengths", _cmd_sweep_h,
+                "--problem --mu --x0 --epsilon --max-iters --stop-rule --output --h-values"),
+    "basin": ("map convergence over initial values and mu", _cmd_basin,
+              "--problem --epsilon --max-iters --bootstrap --stop-rule --output"
+              " --scheme --mu-values --x0-count --grid-output"),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rootflow",
+        description="Scalar nonlinear-equation solvers with an adjustable flow parameter.",
+        epilog="Schemes: " + SCHEME_HELP,
+    )
+    # What a handler reads for a flag its subcommand does not take.
+    parser.set_defaults(mu=0.0, h=1.0, bootstrap="zheng-first-step")
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
+        # Without allow_abbrev=False, a removed or misspelt flag such as
+        # --x0 or --max would be read as a longer flag it prefixes.
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.set_defaults(subparser=sub, handler=handler)
+        for flag in flags.split():
+            sub.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
 def main(argv=None) -> int:
-    args, unread = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # The top-level parser takes only -h.  Left to argparse, a leading flag
+    # is set aside and its value is read as the subcommand.
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error(f"unrecognized arguments: {argv[0]}")
+    args, unread = parser.parse_known_args(argv)
     if unread:
         # parse_args would report them with the top-level usage, not the subcommand's.
         args.subparser.error("unrecognized arguments: " + " ".join(unread))
     try:
-        return _COMMANDS[args.subcommand](args)
+        return args.handler(args)
     except ValueError as exc:  # the library rejected an option value
         _usage_error(str(exc))
 

@@ -86,11 +86,9 @@ class BasinGrid:
     """Verdict matrix over a mu axis and an initial-value axis.
 
     ``cells[i][j]`` is the row for ``mu_axis[i]`` and ``x0_axis[j]``;
-    every cell is an independent pure run.
+    every cell is an independent pure run and names its problem and scheme.
     """
 
-    problem: str
-    scheme: str
     mu_axis: tuple[float, ...]
     x0_axis: tuple[float, ...]
     cells: tuple[tuple[BenchmarkRow, ...], ...]
@@ -169,13 +167,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
     for mu in mu_axis:
         c = replace(base, scheme=scheme, mu=mu)
         cells.append(tuple(_row(p, c, x0) for x0 in x0_axis))
-    return BasinGrid(
-        problem=p.name,
-        scheme=scheme,
-        mu_axis=tuple(mu_axis),
-        x0_axis=tuple(x0_axis),
-        cells=tuple(cells),
-    )
+    return BasinGrid(mu_axis=tuple(mu_axis), x0_axis=tuple(x0_axis), cells=tuple(cells))
 
 
 def default_x0_axis(p: ProblemSpec, count: int = 201) -> tuple[float, ...]:

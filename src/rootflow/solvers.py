@@ -112,8 +112,8 @@ class SolverConfig:
             raise ValueError("mu must be finite")
         if not (0.0 < self.h < math.inf):
             raise ValueError("h must be positive and finite")
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -131,19 +131,24 @@ class TracePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """The accepted iterates (n, x_n, f(x_n)), plus errors when the root is known."""
+    """The accepted iterates (n, x_n, f(x_n)), and the root when it is known.
+
+    ``errors`` (x_n - x*, computed on each read) is None without the root.
+    """
 
     points: tuple[TracePoint, ...]
-    errors: tuple[float, ...] | None = None
     known_root: float | None = None
+
+    @property
+    def errors(self) -> tuple[float, ...] | None:
+        if self.known_root is None:
+            return None
+        return tuple(pt.x - self.known_root for pt in self.points)
 
     @classmethod
     def from_points(cls, points, known_root: float | None) -> "IterationTrace":
         pts = tuple(TracePoint(i, x, fx) for i, (x, fx) in enumerate(points))
-        errors = None
-        if known_root is not None:
-            errors = tuple(pt.x - known_root for pt in pts)
-        return cls(points=pts, errors=errors, known_root=known_root)
+        return cls(points=pts, known_root=known_root)
 
 
 @dataclass(frozen=True, slots=True)

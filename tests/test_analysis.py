@@ -156,11 +156,42 @@ def test_quadratic_claim_holds_when_second_derivative_vanishes(quart):
     assert report.order_gap <= 0.1
 
 
+# Problems whose prediction raises: the estimate stays, the prediction and
+# its relative error are None.  Each: (problem, mu, x0, |order - 2|).
+NO_PREDICTION = {
+    # no derivative: predicted_constant raises MissingDerivative
+    "no df": (ProblemSpec(name="noderiv", f=lambda x: x * x - 1.0, domain=WIDE,
+                          known_root=1.0, default_x0=1.5), 0.5, 1.5, 0.378),
+    # a triple root: f'(x*) = 0 raises DerivativeZero, and the scheme is linear
+    "x^3": (ProblemSpec(name="cube", f=lambda x: x ** 3, df=lambda x: 3.0 * x * x,
+                        domain=WIDE, known_root=0.0, default_x0=1.5), 0.5, 1.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_PREDICTION))
+def test_report_keeps_its_estimate_without_a_prediction(case):
+    p, mu, x0, gap = NO_PREDICTION[case]
+    report = verify_quadratic_convergence(p, mu, x0, SolverConfig(epsilon=1e-14))
+    assert report.outcome.converged
+    assert report.estimate is not None
+    assert report.order_gap == pytest.approx(gap, abs=1e-3)
+    assert report.predicted is None
+    assert report.constant_rel_error is None
+    assert "predicted" not in report.to_text()
+
+
+def test_report_x0_is_the_first_trace_point(quart):
+    report = verify_quadratic_convergence(quart, 1.5, 0.3)
+    assert report.x0 == report.outcome.pairs[0][0] == 0.3
+
+
 def test_report_carries_divergence_as_verdict(problems):
     # mu = 0 from x0 = 5: the bootstrap hop leaves the interval
     report = verify_quadratic_convergence(problems["log"], 0.0, 5.0)
     assert report.outcome.verdict == "diverged"
     assert report.estimate is None
+    assert report.order_gap is None and report.constant_rel_error is None
+    assert report.x0 == report.outcome.pairs[0][0] == 5.0
     assert "not estimable" in report.to_text()
 
 

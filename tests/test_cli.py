@@ -176,6 +176,8 @@ USAGE_ERRORS = {
            "x0 = 7.0 is outside the legal domain [0.5, 5.0]"),
     "epsilon": (["solve", "--problem", "log", "--scheme", "newton", "--epsilon", "0"],
                 "epsilon must"),
+    "epsilon-inf": (["solve", "--problem", "exp", "--scheme", "zheng", "--mu", "1",
+                     "--epsilon", "inf"], "epsilon must be positive and finite"),
     "h": (["solve", "--problem", "log", "--scheme", "euler", "--h", "-0.5"], "h must"),
     "max-iters": (["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1",
                    "--max-iters", "0"], "max_iters must"),
@@ -229,8 +231,10 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, target):
     assert err.count("\n") == 1
 
 
-# Flags a subcommand does not read, and an abbreviation of one it does.
+# Flags a subcommand does not read, an abbreviation of one it does, and a
+# flag before the subcommand, whose value argparse would take for one.
 UNKNOWN_FLAGS = {
+    "leading --bogus": ["--bogus", "1", "solve", "--problem", "log", "--scheme", "newton"],
     "basin --x0": ["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
                    "--x0-count", "3", "--x0", "3"],
     "basin --mu": ["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
@@ -250,9 +254,11 @@ def test_unread_and_abbreviated_flags_are_usage_errors(capsys, command):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    # the subcommand's usage, which lists the flags it does take
-    assert err.startswith(f"usage: rootflow {UNKNOWN_FLAGS[command][0]} ")
-    assert "unrecognized arguments" in err
+    # the usage of the parser that rejects the flag: the subcommand's, which
+    # lists the flags it does take, or before a subcommand the top-level one
+    first = UNKNOWN_FLAGS[command][0]
+    assert err.startswith("usage: rootflow " + ("[-h]" if first.startswith("-") else first) + " ")
+    assert "unrecognized arguments: " + command.split()[-1] in err
 
 
 def test_trig_basin_at_the_default_count(capsys):

@@ -394,8 +394,9 @@ def test_config_validation():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             SolverConfig(mu=bad)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=-1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SolverConfig(epsilon=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
