@@ -20,8 +20,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .problems import ProblemSpec
-from .solvers import DerivativeZero, IterationTrace, RunOutcome, SolverConfig, run
+from .problems import MissingDerivative, NonFiniteValue, ProblemSpec, eval_df
+from .solvers import IterationTrace, RunOutcome, SolverConfig, run
 
 SATURATION_FLOOR_FACTOR = 1e3 * sys.float_info.epsilon
 SECOND_DERIVATIVE_STEP_FACTOR = 1e-5
@@ -33,8 +33,8 @@ class InsufficientData(Exception):
     """Too few usable trace points to estimate an order."""
 
 
-class MissingDerivative(Exception):
-    """The operation needs the problem's exact derivative, which is absent."""
+class DerivativeZero(Exception):
+    """|f'(x*)| is too small for the predicted error constant."""
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,17 @@ def predicted_constant(p: ProblemSpec, mu: float) -> float:
     """Predicted limit of e_{n+1}/e_n^2: mu + f''(x*)/f'(x*).
 
     f''(x*) is obtained by central differencing the exact derivative with
-    step 1e-5 * max(1, |x*|).
+    step 1e-5 * max(1, |x*|).  A missing f' raises MissingDerivative, and
+    one that is not a finite real at x* or x* +- h raises NonFiniteValue.
     """
     if p.known_root is None:
         raise ValueError(f"problem {p.name!r} has no known root")
-    if p.df is None:
-        raise MissingDerivative(f"problem {p.name!r} has no derivative evaluator")
     root = p.known_root
-    fp = p.df(root)
+    fp = eval_df(p, root)
     if abs(fp) < DERIVATIVE_FLOOR:
         raise DerivativeZero(f"|f'(x*)| = {abs(fp):.3e} below {DERIVATIVE_FLOOR:.0e}")
     h = SECOND_DERIVATIVE_STEP_FACTOR * max(1.0, abs(root))
-    fpp = (p.df(root + h) - p.df(root - h)) / (2.0 * h)
+    fpp = (eval_df(p, root + h) - eval_df(p, root - h)) / (2.0 * h)
     return mu + fpp / fp
 
 
@@ -194,6 +193,6 @@ def verify_quadratic_convergence(
         try:
             estimate = estimate_order(outcome.trace)
             predicted = predicted_constant(p, mu)
-        except (InsufficientData, MissingDerivative, DerivativeZero):
+        except (InsufficientData, MissingDerivative, NonFiniteValue, DerivativeZero):
             pass
     return ConvergenceReport(p.name, mu, outcome, estimate, predicted)

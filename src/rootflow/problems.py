@@ -9,7 +9,8 @@ error tracking.
 Domain policy: iterates of a solver must stay inside ``domain``; leaving it
 is treated as divergence by the driver.  Auxiliary probe points used by
 difference quotients (for example ``x + f(x)``) only need a finite function
-value, which :func:`eval_f_unchecked` provides.
+value, which :func:`eval_f_unchecked` provides.  Every f and f' value
+passes one guard, and one that is not a finite real is NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class NonFiniteValue(Exception):
     def __init__(self, x: float):
         self.x = x
         super().__init__(f"f({x!r}) is not a finite real")
+
+
+class MissingDerivative(ValueError):
+    """The operation needs the problem's exact derivative, which is absent."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def eval_f(p: ProblemSpec, x: float) -> float:
     a, b = p.domain
     if not (a <= x <= b):
         raise DomainViolation(x, p.domain)
-    return eval_f_unchecked(p, x)
+    return _finite(p.f, x)
 
 
 def eval_f_unchecked(p: ProblemSpec, x: float) -> float:
@@ -101,10 +106,24 @@ def eval_f_unchecked(p: ProblemSpec, x: float) -> float:
     auxiliary difference-quotient probes that may step slightly outside the
     iterate interval.
     """
+    return _finite(p.f, x)
+
+
+def eval_df(p: ProblemSpec, x: float) -> float:
+    """Evaluate f'(x) as eval_f_unchecked does f; MissingDerivative if there is no f'."""
+    if p.df is None:
+        raise MissingDerivative(f"problem {p.name!r} has no derivative evaluator")
+    return _finite(p.df, x)
+
+
+def _finite(fn: Callable[[float], float], x: float) -> float:
+    """fn(x) if it is a finite real; NonFiniteValue if fn raises or it is not."""
     try:
-        value = p.f(x)
+        value = fn(x)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteValue(x) from exc
+    # math.isfinite converts through float, so an mpmath value beyond the
+    # float range is judged non-finite here even though it is finite in mp.
     try:
         finite = math.isfinite(value)
     except (TypeError, OverflowError) as exc:  # a complex value, or an int past float range

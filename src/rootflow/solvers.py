@@ -15,8 +15,10 @@ from typing import NamedTuple
 
 from .problems import (
     DomainViolation,
+    MissingDerivative,
     NonFiniteValue,
     ProblemSpec,
+    eval_df,
     eval_f,
     eval_f_unchecked,
 )
@@ -68,10 +70,6 @@ _VERDICT_OF_REASON = {
 }
 
 
-class DerivativeZero(Exception):
-    """|f'(x*)| is too small for the predicted error constant."""
-
-
 class DenominatorUnderflow(Exception):
     """The scheme's denominator underflowed below the guard threshold."""
 
@@ -115,7 +113,7 @@ class SolverConfig:
         if not (0.0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ValueError("max iters must be at least 1")
 
     def resolved(self) -> tuple[float, float]:
         """The (mu, h) the scheme runs with: the scheme's fixed values, else the config's."""
@@ -221,22 +219,6 @@ def _secant_update(x_prev: float, f_prev: float, x_curr: float, f_curr: float, m
     return x_curr - f_curr * dx / den
 
 
-def _eval_df(p: ProblemSpec, x: float) -> float:
-    if p.df is None:
-        raise ValueError(f"problem {p.name!r} has no derivative evaluator")
-    try:
-        value = p.df(x)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteValue(x) from exc
-    try:
-        finite = math.isfinite(value)
-    except (TypeError, OverflowError) as exc:  # a complex value, or an int past float range
-        raise NonFiniteValue(x) from exc
-    if not finite:
-        raise NonFiniteValue(x)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # public one-step kernels
 
@@ -248,7 +230,7 @@ def newton_step(p: ProblemSpec, x: float) -> float:
 def euler_flow_step(p: ProblemSpec, x: float, mu: float, h: float) -> float:
     """Euler step of the continuation flow: x - h f(x) / (mu f(x) + f'(x))."""
     fx = eval_f(p, x)
-    return _flow_update(x, fx, _eval_df(p, x), mu, h)
+    return _flow_update(x, fx, eval_df(p, x), mu, h)
 
 
 def wu_step(p: ProblemSpec, x: float, mu: float) -> float:
@@ -297,16 +279,18 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
 
     x0 must lie inside the problem's domain, and a ``newton``, ``wu`` or
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
-    ``ValueError``.  Two-point schemes first produce their second starting
-    point via the bootstrap policy; that production is traced but not
-    counted in ``iterations``, and the step test skips an ``offset_x0`` one.
+    ``DomainViolation`` or ``MissingDerivative``, both ``ValueError``.
+    Two-point schemes first produce their second starting point via the
+    bootstrap policy; that production is traced but not counted in
+    ``iterations``, and the step test skips an ``offset_x0`` one.
     """
     a, b = p.domain
     if not (a <= x0 <= b):
         raise DomainViolation(x0, p.domain, "x0")
     rule = _SCHEME_TABLE[cfg.scheme][0]
     if rule is _FLOW and p.df is None:
-        raise ValueError(f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
+        raise MissingDerivative(
+            f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
     mu, h = cfg.resolved()
     flow, two_point = rule is _FLOW, rule is _SECANT
     offset_bootstrap = two_point and cfg.bootstrap == "offset_x0"
@@ -328,7 +312,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 else:
                     candidate = _zheng_update(p, x, fx, mu)
             elif flow:
-                candidate = _flow_update(x, fx, _eval_df(p, x), mu, h)
+                candidate = _flow_update(x, fx, eval_df(p, x), mu, h)
             else:
                 candidate = _zheng_update(p, x, fx, mu)
             applications += 1

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rootflow import (
@@ -15,6 +17,12 @@ from rootflow import (
 )
 
 WIDE = (-1e9, 1e9)
+
+
+def abs_sq(df):
+    """f(x) = x + x|x|, root 0, with the given derivative evaluator."""
+    return ProblemSpec(name="abssq", f=lambda x: x + x * abs(x), df=df, domain=WIDE,
+                       known_root=0.0, default_x0=0.3)
 
 
 def synthetic_trace(errors, root=0.0):
@@ -159,6 +167,10 @@ def test_quadratic_claim_holds_when_second_derivative_vanishes(quart):
 # Problems whose prediction raises: the estimate stays, the prediction and
 # its relative error are None.  Each: (problem, mu, x0, |order - 2|).
 NO_PREDICTION = {
+    # f'(x*) is not a finite real: predicted_constant raises NonFiniteValue
+    "df raises at x*": (abs_sq(lambda x: (x + 2.0 * x * abs(x)) / x), 0.5, 0.3, 0.380),
+    "df is NaN at x*": (abs_sq(lambda x: math.nan if x == 0.0 else 1.0 + 2.0 * abs(x)),
+                        0.5, 0.3, 0.380),
     # no derivative: predicted_constant raises MissingDerivative
     "no df": (ProblemSpec(name="noderiv", f=lambda x: x * x - 1.0, domain=WIDE,
                           known_root=1.0, default_x0=1.5), 0.5, 1.5, 0.378),

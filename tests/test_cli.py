@@ -180,7 +180,7 @@ USAGE_ERRORS = {
                      "--epsilon", "inf"], "epsilon must be positive and finite"),
     "h": (["solve", "--problem", "log", "--scheme", "euler", "--h", "-0.5"], "h must"),
     "max-iters": (["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "1",
-                   "--max-iters", "0"], "max_iters must"),
+                   "--max-iters", "0"], "max iters must be at least 1"),
     "x0-count": (["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
                   "--x0-count", "0"], "x0 count must be at least 1"),
     "mu": (["order", "--problem", "log", "--mu", "nan"], "mu must be finite"),

@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 
 from rootflow import (
     DomainViolation,
+    MissingDerivative,
     NonFiniteValue,
     ProblemSpec,
     builtin_problems,
     eval_f,
     eval_f_unchecked,
 )
+from rootflow.problems import eval_df
 
 
 def test_registry_has_exactly_three_problems(problems):
@@ -71,6 +73,16 @@ def test_eval_f_unchecked_rejects_non_real_values():
         p = ProblemSpec(name="odd", f=f, domain=(-1e9, 1e9), default_x0=1.0)
         with pytest.raises(NonFiniteValue):
             eval_f_unchecked(p, -4.0)
+    # eval_df judges f' by the same guard: a raising, NaN or complex f'
+    for df, x in ((lambda x: 1.0 / x, 0.0), (lambda x: math.nan, 1.0), (lambda x: x ** 0.5, -4.0)):
+        p = ProblemSpec(name="odd", f=lambda x: x, df=df, domain=(-1e9, 1e9), default_x0=1.0)
+        with pytest.raises(NonFiniteValue):
+            eval_df(p, x)
+    # and a missing f' is a ValueError
+    nodf = ProblemSpec(name="nodf", f=lambda x: x, domain=(-1e9, 1e9), default_x0=1.0)
+    assert issubclass(MissingDerivative, ValueError)
+    with pytest.raises(MissingDerivative, match="problem 'nodf' has no derivative evaluator"):
+        eval_df(nodf, 1.0)
 
 
 @given(x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

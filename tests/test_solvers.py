@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from rootflow import (
     STOP_RULES,
     DenominatorUnderflow,
     DomainViolation,
+    MissingDerivative,
     ProblemSpec,
     SolverConfig,
     StagnantPair,
@@ -22,7 +25,7 @@ from rootflow import (
     wu_step,
     zheng_step,
 )
-from rootflow.solvers import ESCAPE_BOUND
+from rootflow.solvers import CONVERGED_REASONS, ESCAPE_BOUND
 
 WIDE = (-1e9, 1e9)
 
@@ -245,7 +248,7 @@ def test_run_rejects_x0_outside_domain(problems):
 
 def test_run_needs_derivative_for_derivative_schemes():
     p = ProblemSpec(name="noderiv", f=lambda x: x * x - 1.0, domain=WIDE, default_x0=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingDerivative, match="scheme 'newton' needs a derivative"):
         run(p, SolverConfig(scheme="newton"), 1.5)
     # derivative-free schemes are fine
     out = run(p, SolverConfig(scheme="secant_dyn", mu=0.0, epsilon=1e-10), 1.5)
@@ -425,6 +428,49 @@ def test_run_raising_derivative_diverges():
         assert out.verdict == "diverged"
         assert out.reason == "nonfinite"
         assert out.final_x == 1.5
+
+
+# What a misbehaving evaluator does instead of answering: return a value that
+# is not a finite real, or raise.
+MISBEHAVIOURS = (math.nan, math.inf, -math.inf, 1j, 10 ** 400,
+                 ValueError, ZeroDivisionError, OverflowError)
+
+
+def misbehaving(g, salt):
+    """g, except at about one point in eight, picked by a CRC of the point's
+    bytes (not hash(), which is salted per process), where it misbehaves."""
+    def fn(x):
+        k = zlib.crc32(struct.pack("<d", x), salt) % (8 * len(MISBEHAVIOURS))
+        if k >= len(MISBEHAVIOURS):
+            return g(x)
+        bad = MISBEHAVIOURS[k]
+        if isinstance(bad, type):
+            raise bad(f"misbehaving at {x!r}")
+        return bad
+    return fn
+
+
+MISBEHAVING_CUBIC = ProblemSpec(
+    name="badcubic", f=misbehaving(lambda x: x ** 3 - 2.0 * x - 5.0, 0),
+    df=misbehaving(lambda x: 3.0 * x * x - 2.0, 1), domain=(-3.0, 3.0), default_x0=2.0)
+
+
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    bootstrap=st.sampled_from(BOOTSTRAPS),
+    stop_rule=st.sampled_from(STOP_RULES),
+    mu=st.floats(min_value=-1e3, max_value=1e3),
+    x0=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_run_returns_whatever_the_evaluators_do(scheme, bootstrap, stop_rule, mu, x0):
+    p = MISBEHAVING_CUBIC
+    cfg = SolverConfig(scheme=scheme, mu=mu, bootstrap=bootstrap, stop_rule=stop_rule)
+    out = run(p, cfg, x0)
+    points = out.trace.points
+    a, b = p.domain
+    assert out.final_x == points[-1].x
+    assert all(a <= pt.x <= b for pt in points)
+    assert out.converged == (out.reason in CONVERGED_REASONS)
 
 
 # ---------------------------------------------------------------------------
