@@ -5,7 +5,8 @@ nonzero (code 2), through argparse or, for an option value the library
 rejects, with its message on one ``rootflow: ...`` line on stderr and
 nothing on stdout.  ``solve --expect-converge`` exits 1
 when the run does not converge, and ``bench`` exits 1 when the verdict
-pattern differs from the reference pattern.  Identical invocations produce
+pattern differs from the reference pattern.  A solver setting whose flag is
+not typed takes its SolverConfig default.  Identical invocations produce
 byte-identical output.
 """
 
@@ -13,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import NoReturn
 
 from .analysis import verify_quadratic_convergence
 from .harness import (
+    DEFAULT_X0_COUNT,
     VERDICT_DIVERGENCE,
     basin_to_csv,
     basin_to_grid_text,
@@ -28,7 +31,7 @@ from .harness import (
     sweep_h,
     sweep_mu,
 )
-from .problems import ProblemSpec, builtin_problems
+from .problems import builtin_problems
 from .solvers import BOOTSTRAPS, STOP_RULES, SolverConfig, run
 
 CLI_SCHEMES = {
@@ -52,29 +55,30 @@ SCHEME_HELP = (
 )
 
 # Every flag, declared once.  Bootstrap and stop-rule choices are the
-# library's names spelled with hyphens.
+# library's names spelled with hyphens.  A flag named after a SolverConfig
+# field has no default here: _config leaves an untyped one at SolverConfig's.
 _FLAGS = {
     "--problem": dict(required=True, choices=sorted(builtin_problems()),
                       help="registry problem name"),
     "--scheme": dict(required=True, choices=sorted(CLI_SCHEMES), help=SCHEME_HELP),
-    "--mu": dict(type=float, default=0.0, help="flow parameter mu (default 0)"),
-    "--h": dict(type=float, default=1.0, help="Euler step length (euler only)"),
-    "--x0": dict(type=float, default=None, help="initial value (default: the problem's)"),
-    "--epsilon": dict(type=float, default=1e-5, help="convergence precision (default 1e-5)"),
-    "--max-iters": dict(type=int, default=500, help="iteration budget (default 500)"),
+    "--mu": dict(type=float, help=f"flow parameter mu (default {SolverConfig.mu:g})"),
+    "--h": dict(type=float, help="Euler step length (euler only)"),
+    "--x0": dict(type=float, help="initial value (default: the problem's)"),
+    "--epsilon": dict(type=float,
+                      help=f"convergence precision (default {SolverConfig.epsilon:g})"),
+    "--max-iters": dict(type=int, help=f"iteration budget (default {SolverConfig.max_iters})"),
     "--bootstrap": dict(choices=sorted(b.replace("_", "-") for b in BOOTSTRAPS),
-                        default="zheng-first-step",
                         help="second starting point policy for two-point schemes"),
     "--stop-rule": dict(choices=sorted(r.replace("_", "-") for r in STOP_RULES),
-                        default="step-size", help="smallness test declaring convergence"),
-    "--output": dict(default=None, help="write to this file instead of stdout"),
+                        help="smallness test declaring convergence"),
+    "--output": dict(help="write to this file instead of stdout"),
     "--format": dict(choices=("table", "csv"), default="table"),
     "--expect-converge": dict(action="store_true", help="exit 1 unless the run converges"),
     "--mu-values": dict(required=True, help="comma-separated mu list, e.g. 0.1,0.5,1"),
     "--h-values": dict(required=True, help="comma-separated h list, e.g. 0.1,0.5,1"),
-    "--x0-count": dict(type=int, default=201,
-                       help="number of evenly spaced initial values (default 201)"),
-    "--grid-output": dict(default=None, help="also write the dense C<iters>/D matrix to this file"),
+    "--x0-count": dict(type=int, default=DEFAULT_X0_COUNT,
+                       help=f"number of evenly spaced initial values (default {DEFAULT_X0_COUNT})"),
+    "--grid-output": dict(help="also write the dense C<iters>/D matrix to this file"),
 }
 
 
@@ -101,20 +105,16 @@ def _parse_values(raw: str, flag: str) -> list[float]:
         _usage_error(f"invalid {flag} list: {raw!r}")
 
 
-def _config(args: argparse.Namespace, scheme: str) -> SolverConfig:
-    return SolverConfig(
-        scheme=scheme,
-        mu=args.mu,
-        h=args.h,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        bootstrap=args.bootstrap.replace("-", "_"),
-        stop_rule=args.stop_rule.replace("-", "_"),
-    )
-
-
-def _x0(args: argparse.Namespace, p: ProblemSpec) -> float:
-    return p.default_x0 if args.x0 is None else args.x0
+def _config(args: argparse.Namespace) -> SolverConfig:
+    """SolverConfig's defaults, overridden by the flags that were typed."""
+    typed = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+             if getattr(args, f.name, None) is not None}
+    if "scheme" in typed:
+        typed["scheme"] = CLI_SCHEMES[typed["scheme"]]
+    for name in ("bootstrap", "stop_rule"):
+        if name in typed:
+            typed[name] = typed[name].replace("-", "_")
+    return SolverConfig(**typed)
 
 
 def _bench_table(rows) -> str:
@@ -126,15 +126,15 @@ def _bench_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_solve(args) -> int:
-    p = builtin_problems()[args.problem]
-    outcome = run(p, _config(args, CLI_SCHEMES[args.scheme]), _x0(args, p))
+# Each handler takes the parsed flags, the problem (None for bench), the
+# config and the start point, and returns its output text and exit code.
 
+def _cmd_solve(args, p, cfg, x0) -> tuple[str, int]:
+    outcome = run(p, cfg, x0)
     if args.format == "csv":
         lines = ["n,x,f"]
         for pt in outcome.trace.points:
             lines.append(f"{pt.n},{pt.x:.17g},{pt.fx:.17g}")
-        text = "\n".join(lines) + "\n"
     else:
         lines = [f"{'n':>4}  {'x_n':<24} f(x_n)"]
         for pt in outcome.trace.points:
@@ -143,54 +143,36 @@ def _cmd_solve(args) -> int:
         lines.append(f"verdict    : {verdict} ({outcome.reason})")
         lines.append(f"iterations : {outcome.iterations}")
         lines.append(f"final_x    : {outcome.final_x:.6f} ({outcome.final_x:.17g})")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    if args.expect_converge and not outcome.converged:
-        return 1
-    return 0
+    return "\n".join(lines) + "\n", 1 if args.expect_converge and not outcome.converged else 0
 
 
-def _cmd_bench(args) -> int:
-    rows = run_benchmark(epsilon=args.epsilon, max_iters=args.max_iters)
+def _cmd_bench(args, p, cfg, x0) -> tuple[str, int]:
+    rows = run_benchmark(epsilon=cfg.epsilon, max_iters=cfg.max_iters)
     text = rows_to_csv(rows) if args.format == "csv" else _bench_table(rows)
-    _emit(text, args.output)
-    return 0 if benchmark_verdicts_match(rows) else 1
+    return text, 0 if benchmark_verdicts_match(rows) else 1
 
 
-def _cmd_order(args) -> int:
-    p = builtin_problems()[args.problem]
-    report = verify_quadratic_convergence(p, args.mu, _x0(args, p), _config(args, "secant_dyn"))
-    _emit(report.to_text() + "\n", args.output)
-    return 0
+def _cmd_order(args, p, cfg, x0) -> tuple[str, int]:
+    return verify_quadratic_convergence(p, cfg.mu, x0, cfg).to_text() + "\n", 0
 
 
-def _cmd_sweep_mu(args) -> int:
-    p = builtin_problems()[args.problem]
-    scheme = CLI_SCHEMES[args.scheme]
+def _cmd_sweep_mu(args, p, cfg, x0) -> tuple[str, int]:
     mu_values = _parse_values(args.mu_values, "--mu-values")
-    rows = sweep_mu(p, scheme, mu_values, _x0(args, p), _config(args, scheme))
-    _emit(rows_to_csv(rows), args.output)
-    return 0
+    return rows_to_csv(sweep_mu(p, cfg.scheme, mu_values, x0, cfg)), 0
 
 
-def _cmd_sweep_h(args) -> int:
-    p = builtin_problems()[args.problem]
+def _cmd_sweep_h(args, p, cfg, x0) -> tuple[str, int]:
     h_values = _parse_values(args.h_values, "--h-values")
-    rows = sweep_h(p, args.mu, h_values, _x0(args, p), _config(args, "euler_flow"))
-    _emit(rows_to_csv(rows), args.output)
-    return 0
+    return rows_to_csv(sweep_h(p, cfg.mu, h_values, x0, cfg)), 0
 
 
-def _cmd_basin(args) -> int:
-    p = builtin_problems()[args.problem]
-    scheme = CLI_SCHEMES[args.scheme]
+def _cmd_basin(args, p, cfg, x0) -> tuple[str, int]:
     mu_values = _parse_values(args.mu_values, "--mu-values")
-    grid = map_basin(p, scheme, mu_values, default_x0_axis(p, args.x0_count), _config(args, scheme))
+    grid = map_basin(p, cfg.scheme, mu_values, default_x0_axis(p, args.x0_count), cfg)
     # The grid file first: if it cannot be written, nothing has been output.
     if args.grid_output is not None:
         _emit(basin_to_grid_text(grid), args.grid_output)
-    _emit(basin_to_csv(grid), args.output)
-    return 0
+    return basin_to_csv(grid), 0
 
 
 # Each subcommand: its help line, its handler and the flags the handler
@@ -220,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scalar nonlinear-equation solvers with an adjustable flow parameter.",
         epilog="Schemes: " + SCHEME_HELP,
     )
-    # What a handler reads for a flag its subcommand does not take.
-    parser.set_defaults(mu=0.0, h=1.0, bootstrap="zheng-first-step")
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
         # Without allow_abbrev=False, a removed or misspelt flag such as
@@ -245,9 +225,16 @@ def main(argv=None) -> int:
         # parse_args would report them with the top-level usage, not the subcommand's.
         args.subparser.error("unrecognized arguments: " + " ".join(unread))
     try:
-        return args.handler(args)
+        p = builtin_problems()[args.problem] if "problem" in args else None
+        cfg = _config(args)
+        x0 = getattr(args, "x0", None)
+        if x0 is None and p is not None:
+            x0 = p.default_x0
+        text, code = args.handler(args, p, cfg, x0)
     except ValueError as exc:  # the library rejected an option value
         _usage_error(str(exc))
+    _emit(text, args.output)
+    return code
 
 
 if __name__ == "__main__":

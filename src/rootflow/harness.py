@@ -27,7 +27,10 @@ VERDICT_DIVERGENCE = "divergence"
 
 CSV_HEADER = "problem,scheme,mu,h,x0,verdict,reason,iterations,final_x,residual"
 
-# Curated per-problem parameter values for the benchmark; newton runs at 0.
+# How many initial values a basin map takes across the domain by default.
+DEFAULT_X0_COUNT = 201
+
+# Curated per-problem parameter values for the benchmark; newton fixes its own mu = 0.
 BENCH_MU = {
     ("log", "zheng"): 1.0,
     ("exp", "zheng"): 1.0 + 1.0 / math.e,
@@ -103,7 +106,8 @@ def _row(p: ProblemSpec, cfg: SolverConfig, x0: float) -> BenchmarkRow:
                         iterations, final_x, abs(outcome.final_fx))
 
 
-def run_benchmark(epsilon: float = 1e-5, max_iters: int = 500) -> list[BenchmarkRow]:
+def run_benchmark(epsilon: float = SolverConfig.epsilon,
+                  max_iters: int = SolverConfig.max_iters) -> list[BenchmarkRow]:
     """Run the 3 problems x 3 methods reference benchmark.
 
     Returns nine rows in problem-major order (newton, zheng, secant_dyn
@@ -114,7 +118,7 @@ def run_benchmark(epsilon: float = 1e-5, max_iters: int = 500) -> list[Benchmark
     rows = []
     for pname, scheme in BENCH_EXPECTED_VERDICTS:
         p = problems[pname]
-        mu = BENCH_MU.get((pname, scheme), 0.0)
+        mu = BENCH_MU.get((pname, scheme), SolverConfig.mu)
         cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, max_iters=max_iters)
         rows.append(_row(p, cfg, p.default_x0))
     return rows
@@ -163,7 +167,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
     return BasinGrid(mu_axis=tuple(mu_axis), x0_axis=tuple(x0_axis), cells=tuple(cells))
 
 
-def default_x0_axis(p: ProblemSpec, count: int = 201) -> tuple[float, ...]:
+def default_x0_axis(p: ProblemSpec, count: int = DEFAULT_X0_COUNT) -> tuple[float, ...]:
     """``count`` evenly spaced initial values across the problem domain."""
     if count < 1:
         raise ValueError("x0 count must be at least 1")

@@ -32,11 +32,14 @@ class DomainViolation(ValueError):
 
 
 class NonFiniteValue(Exception):
-    """Evaluation produced an overflow, NaN, or mathematically undefined value."""
+    """Evaluation produced an overflow, NaN, or mathematically undefined value.
 
-    def __init__(self, x: float):
+    ``name`` is the evaluator that failed, ``f`` or ``f'``.
+    """
+
+    def __init__(self, x: float, name: str):
         self.x = x
-        super().__init__(f"f({x!r}) is not a finite real")
+        super().__init__(f"{name}({x!r}) is not a finite real")
 
 
 class MissingDerivative(ValueError):
@@ -56,8 +59,12 @@ class ProblemSpec:
             and by the error-constant oracle.
         known_root: a solution x* with f(x*) = 0, used for error tracking.
 
-    Instances are immutable and safe to share between concurrent runs;
-    evaluators must be pure.
+    Construction checks the spec: a ``default_x0`` or ``known_root``
+    outside the domain raises DomainViolation named after the field, an
+    f(known_root) that is not a finite real raises NonFiniteValue, and a
+    residual above ROOT_RESIDUAL_TOL raises ValueError.  Instances are
+    immutable and safe to share between concurrent runs; evaluators must
+    be pure.
     """
 
     name: str
@@ -72,14 +79,12 @@ class ProblemSpec:
         if not (a < b):
             raise ValueError(f"domain must satisfy a < b, got [{a!r}, {b!r}]")
         if not (a <= self.default_x0 <= b):
-            raise ValueError(f"default_x0 = {self.default_x0!r} outside [{a!r}, {b!r}]")
+            raise DomainViolation(self.default_x0, self.domain, "default_x0")
         if self.known_root is not None:
             if not (a <= self.known_root <= b):
-                raise ValueError(f"known_root = {self.known_root!r} outside [{a!r}, {b!r}]")
-            try:
-                residual = self.f(self.known_root)
-            except Exception as exc:
-                raise ValueError(f"f(known_root) is not evaluable: {exc}") from exc
+                raise DomainViolation(self.known_root, self.domain, "known_root")
+            # The one guard judges f(known_root) as it does every f value.
+            residual = _finite(self.f, self.known_root, "f")
             if not (abs(residual) <= ROOT_RESIDUAL_TOL):
                 raise ValueError(
                     f"|f(known_root)| = {abs(residual):.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}"
@@ -96,7 +101,7 @@ def eval_f(p: ProblemSpec, x: float) -> float:
     a, b = p.domain
     if not (a <= x <= b):
         raise DomainViolation(x, p.domain)
-    return _finite(p.f, x)
+    return _finite(p.f, x, "f")
 
 
 def eval_f_unchecked(p: ProblemSpec, x: float) -> float:
@@ -106,30 +111,30 @@ def eval_f_unchecked(p: ProblemSpec, x: float) -> float:
     auxiliary difference-quotient probes that may step slightly outside the
     iterate interval.
     """
-    return _finite(p.f, x)
+    return _finite(p.f, x, "f")
 
 
 def eval_df(p: ProblemSpec, x: float) -> float:
     """Evaluate f'(x) as eval_f_unchecked does f; MissingDerivative if there is no f'."""
     if p.df is None:
         raise MissingDerivative(f"problem {p.name!r} has no derivative evaluator")
-    return _finite(p.df, x)
+    return _finite(p.df, x, "f'")
 
 
-def _finite(fn: Callable[[float], float], x: float) -> float:
-    """fn(x) if it is a finite real; NonFiniteValue if fn raises or it is not."""
+def _finite(fn: Callable[[float], float], x: float, name: str) -> float:
+    """fn(x) if it is a finite real; else NonFiniteValue, naming fn as ``name``."""
     try:
         value = fn(x)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteValue(x) from exc
+        raise NonFiniteValue(x, name) from exc
     # math.isfinite converts through float, so an mpmath value beyond the
     # float range is judged non-finite here even though it is finite in mp.
     try:
         finite = math.isfinite(value)
     except (TypeError, OverflowError) as exc:  # a complex value, or an int past float range
-        raise NonFiniteValue(x) from exc
+        raise NonFiniteValue(x, name) from exc
     if not finite:
-        raise NonFiniteValue(x)
+        raise NonFiniteValue(x, name)
     return value
 
 

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from rootflow import SolverConfig, builtin_problems, verify_quadratic_convergence
 from rootflow.cli import main
-from rootflow.harness import CSV_HEADER
+from rootflow.harness import CSV_HEADER, rows_to_csv, run_benchmark, sweep_h, sweep_mu
 
 
 def run_cli(capsys, argv):
@@ -301,6 +302,39 @@ def test_readme_basin_output_is_pinned(tmp_path, capsys):
     assert out == ""
     assert csv_path.read_bytes() == (GOLDEN / "basin.csv").read_bytes()
     assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
+
+
+# Each command with only its required flags, and the library call it must
+# equal when every solver setting is SolverConfig's default.
+DEFAULTS = SolverConfig()
+PROBLEMS = builtin_problems()
+BARE_COMMANDS = {
+    "bench": (["bench", "--format", "csv"],
+              lambda: rows_to_csv(run_benchmark(DEFAULTS.epsilon, DEFAULTS.max_iters))),
+    "sweep-mu": (["sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
+                  "--mu-values", "0.5,1.18,2.65"],
+                 lambda: rows_to_csv(sweep_mu(PROBLEMS["log"], "secant_dyn", [0.5, 1.18, 2.65],
+                                              PROBLEMS["log"].default_x0, DEFAULTS))),
+    # mu 0.5 uses up the whole iteration budget
+    "sweep-mu zheng": (["sweep-mu", "--problem", "exp", "--scheme", "zheng",
+                        "--mu-values", "0.5,3"],
+                       lambda: rows_to_csv(sweep_mu(PROBLEMS["exp"], "zheng", [0.5, 3.0],
+                                                    PROBLEMS["exp"].default_x0, DEFAULTS))),
+    "sweep-h": (["sweep-h", "--problem", "log", "--h-values", "0.5,1"],
+                lambda: rows_to_csv(sweep_h(PROBLEMS["log"], DEFAULTS.mu, [0.5, 1.0],
+                                            PROBLEMS["log"].default_x0, DEFAULTS))),
+    "order": (["order", "--problem", "log"],
+              lambda: verify_quadratic_convergence(PROBLEMS["log"], DEFAULTS.mu,
+                                                   PROBLEMS["log"].default_x0,
+                                                   DEFAULTS).to_text() + "\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BARE_COMMANDS))
+def test_cli_adds_no_solver_defaults_of_its_own(capsys, command):
+    argv, library = BARE_COMMANDS[command]
+    _, out, _ = run_cli(capsys, argv)
+    assert out == library()
 
 
 def test_missing_subcommand_is_a_usage_error():

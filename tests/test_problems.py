@@ -10,6 +10,7 @@ from rootflow import (
     NonFiniteValue,
     ProblemSpec,
     builtin_problems,
+    euler_flow_step,
     eval_f,
     eval_f_unchecked,
 )
@@ -71,12 +72,12 @@ def test_eval_f_unchecked_rejects_non_real_values():
     # x ** 0.5 is complex below zero; an int past the float range is not finite
     for f in (lambda x: x ** 0.5, lambda x: 10 ** 400):
         p = ProblemSpec(name="odd", f=f, domain=(-1e9, 1e9), default_x0=1.0)
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match=r"^f\(-4\.0\) is not a finite real$"):
             eval_f_unchecked(p, -4.0)
     # eval_df judges f' by the same guard: a raising, NaN or complex f'
     for df, x in ((lambda x: 1.0 / x, 0.0), (lambda x: math.nan, 1.0), (lambda x: x ** 0.5, -4.0)):
         p = ProblemSpec(name="odd", f=lambda x: x, df=df, domain=(-1e9, 1e9), default_x0=1.0)
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match=rf"^f'\({x!r}\) is not a finite real$"):
             eval_df(p, x)
     # and a missing f' is a ValueError
     nodf = ProblemSpec(name="nodf", f=lambda x: x, domain=(-1e9, 1e9), default_x0=1.0)
@@ -115,12 +116,28 @@ def test_spec_is_immutable(problems):
 
 def test_spec_validation():
     f = lambda x: x
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"domain must satisfy a < b"):
         ProblemSpec(name="bad", f=f, domain=(2.0, 1.0), default_x0=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainViolation,
+                       match=r"^default_x0 = 3\.0 is outside the legal domain \[0\.0, 1\.0\]$"):
         ProblemSpec(name="bad", f=f, domain=(0.0, 1.0), default_x0=3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainViolation,
+                       match=r"^known_root = 3\.0 is outside the legal domain \[1\.0, 2\.0\]$"):
         ProblemSpec(name="bad", f=f, domain=(1.0, 2.0), default_x0=1.5, known_root=3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"exceeds 1e-12"):
         # claimed root is not a root
         ProblemSpec(name="bad", f=f, domain=(0.0, 2.0), default_x0=1.0, known_root=1.0)
+    # f(known_root) passes the guard every f value passes: a complex residual
+    # is not a finite real, however small its modulus, and neither is a raise
+    for bad in (lambda x: complex(x - 1.0, 1e-13), lambda x: 1.0 / (x - 1.0)):
+        with pytest.raises(NonFiniteValue, match=r"^f\(1\.0\) is not a finite real$"):
+            ProblemSpec(name="bad", f=bad, domain=(0.0, 2.0), default_x0=1.5, known_root=1.0)
+
+
+def test_nonfinite_value_names_the_evaluator_that_failed():
+    # f(1.5) = 1.25 is fine; it is f' that divides by zero
+    p = ProblemSpec(name="baddf", f=lambda x: x * x - 1.0, df=lambda x: 1.0 / (x - x),
+                    domain=(-1e9, 1e9), default_x0=1.5)
+    with pytest.raises(NonFiniteValue, match=r"^f'\(1\.5\) is not a finite real$") as exc:
+        euler_flow_step(p, 1.5, 0.5, 1.0)
+    assert exc.value.x == 1.5

@@ -473,6 +473,33 @@ def test_run_returns_whatever_the_evaluators_do(scheme, bootstrap, stop_rule, mu
     assert out.converged == (out.reason in CONVERGED_REASONS)
 
 
+def _cubic(k):
+    """x^3 - 2x - 5 and its derivative times 2^k (exact short of over- or underflow)."""
+    s = math.ldexp(1.0, k)
+    return ProblemSpec(name="cubic", f=lambda x: s * (x ** 3 - 2.0 * x - 5.0),
+                       df=lambda x: s * (3.0 * x * x - 2.0), domain=WIDE, default_x0=2.0)
+
+
+# Every update rule here is a quotient whose numerator and denominator are
+# both linear in f (and f'), so scaling them by 2^k changes no rounding, and
+# the step-size test never reads f.  zheng and the zheng_first_step bootstrap
+# are left out: their probe point x + f(x) moves with the scale.
+@given(
+    scheme=st.sampled_from(["newton", "euler_flow", "wu", "secant", "secant_dyn"]),
+    x0=st.floats(min_value=-10.0, max_value=10.0),
+    mu=st.floats(min_value=-10.0, max_value=10.0),
+    h=st.floats(min_value=0.01, max_value=2.0),
+    epsilon=st.floats(min_value=1e-12, max_value=1e-3),
+    k=st.integers(min_value=-30, max_value=30),
+)
+def test_run_is_invariant_under_power_of_two_scaling(scheme, x0, mu, h, epsilon, k):
+    cfg = SolverConfig(scheme=scheme, mu=mu, h=h, epsilon=epsilon,
+                       bootstrap="offset_x0", stop_rule="step_size")
+    plain, scaled = run(_cubic(0), cfg, x0), run(_cubic(k), cfg, x0)
+    assert [x.hex() for x, _ in scaled.pairs] == [x.hex() for x, _ in plain.pairs]
+    assert (scaled.reason, scaled.iterations) == (plain.reason, plain.iterations)
+
+
 # ---------------------------------------------------------------------------
 # the trace is built on first read and agrees with the final point
 
