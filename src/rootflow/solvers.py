@@ -74,10 +74,6 @@ class DenominatorUnderflow(Exception):
     """The scheme's denominator underflowed below the guard threshold."""
 
 
-class StagnantPair(Exception):
-    """The two points of a secant-type pair coincide to machine precision."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Scheme selection and the iteration protocol.
@@ -210,9 +206,8 @@ def _zheng_update(p: ProblemSpec, x: float, fx: float, mu: float) -> float:
 
 
 def _secant_update(x_prev: float, f_prev: float, x_curr: float, f_curr: float, mu: float) -> float:
+    # A pair that coincides makes the denominator exactly 0.
     dx = x_curr - x_prev
-    if abs(dx) < DENOMINATOR_GUARD:
-        raise StagnantPair(f"points coincide at x = {x_curr!r}")
     den = mu * dx * f_curr + f_curr - f_prev
     if abs(den) < DENOMINATOR_GUARD:
         raise DenominatorUnderflow(f"secant denominator < {DENOMINATOR_GUARD:g} at x = {x_curr!r}")
@@ -272,10 +267,13 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     Convergence is declared by the configured stop rule: ``step_size`` tests
     |x_{n+1} - x_n| <= epsilon, ``residual`` tests |f(x_{n+1})| <= epsilon,
     ``either`` accepts whichever fires first (step reported when both fire
-    at once).  Any kernel error, domain exit, non-finite value or escape
-    beyond ``ESCAPE_BOUND`` yields a diverged verdict; an exhausted budget
-    yields ``exhausted``.  The trace records every accepted iterate,
-    starting with x0.
+    at once).  A step that cannot be taken, because its denominator is below
+    ``DENOMINATOR_GUARD``, ends the run converged when the current point is
+    an exact root (f(x) == 0; reported as the stop rule's own reason), and
+    ``denominator_underflow`` anywhere else.  A domain exit, non-finite
+    value or escape beyond ``ESCAPE_BOUND`` yields a diverged verdict; an
+    exhausted budget yields ``exhausted``.  The trace records every
+    accepted iterate, starting with x0.
 
     x0 must lie inside the problem's domain, and a ``newton``, ``wu`` or
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
@@ -346,12 +344,12 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
         if not points:  # f(x0) itself is not a finite real
             points.append((x0, math.nan))
     except DenominatorUnderflow:
-        reason = REASON_UNDERFLOW
-    except StagnantPair:
-        # The pair gap is below any sensible epsilon, so under a step-based
-        # rule this is convergence.  Under the residual rule the current
-        # point's residual has already failed its test.
-        reason = REASON_STEP if stop_on_step else REASON_UNDERFLOW
+        # The step cannot be taken.  Where f(x) is exactly 0 the current point
+        # is a root (the difference quotients are 0/0 there): converged.
+        if fx == 0.0:
+            reason = REASON_STEP if stop_on_step else REASON_RESIDUAL
+        else:
+            reason = REASON_UNDERFLOW
 
     # The bootstrap production of a two-point scheme is not an iteration.
     iterations = applications - 1 if two_point and applications else applications

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from rootflow import SolverConfig, builtin_problems, verify_quadratic_convergence
+from rootflow import SolverConfig, builtin_problems, run, verify_quadratic_convergence
 from rootflow.cli import main
 from rootflow.harness import CSV_HEADER, rows_to_csv, run_benchmark, sweep_h, sweep_mu
 
@@ -81,6 +81,18 @@ def test_solve_csv_trace(capsys):
     assert lines[0] == "n,x,f"
     assert lines[1].startswith("0,5,")
     assert len(lines) == 10  # x0 plus eight accepted iterates
+
+
+def test_solve_reads_hyphenated_bootstrap_and_stop_rule(capsys):
+    code, out, _ = run_cli(capsys, [
+        "solve", "--problem", "log", "--scheme", "secant-dyn", "--mu", "0.135",
+        "--bootstrap", "offset-x0", "--stop-rule", "residual", "--format", "csv"])
+    assert code == 0
+    cfg = SolverConfig(scheme="secant_dyn", mu=0.135, bootstrap="offset_x0",
+                       stop_rule="residual")
+    outcome = run(builtin_problems()["log"], cfg, 5.0)
+    assert out.split("\n")[1:-1] == [
+        f"{n},{x:.17g},{fx:.17g}" for n, (x, fx) in enumerate(outcome.pairs)]
 
 
 def test_solve_unknown_problem_is_a_usage_error(capsys):

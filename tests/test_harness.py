@@ -231,6 +231,7 @@ def test_default_x0_axis_spans_the_domain(problems):
     # every built-in domain at every count: inside [a, b], ascending, ending at b
     for p in problems.values():
         a, b = p.domain
+        assert default_x0_axis(p, 1) == (a,)
         for count in range(2, 402):
             axis = default_x0_axis(p, count)
             assert len(axis) == count

@@ -14,7 +14,6 @@ from rootflow import (
     MissingDerivative,
     ProblemSpec,
     SolverConfig,
-    StagnantPair,
     builtin_problems,
     euler_flow_step,
     eval_f,
@@ -81,7 +80,8 @@ def test_secant_step_value(sq4):
 
 
 def test_secant_stagnant_pair(sq):
-    with pytest.raises(StagnantPair):
+    # a pair that coincides makes the secant denominator exactly 0
+    with pytest.raises(DenominatorUnderflow):
         secant_dyn_step(sq, 1.5, 1.5, 0.7)
 
 
@@ -119,8 +119,8 @@ def test_secant_dyn_with_zero_mu_is_secant(xp, xc, c):
     p = ProblemSpec(name="shifted", f=lambda x: x * x - c, domain=WIDE, default_x0=1.0)
     try:
         expected = secant_step(p, xp, xc)
-    except (StagnantPair, DenominatorUnderflow) as exc:
-        with pytest.raises(type(exc)):
+    except DenominatorUnderflow:
+        with pytest.raises(DenominatorUnderflow):
             secant_dyn_step(p, xp, xc, 0.0)
         return
     assert secant_dyn_step(p, xp, xc, 0.0) == expected  # bit-for-bit
@@ -214,6 +214,42 @@ def test_run_starting_at_the_root(problems):
     assert out.final_x == pytest.approx(math.pi / 6.0, abs=1e-12)
 
 
+# The reason each stop rule gives for a run that ends at an exact root.
+ROOT_REASONS = {"step_size": {"step_below_epsilon"}, "residual": {"residual_below_epsilon"},
+                "either": {"step_below_epsilon", "residual_below_epsilon"}}
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("bootstrap", BOOTSTRAPS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_ends_converged_at_an_exact_root(scheme, bootstrap, stop_rule):
+    # zheng's quotient (f(x + f) - f) / f is 0/0 where f(x) == 0, and so is
+    # the zheng bootstrap's; a run that reaches the root, or starts on it,
+    # has converged all the same.
+    p = ProblemSpec(name="line", f=lambda x: x - 1.0, df=lambda x: 1.0,
+                    domain=(-10.0, 10.0), known_root=1.0, default_x0=3.0)
+    for mu in (0.0, 0.5):
+        cfg = SolverConfig(scheme=scheme, mu=mu, bootstrap=bootstrap, stop_rule=stop_rule)
+        for x0 in (3.0, 1.0):
+            out = run(p, cfg, x0)
+            assert out.reason in ROOT_REASONS[stop_rule]
+            assert out.final_x == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("scheme", ["newton", "wu", "euler_flow"])
+def test_run_ends_converged_at_a_flat_exact_root(scheme, stop_rule):
+    # f = f' = 0 at x = 1, so mu f + f' is exactly 0: no step can be taken,
+    # and none is needed.
+    p = ProblemSpec(name="double", f=lambda x: (x - 1.0) ** 2, df=lambda x: 2.0 * (x - 1.0),
+                    domain=(-10.0, 10.0), known_root=1.0, default_x0=3.0)
+    out = run(p, SolverConfig(scheme=scheme, mu=0.5, stop_rule=stop_rule), 1.0)
+    assert out.reason == ("residual_below_epsilon" if stop_rule == "residual"
+                          else "step_below_epsilon")
+    assert out.iterations == 0
+    assert out.pairs == [(1.0, 0.0)]
+
+
 def test_run_offset_bootstrap(problems):
     cfg = SolverConfig(scheme="secant_dyn", mu=0.135, bootstrap="offset_x0")
     out = run(problems["log"], cfg, 5.0)
@@ -287,20 +323,24 @@ def test_run_nonfinite_candidate_diverges():
     assert out.final_x == 2.0
 
 
-@pytest.mark.parametrize("stop_rule, reason", [
-    ("step_size", "step_below_epsilon"),
-    ("either", "step_below_epsilon"),
-    ("residual", "denominator_underflow"),
-])
-@pytest.mark.parametrize("bootstrap, mu, epsilon", [
-    # the bootstrap step 1/mu vanishes against x0
-    ("zheng_first_step", 1e20, 1e-5),
-    # the offset step is below the pair-gap guard
-    ("offset_x0", 0.5, 1e-310),
+@pytest.mark.parametrize("bootstrap, mu, epsilon, stop_rule, reason", [
+    # The bootstrap step 1/mu vanishes against x0: a computed update that
+    # does not move is what a step rule calls convergence.  The residual
+    # rule (|ln 5| > epsilon) goes on to a degenerate denominator.
+    ("zheng_first_step", 1e20, 1e-5, "either", "step_below_epsilon"),
+    ("zheng_first_step", 1e20, 1e-5, "residual", "denominator_underflow"),
+    ("zheng_first_step", 1e20, 1e-5, "step_size", "step_below_epsilon"),
+    # The offset step vanishes against x0, and no update is ever computed:
+    # the secant denominator of the coincident pair is exactly 0, and
+    # |ln 5| = 1.61 is no root.
+    ("offset_x0", 0.5, 1e-17, "either", "denominator_underflow"),
+    ("offset_x0", 0.5, 1e-17, "step_size", "denominator_underflow"),
+    ("offset_x0", 0.5, 1e-310, "either", "denominator_underflow"),
+    ("offset_x0", 0.5, 1e-310, "residual", "denominator_underflow"),
+    ("offset_x0", 0.5, 1e-310, "step_size", "denominator_underflow"),
 ])
 def test_run_stagnant_pair(problems, bootstrap, mu, epsilon, stop_rule, reason):
-    # Both starting points are 5.0: a step rule calls that convergence, the
-    # residual rule (|ln 5| > epsilon) a degenerate denominator.
+    # Both starting points are 5.0.
     cfg = SolverConfig(scheme="secant_dyn", mu=mu, epsilon=epsilon, bootstrap=bootstrap,
                        stop_rule=stop_rule)
     out = run(problems["log"], cfg, 5.0)
