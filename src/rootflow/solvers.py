@@ -108,6 +108,8 @@ class SolverConfig:
             raise ValueError("h must be positive and finite")
         if not (0.0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be positive and finite")
+        if not isinstance(self.max_iters, int):
+            raise ValueError("max iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max iters must be at least 1")
 
@@ -149,9 +151,9 @@ class IterationTrace:
 class RunOutcome:
     """How one solver run ended, and the (x, f(x)) pairs it accepted from x0 on.
 
-    ``iterations`` counts applications of the scheme's recurrence; the
-    production of the second starting point of a two-point scheme is a pair
-    but not an iteration.  The rest is derived: ``final_fx`` is the last
+    ``iterations`` counts accepted steps: a rejected candidate, or a step
+    that cannot be taken, is not one, and neither is the bootstrap pair of a
+    two-point scheme.  The rest is derived: ``final_fx`` is the last
     pair's f(x), NaN when f(x0) itself is not a finite real, and ``trace``
     is built from the pairs on each read, so callers that need only the
     final point never pay for one.
@@ -273,14 +275,16 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     ``denominator_underflow`` anywhere else.  A domain exit, non-finite
     value or escape beyond ``ESCAPE_BOUND`` yields a diverged verdict; an
     exhausted budget yields ``exhausted``.  The trace records every
-    accepted iterate, starting with x0.
+    accepted iterate, starting with x0.  ``iterations`` counts accepted
+    steps, and ``max_iters`` bounds it: a rejected candidate, or a step
+    that cannot be taken, is not counted.
 
     x0 must lie inside the problem's domain, and a ``newton``, ``wu`` or
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
     ``DomainViolation`` or ``MissingDerivative``, both ``ValueError``.
     Two-point schemes first produce their second starting point via the
-    bootstrap policy; that production is traced but not counted in
-    ``iterations``, and the step test skips an ``offset_x0`` one.
+    bootstrap policy; that pair is traced but neither counted nor budgeted,
+    and the step test skips an ``offset_x0`` one.
     """
     a, b = p.domain
     if not (a <= x0 <= b):
@@ -297,23 +301,19 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
 
     points: list[tuple[float, float]] = []
-    applications = 0
     try:
         x, fx = x0, eval_f(p, x0)
         points.append((x, fx))
-        while applications < max_iters:
-            if two_point:
-                if applications:
-                    candidate = _secant_update(x_prev, f_prev, x, fx, mu)
-                elif offset_bootstrap:
-                    candidate = x - math.copysign(1.0, fx) * epsilon * max(1.0, abs(x))
-                else:
-                    candidate = _zheng_update(p, x, fx, mu)
+        # Step 0 is a two-point scheme's bootstrap, outside the budget.
+        for step in range(0 if two_point else 1, max_iters + 1):
+            if two_point and step:
+                candidate = _secant_update(x_prev, f_prev, x, fx, mu)
+            elif offset_bootstrap:
+                candidate = x - math.copysign(1.0, fx) * epsilon * max(1.0, abs(x))
             elif flow:
                 candidate = _flow_update(x, fx, eval_df(p, x), mu, h)
-            else:
+            else:  # the zheng rule, or the zheng_first_step bootstrap
                 candidate = _zheng_update(p, x, fx, mu)
-            applications += 1
 
             if not math.isfinite(candidate):
                 reason = REASON_NONFINITE
@@ -331,7 +331,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
             # The offset bootstrap's step is epsilon-sized by construction,
             # so the step test would pass on it without any iteration.
             if (stop_on_step and abs(x - x_prev) <= epsilon
-                    and not (offset_bootstrap and applications == 1)):
+                    and not (offset_bootstrap and step == 0)):
                 reason = REASON_STEP
                 break
             if stop_on_residual and abs(fx) <= epsilon:
@@ -351,6 +351,5 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
         else:
             reason = REASON_UNDERFLOW
 
-    # The bootstrap production of a two-point scheme is not an iteration.
-    iterations = applications - 1 if two_point and applications else applications
+    iterations = len(points) - 1 - (two_point and len(points) > 1)
     return RunOutcome(reason, iterations, points, p.known_root)

@@ -1,9 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from rootflow import SolverConfig, builtin_problems, run, verify_quadratic_convergence
-from rootflow.cli import main
+from rootflow.cli import _SUBCOMMANDS, main
 from rootflow.harness import CSV_HEADER, rows_to_csv, run_benchmark, sweep_h, sweep_mu
 
 
@@ -60,6 +61,19 @@ def test_solve_divergence_exits_zero_without_expectation(capsys):
     assert code == 0
     assert "divergence" in out
     assert "domain_violation" in out
+
+
+@pytest.mark.parametrize("argv, reason, iterations", [
+    # a two-point run takes its bootstrap and then all 3 budgeted steps
+    (["--problem", "exp", "--scheme", "secant-dyn", "--mu", "1.18", "--max-iters", "3"],
+     "max_iters_reached", 3),
+    # the first candidate leaves the domain, so no step is taken
+    (["--problem", "log", "--scheme", "newton"], "domain_violation", 0),
+], ids=["exp-secant-dyn", "log-newton"])
+def test_solve_prints_the_accepted_steps(capsys, argv, reason, iterations):
+    code, out, _ = run_cli(capsys, ["solve", *argv])
+    assert code == 0
+    assert f"({reason})\niterations : {iterations}\n" in out
 
 
 def test_solve_expect_converge_exit_code(capsys):
@@ -314,6 +328,19 @@ def test_readme_basin_output_is_pinned(tmp_path, capsys):
     assert out == ""
     assert csv_path.read_bytes() == (GOLDEN / "basin.csv").read_bytes()
     assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
+
+
+def test_readme_examples_are_current(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    # The library snippet prints what its last line's comment says.
+    snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(snippet, {})
+    printed = snippet.strip().splitlines()[-1].split("#", 1)[1].strip()
+    assert capsys.readouterr().out == printed + "\n"
+    # The flag table lists exactly the flags each subcommand takes.
+    table = readme.split("| subcommand | flags |", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)` +\| `([^`]+)` \|$", table, re.M))
+    assert rows == {name: flags for name, (_, _, flags) in _SUBCOMMANDS.items()}
 
 
 # Each command with only its required flags, and the library call it must

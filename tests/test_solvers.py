@@ -187,7 +187,7 @@ def test_run_newton_diverges_on_log_by_domain_exit(problems):
     out = run(problems["log"], SolverConfig(scheme="newton"), 5.0)
     assert out.verdict == "diverged"
     assert out.reason == "domain_violation"
-    assert out.iterations == 1
+    assert out.iterations == 0  # the rejected candidate is not a step
     assert out.final_x == 5.0  # last accepted iterate
 
 
@@ -299,16 +299,44 @@ def test_run_exhausts_budget_with_tiny_euler_step(problems):
     assert out.iterations == 500
 
 
+COUNT_PROBLEMS = {**builtin_problems(), "sq": ProblemSpec(
+    name="sq", f=lambda x: x * x - 1.0, df=lambda x: 2.0 * x, domain=WIDE, known_root=1.0,
+    default_x0=1.5)}
+
+
+# [0.5, 5] lies inside the domain of each problem drawn.
+@given(
+    name=st.sampled_from(["log", "exp", "sq"]),
+    scheme=st.sampled_from(SCHEMES),
+    bootstrap=st.sampled_from(BOOTSTRAPS),
+    stop_rule=st.sampled_from(STOP_RULES),
+    mu=st.floats(min_value=-10.0, max_value=10.0),
+    x0=st.floats(min_value=0.5, max_value=5.0),
+    max_iters=st.integers(min_value=1, max_value=5),
+)
+def test_iterations_are_the_accepted_steps(name, scheme, bootstrap, stop_rule, mu, x0, max_iters):
+    cfg = SolverConfig(scheme=scheme, mu=mu, max_iters=max_iters, bootstrap=bootstrap,
+                       stop_rule=stop_rule)
+    out = run(COUNT_PROBLEMS[name], cfg, x0)
+    # Every pair after x0 is an accepted step, except a two-point scheme's bootstrap pair.
+    two_point = scheme in ("secant", "secant_dyn")
+    assert out.iterations == len(out.pairs) - 1 - (two_point and len(out.pairs) > 1)
+    assert out.iterations <= max_iters
+    if out.reason == "max_iters_reached":
+        assert out.iterations == max_iters
+
+
 def test_run_escape_bound():
     # Newton on the cube root maps x to -2x, so |x| doubles every step and
-    # passes ESCAPE_BOUND = 1e12 long before the domain's edge at 1e15.
+    # passes ESCAPE_BOUND = 1e12 long before the domain's edge at 1e15: 39
+    # steps are taken, and the 40th candidate is rejected.
     p = ProblemSpec(name="cbrt", f=lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x),
                     df=lambda x: abs(x) ** (-2.0 / 3.0) / 3.0,
                     domain=(-1e15, 1e15), default_x0=1.0)
     out = run(p, SolverConfig(scheme="newton"), 1.0)
     assert out.verdict == "diverged"
     assert out.reason == "escape_bound_exceeded"
-    assert out.iterations == 40
+    assert out.iterations == 39
     assert abs(out.final_x) <= ESCAPE_BOUND < 2.0 * abs(out.final_x)
 
 
@@ -319,7 +347,7 @@ def test_run_nonfinite_candidate_diverges():
     out = run(p, SolverConfig(scheme="newton"), 2.0)
     assert out.verdict == "diverged"
     assert out.reason == "nonfinite"
-    assert out.iterations == 1
+    assert out.iterations == 0
     assert out.final_x == 2.0
 
 
@@ -440,7 +468,10 @@ def test_config_validation():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             SolverConfig(epsilon=bad)
-    with pytest.raises(ValueError):
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="max iters must be an integer"):
+            SolverConfig(max_iters=bad)
+    with pytest.raises(ValueError, match="max iters must be at least 1"):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(bootstrap="nope")
