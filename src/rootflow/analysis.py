@@ -25,7 +25,6 @@ from .solvers import IterationTrace, RunOutcome, SolverConfig, run
 
 SATURATION_FLOOR_FACTOR = 1e3 * sys.float_info.epsilon
 SECOND_DERIVATIVE_STEP_FACTOR = 1e-5
-DERIVATIVE_FLOOR = 1e-12
 MIN_USABLE_POINTS = 4
 
 
@@ -34,7 +33,7 @@ class InsufficientData(Exception):
 
 
 class DerivativeZero(Exception):
-    """|f'(x*)| is too small for the predicted error constant."""
+    """f'(x*) is exactly zero, so the predicted error constant is undefined."""
 
 
 @dataclass(frozen=True)
@@ -104,16 +103,16 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
 def predicted_constant(p: ProblemSpec, mu: float) -> float:
     """Predicted limit of e_{n+1}/e_n^2: mu + f''(x*)/f'(x*).
 
-    f''(x*) is obtained by central differencing the exact derivative with
-    step 1e-5 * max(1, |x*|).  A missing f' raises MissingDerivative, and
-    one that is not a finite real at x* or x* +- h raises NonFiniteValue.
+    f''(x*) is the central difference of the exact f' with step 1e-5 * max(1, |x*|).
+    A missing f' raises MissingDerivative, an f' that is not a finite real at x* or
+    x* +- h raises NonFiniteValue, and an f'(x*) of exactly zero raises DerivativeZero.
     """
     if p.known_root is None:
         raise ValueError(f"problem {p.name!r} has no known root")
     root = p.known_root
     fp = eval_df(p, root)
-    if abs(fp) < DERIVATIVE_FLOOR:
-        raise DerivativeZero(f"|f'(x*)| = {abs(fp):.3e} below {DERIVATIVE_FLOOR:.0e}")
+    if fp == 0.0:
+        raise DerivativeZero(f"f'(x*) is 0 at x* = {root!r}")
     h = SECOND_DERIVATIVE_STEP_FACTOR * max(1.0, abs(root))
     fpp = (eval_df(p, root + h) - eval_df(p, root - h)) / (2.0 * h)
     return mu + fpp / fp

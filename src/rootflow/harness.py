@@ -169,9 +169,13 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
 
 def default_x0_axis(p: ProblemSpec, count: int = DEFAULT_X0_COUNT) -> tuple[float, ...]:
     """``count`` evenly spaced initial values across the problem domain."""
+    if not isinstance(count, int):
+        raise ValueError("x0 count must be an integer")
     if count < 1:
         raise ValueError("x0 count must be at least 1")
     a, b = p.domain
+    if not math.isfinite(b - a):
+        raise ValueError(f"domain [{a!r}, {b!r}] is too wide to space x0 values")
     if count == 1:
         return (a,)
     # a + (b - a) can round past b, so the last point is b itself.

@@ -23,8 +23,6 @@ from .problems import (
     eval_f_unchecked,
 )
 
-# Below this magnitude a denominator is treated as exactly degenerate.
-DENOMINATOR_GUARD = 1e-300
 # An iterate beyond this magnitude ends the run as escaped.
 ESCAPE_BOUND = 1e12
 
@@ -71,7 +69,7 @@ _VERDICT_OF_REASON = {
 
 
 class DenominatorUnderflow(Exception):
-    """The scheme's denominator underflowed below the guard threshold."""
+    """The scheme's denominator is exactly zero, so the step cannot be taken."""
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,8 @@ class RunOutcome:
 
 def _flow_update(x: float, fx: float, dfx: float, mu: float, h: float) -> float:
     den = mu * fx + dfx
-    if abs(den) < DENOMINATOR_GUARD:
-        raise DenominatorUnderflow(f"|mu*f + f'| < {DENOMINATOR_GUARD:g} at x = {x!r}")
+    if den == 0.0:  # tested: numpy scalars divide by 0 without raising
+        raise DenominatorUnderflow(f"mu*f + f' is 0 at x = {x!r}")
     return x - h * fx / den
 
 
@@ -202,8 +200,8 @@ def _zheng_update(p: ProblemSpec, x: float, fx: float, mu: float) -> float:
     # many orders of magnitude below f(x) and would be absorbed otherwise.
     faux = eval_f_unchecked(p, x + fx)
     den = mu * fx * fx + (faux - fx)
-    if abs(den) < DENOMINATOR_GUARD:
-        raise DenominatorUnderflow(f"|mu*f^2 + f(x+f) - f| < {DENOMINATOR_GUARD:g} at x = {x!r}")
+    if den == 0.0:
+        raise DenominatorUnderflow(f"mu*f^2 + f(x+f) - f is 0 at x = {x!r}")
     return x - fx * fx / den
 
 
@@ -211,8 +209,8 @@ def _secant_update(x_prev: float, f_prev: float, x_curr: float, f_curr: float, m
     # A pair that coincides makes the denominator exactly 0.
     dx = x_curr - x_prev
     den = mu * dx * f_curr + f_curr - f_prev
-    if abs(den) < DENOMINATOR_GUARD:
-        raise DenominatorUnderflow(f"secant denominator < {DENOMINATOR_GUARD:g} at x = {x_curr!r}")
+    if den == 0.0:
+        raise DenominatorUnderflow(f"secant denominator is 0 at x = {x_curr!r}")
     return x_curr - f_curr * dx / den
 
 
@@ -269,9 +267,9 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     Convergence is declared by the configured stop rule: ``step_size`` tests
     |x_{n+1} - x_n| <= epsilon, ``residual`` tests |f(x_{n+1})| <= epsilon,
     ``either`` accepts whichever fires first (step reported when both fire
-    at once).  A step that cannot be taken, because its denominator is below
-    ``DENOMINATOR_GUARD``, ends the run converged when the current point is
-    an exact root (f(x) == 0; reported as the stop rule's own reason), and
+    at once).  A step that cannot be taken, because its denominator is
+    exactly zero, ends the run converged when the current point is an exact
+    root (f(x) == 0; reported as the stop rule's own reason), and
     ``denominator_underflow`` anywhere else.  A domain exit, non-finite
     value or escape beyond ``ESCAPE_BOUND`` yields a diverged verdict; an
     exhausted budget yields ``exhausted``.  The trace records every
@@ -283,8 +281,8 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
     ``DomainViolation`` or ``MissingDerivative``, both ``ValueError``.
     Two-point schemes first produce their second starting point via the
-    bootstrap policy; that pair is traced but neither counted nor budgeted,
-    and the step test skips an ``offset_x0`` one.
+    bootstrap policy.  That step is traced, but it is outside the count, the
+    budget and the step test; the residual test still judges it.
     """
     a, b = p.domain
     if not (a <= x0 <= b):
@@ -295,7 +293,6 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
             f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
     mu, h = cfg.resolved()
     flow, two_point = rule is _FLOW, rule is _SECANT
-    offset_bootstrap = two_point and cfg.bootstrap == "offset_x0"
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
@@ -308,7 +305,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
         for step in range(0 if two_point else 1, max_iters + 1):
             if two_point and step:
                 candidate = _secant_update(x_prev, f_prev, x, fx, mu)
-            elif offset_bootstrap:
+            elif two_point and cfg.bootstrap == "offset_x0":
                 candidate = x - math.copysign(1.0, fx) * epsilon * max(1.0, abs(x))
             elif flow:
                 candidate = _flow_update(x, fx, eval_df(p, x), mu, h)
@@ -328,10 +325,9 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
             points.append((candidate, f_cand))
             x_prev, f_prev, x, fx = x, fx, candidate, f_cand
 
-            # The offset bootstrap's step is epsilon-sized by construction,
-            # so the step test would pass on it without any iteration.
-            if (stop_on_step and abs(x - x_prev) <= epsilon
-                    and not (offset_bootstrap and step == 0)):
+            # Step 0 is the bootstrap, not a step of the scheme: a tiny one is
+            # no sign of a root, so only the residual test judges it.
+            if step and stop_on_step and abs(x - x_prev) <= epsilon:
                 reason = REASON_STEP
                 break
             if stop_on_residual and abs(fx) <= epsilon:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rootflow import (
+    ProblemSpec,
     SolverConfig,
     basin_to_csv,
     basin_to_grid_text,
@@ -221,6 +222,13 @@ def test_basin_validates_axes(problems):
         map_basin(problems["log"], "newton", [0.0], [])
     with pytest.raises(ValueError, match=r"^x0 = 7\.0 is outside"):
         map_basin(problems["log"], "newton", [0.0], [7.0])
+    with pytest.raises(ValueError, match="^x0 count must be an integer$"):
+        default_x0_axis(problems["log"], 2.5)
+    # b - a overflows: the spaced starts would be NaN
+    for domain in ((-math.inf, math.inf), (-1e308, 1e308)):
+        wide = ProblemSpec(name="wide", f=lambda x: x, domain=domain, default_x0=0.0)
+        with pytest.raises(ValueError, match=r"^domain \[.*\] is too wide to space x0 values$"):
+            default_x0_axis(wide, 5)
 
 
 def test_default_x0_axis_spans_the_domain(problems):

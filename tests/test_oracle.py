@@ -1,9 +1,11 @@
 """The analysis against an independent high-precision oracle (mpmath)."""
 
+from dataclasses import replace
+
 import pytest
 from mpmath import mp
 
-from rootflow import predicted_constant
+from rootflow import SolverConfig, predicted_constant, run
 
 # The built-in problems' left-hand sides, evaluated in mp arithmetic.
 MP_F = {
@@ -11,15 +13,52 @@ MP_F = {
     "exp": lambda x: (x - 1) * mp.exp(-x),
     "trig": lambda x: 2 * mp.sin(x) - 1,
 }
+MP_DF = {"trig": lambda x: 2 * mp.cos(x)}
+
+# f and f' scaled by k: mu + f''/f' does not change, however small k is.
+SCALES = {"": 1.0, "-2^-60": 2.0 ** -60, "-1e-13": 1e-13}
 
 
-@pytest.mark.parametrize("name", sorted(MP_F))
-def test_predicted_constant_matches_mp_derivatives(problems, name):
+@pytest.mark.parametrize("name, k", [pytest.param(name, k, id=name + tag)
+                                     for name in sorted(MP_F) for tag, k in SCALES.items()])
+def test_predicted_constant_matches_mp_derivatives(problems, name, k):
     # At mu = 0 the prediction is f''(x*)/f'(x*); the float one differences
     # the exact f' once, the oracle differentiates f numerically at 50 digits.
     p = problems[name]
+    scaled = replace(p, f=lambda x: k * p.f(x), df=lambda x: k * p.df(x))
     with mp.workdps(50):
         root = mp.mpf(p.known_root)
         oracle = mp.diff(MP_F[name], root, 2) / mp.diff(MP_F[name], root, 1)
         expected = float(oracle)
-    assert predicted_constant(p, 0.0) == pytest.approx(expected, rel=1e-9)
+    assert predicted_constant(scaled, 0.0) == pytest.approx(expected, rel=1e-9)
+
+
+# Runs of the unmodified driver on mp problems at 400 digits, against the
+# local model of each update rule, with c = f''/(2f') at x*:
+# (scheme, problem, mu, x0, two-point ratio, limit).  The one-point ratio is
+# e_{n+1}/e_n^2, the two-point one e_{n+1}/(e_n e_{n-1}).
+ORACLE_RUNS = {
+    # zheng: c(1 + f'(x*)) + mu, and f'(1) = 1 on log
+    "zheng-log": ("zheng", "log", 0.3, "1.5", False, lambda: mp.mpf(0.3) - 1),
+    # newton: c = -tan(pi/6)/2
+    "newton-trig": ("newton", "trig", 0.0, "0.6", False, lambda: -mp.sqrt(3) / 6),
+    # secant_dyn: c, whatever mu
+    "secant_dyn-log": ("secant_dyn", "log", 0.3, "1.5", True, lambda: mp.mpf(-0.5)),
+}
+MP_ROOT = {"log": lambda: mp.mpf(1), "trig": lambda: mp.pi / 6}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_RUNS))
+def test_run_meets_the_local_model_at_400_digits(problems, case):
+    scheme, name, mu, x0, two_point, limit = ORACLE_RUNS[case]
+    with mp.workdps(400):
+        root = MP_ROOT[name]()
+        p = replace(problems[name], f=MP_F[name], df=MP_DF.get(name),
+                    known_root=root, default_x0=mp.mpf(x0))
+        out = run(p, SolverConfig(scheme=scheme, mu=mu, epsilon=1e-300), p.default_x0)
+        assert out.converged
+        # Errors above 1e-350 are far from the 400-digit rounding noise.
+        e = [x - root for x, _ in out.pairs]
+        n = max(n for n in range(1, len(e) - 1) if abs(e[n + 1]) > mp.mpf(10) ** -350)
+        ratio = e[n + 1] / (e[n] * (e[n - 1] if two_point else e[n]))
+        assert abs(ratio / limit() - 1) < 1e-40

@@ -352,15 +352,14 @@ def test_run_nonfinite_candidate_diverges():
 
 
 @pytest.mark.parametrize("bootstrap, mu, epsilon, stop_rule, reason", [
-    # The bootstrap step 1/mu vanishes against x0: a computed update that
-    # does not move is what a step rule calls convergence.  The residual
-    # rule (|ln 5| > epsilon) goes on to a degenerate denominator.
-    ("zheng_first_step", 1e20, 1e-5, "either", "step_below_epsilon"),
-    ("zheng_first_step", 1e20, 1e-5, "residual", "denominator_underflow"),
-    ("zheng_first_step", 1e20, 1e-5, "step_size", "step_below_epsilon"),
-    # The offset step vanishes against x0, and no update is ever computed:
-    # the secant denominator of the coincident pair is exactly 0, and
+    # The bootstrap's step (1/mu for zheng_first_step, the offset for
+    # offset_x0) vanishes against x0.  The step test does not judge the
+    # bootstrap, so under every rule the first counted step meets the
+    # coincident pair: its secant denominator is exactly 0, and
     # |ln 5| = 1.61 is no root.
+    ("zheng_first_step", 1e20, 1e-5, "either", "denominator_underflow"),
+    ("zheng_first_step", 1e20, 1e-5, "residual", "denominator_underflow"),
+    ("zheng_first_step", 1e20, 1e-5, "step_size", "denominator_underflow"),
     ("offset_x0", 0.5, 1e-17, "either", "denominator_underflow"),
     ("offset_x0", 0.5, 1e-17, "step_size", "denominator_underflow"),
     ("offset_x0", 0.5, 1e-310, "either", "denominator_underflow"),
@@ -375,6 +374,19 @@ def test_run_stagnant_pair(problems, bootstrap, mu, epsilon, stop_rule, reason):
     assert out.reason == reason
     assert out.iterations == 0
     assert [pt.x for pt in out.trace.points] == [5.0, 5.0]
+
+
+@pytest.mark.parametrize("scheme", ["zheng", "secant_dyn"])
+def test_run_tiny_scaled_problem_converges(scheme):
+    # f = 1e-160 (x - 1): the zheng denominator mu f^2 = 2e-320 is subnormal
+    # but not 0, and f^2 / (mu f^2) = 2 is the exact step to the root.
+    # secant_dyn's bootstrap is that step; its first secant step confirms it.
+    p = ProblemSpec(name="tiny", f=lambda x: 1e-160 * (x - 1.0), domain=(-10.0, 10.0),
+                    known_root=1.0, default_x0=3.0)
+    out = run(p, SolverConfig(scheme=scheme, mu=0.5), 3.0)
+    assert out.converged
+    assert out.iterations == 1
+    assert out.final_x == 1.0
 
 
 def test_run_flat_derivative_diverges():
