@@ -10,8 +10,9 @@ parameterized two-point scheme the limit of c_n predicted by the local
 expansion is mu + f''(x*)/f'(x*); :func:`predicted_constant` evaluates it
 from the problem's exact derivative, differencing once for f''.
 
-Steps below the saturation floor (about 1e3 machine epsilons around the
-root) are rounding noise and are excluded from all estimates.
+Steps below the saturation floor (1e3 epsilons of the errors' own number
+type around the root: a float's, or an mpmath value's ``context.eps``) are
+rounding noise and are excluded from all estimates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 from .problems import MissingDerivative, NonFiniteValue, ProblemSpec, eval_df
 from .solvers import IterationTrace, RunOutcome, SolverConfig, run
 
-SATURATION_FLOOR_FACTOR = 1e3 * sys.float_info.epsilon
+SATURATION_FLOOR_EPSILONS = 1e3
 SECOND_DERIVATIVE_STEP_FACTOR = 1e-5
 MIN_USABLE_POINTS = 4
 
@@ -66,7 +67,10 @@ def _usable_errors(trace: IterationTrace) -> list[float]:
     errors = trace.errors
     if errors is None:
         raise InsufficientData("trace has no error sequence (problem lacks a known root)")
-    floor = SATURATION_FLOOR_FACTOR * max(1.0, abs(trace.known_root))
+    # An mpmath value carries its context, whose eps is the precision's own.
+    context = getattr(errors[0], "context", None) if errors else None
+    eps = sys.float_info.epsilon if context is None else context.eps
+    floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(trace.known_root))
     usable = []
     for e in errors:
         # An exact zero or a sub-floor error ends the asymptotically

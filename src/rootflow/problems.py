@@ -21,6 +21,12 @@ from typing import Callable
 
 ROOT_RESIDUAL_TOL = 1e-12
 
+# The guard rule: an evaluator's value is a finite real unless the call, or
+# math.isfinite on its result, raises one of these (a domain error, an
+# overflow, a division by zero, a complex value or an int past the float
+# range), or math.isfinite returns False.  _finite and run's loop apply it.
+NONFINITE_ERRORS = (ValueError, OverflowError, ZeroDivisionError, TypeError)
+
 
 class DomainViolation(ValueError):
     """A point, called ``name`` in the message, left the problem's legal interval."""
@@ -123,15 +129,12 @@ def eval_df(p: ProblemSpec, x: float) -> float:
 
 def _finite(fn: Callable[[float], float], x: float, name: str) -> float:
     """fn(x) if it is a finite real; else NonFiniteValue, naming fn as ``name``."""
-    try:
-        value = fn(x)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteValue(x, name) from exc
     # math.isfinite converts through float, so an mpmath value beyond the
     # float range is judged non-finite here even though it is finite in mp.
     try:
+        value = fn(x)
         finite = math.isfinite(value)
-    except (TypeError, OverflowError) as exc:  # a complex value, or an int past float range
+    except NONFINITE_ERRORS as exc:
         raise NonFiniteValue(x, name) from exc
     if not finite:
         raise NonFiniteValue(x, name)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .problems import (
+    NONFINITE_ERRORS,
     DomainViolation,
     MissingDerivative,
     NonFiniteValue,
@@ -184,38 +185,8 @@ class RunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# update rules on cached values (single source of the arithmetic, so the
-# public kernels and the driver agree bit for bit)
-
-def _flow_update(x: float, fx: float, dfx: float, mu: float, h: float) -> float:
-    den = mu * fx + dfx
-    if den == 0.0:  # tested: numpy scalars divide by 0 without raising
-        raise DenominatorUnderflow(f"mu*f + f' is 0 at x = {x!r}")
-    return x - h * fx / den
-
-
-def _zheng_update(p: ProblemSpec, x: float, fx: float, mu: float) -> float:
-    # The probe point x + f(x) may leave the iterate interval; it only needs
-    # a finite value.  Group the difference first: the mu*f^2 term can be
-    # many orders of magnitude below f(x) and would be absorbed otherwise.
-    faux = eval_f_unchecked(p, x + fx)
-    den = mu * fx * fx + (faux - fx)
-    if den == 0.0:
-        raise DenominatorUnderflow(f"mu*f^2 + f(x+f) - f is 0 at x = {x!r}")
-    return x - fx * fx / den
-
-
-def _secant_update(x_prev: float, f_prev: float, x_curr: float, f_curr: float, mu: float) -> float:
-    # A pair that coincides makes the denominator exactly 0.
-    dx = x_curr - x_prev
-    den = mu * dx * f_curr + f_curr - f_prev
-    if den == 0.0:
-        raise DenominatorUnderflow(f"secant denominator is 0 at x = {x_curr!r}")
-    return x_curr - f_curr * dx / den
-
-
-# ---------------------------------------------------------------------------
-# public one-step kernels
+# public one-step kernels (run's loop repeats their arithmetic inline,
+# expression for expression; a property test pins that the two agree)
 
 def newton_step(p: ProblemSpec, x: float) -> float:
     """Classical Newton step x - f(x)/f'(x), the mu = 0, h = 1 case of euler_flow_step."""
@@ -225,7 +196,10 @@ def newton_step(p: ProblemSpec, x: float) -> float:
 def euler_flow_step(p: ProblemSpec, x: float, mu: float, h: float) -> float:
     """Euler step of the continuation flow: x - h f(x) / (mu f(x) + f'(x))."""
     fx = eval_f(p, x)
-    return _flow_update(x, fx, eval_df(p, x), mu, h)
+    den = mu * fx + eval_df(p, x)
+    if den == 0.0:  # tested: numpy scalars divide by 0 without raising
+        raise DenominatorUnderflow(f"mu*f + f' is 0 at x = {x!r}")
+    return x - h * fx / den
 
 
 def wu_step(p: ProblemSpec, x: float, mu: float) -> float:
@@ -239,7 +213,13 @@ def zheng_step(p: ProblemSpec, x: float, mu: float) -> float:
     x - f(x)^2 / (mu f(x)^2 + f(x + f(x)) - f(x))
     """
     fx = eval_f(p, x)
-    return _zheng_update(p, x, fx, mu)
+    # The probe point x + f(x) may leave the iterate interval; it only needs
+    # a finite value.  Group the difference first: the mu*f^2 term can be
+    # many orders of magnitude below f(x) and would be absorbed otherwise.
+    den = mu * fx * fx + (eval_f_unchecked(p, x + fx) - fx)
+    if den == 0.0:
+        raise DenominatorUnderflow(f"mu*f^2 + f(x+f) - f is 0 at x = {x!r}")
+    return x - fx * fx / den
 
 
 def secant_dyn_step(p: ProblemSpec, x_prev: float, x_curr: float, mu: float) -> float:
@@ -250,7 +230,12 @@ def secant_dyn_step(p: ProblemSpec, x_prev: float, x_curr: float, mu: float) -> 
     """
     f_prev = eval_f(p, x_prev)
     f_curr = eval_f(p, x_curr)
-    return _secant_update(x_prev, f_prev, x_curr, f_curr, mu)
+    # A pair that coincides makes the denominator exactly 0.
+    dx = x_curr - x_prev
+    den = mu * dx * f_curr + f_curr - f_prev
+    if den == 0.0:
+        raise DenominatorUnderflow(f"secant denominator is 0 at x = {x_curr!r}")
+    return x_curr - f_curr * dx / den
 
 
 def secant_step(p: ProblemSpec, x_prev: float, x_curr: float) -> float:
@@ -291,61 +276,80 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     if rule is _FLOW and p.df is None:
         raise MissingDerivative(
             f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
+    try:
+        fx = eval_f(p, x0)
+    except NonFiniteValue:  # f(x0) itself is not a finite real
+        return RunOutcome(REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root)
     mu, h = cfg.resolved()
     flow, two_point = rule is _FLOW, rule is _SECANT
+    offset_bootstrap = cfg.bootstrap == "offset_x0"
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
+    # The hot loop calls nothing but f and f'.  It applies the guard rule of
+    # problems (NONFINITE_ERRORS, then math.isfinite) to each value itself,
+    # and one test admits a candidate: inside the domain and ESCAPE_BOUND.
+    f, df, isfinite = p.f, p.df, math.isfinite
+    lo, hi = max(a, -ESCAPE_BOUND), min(b, ESCAPE_BOUND)
 
-    points: list[tuple[float, float]] = []
-    try:
-        x, fx = x0, eval_f(p, x0)
-        points.append((x, fx))
-        # Step 0 is a two-point scheme's bootstrap, outside the budget.
-        for step in range(0 if two_point else 1, max_iters + 1):
-            if two_point and step:
-                candidate = _secant_update(x_prev, f_prev, x, fx, mu)
-            elif two_point and cfg.bootstrap == "offset_x0":
-                candidate = x - math.copysign(1.0, fx) * epsilon * max(1.0, abs(x))
-            elif flow:
-                candidate = _flow_update(x, fx, eval_df(p, x), mu, h)
-            else:  # the zheng rule, or the zheng_first_step bootstrap
-                candidate = _zheng_update(p, x, fx, mu)
-
-            if not math.isfinite(candidate):
+    x = x0
+    points = [(x, fx)]
+    # Step 0 is a two-point scheme's bootstrap, outside the budget.
+    for step in range(0 if two_point else 1, max_iters + 1):
+        # Every rule steps to x - num / den, with the kernels' expressions
+        # (the offset bootstrap with den = 1, which is exact).
+        if two_point and step:
+            dx = x - x_prev
+            num, den = fx * dx, mu * dx * fx + fx - f_prev
+        elif two_point and offset_bootstrap:
+            num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
+        else:  # f'(x) for the flow rule; else the zheng probe f(x + f(x)), off-domain or not
+            try:
+                g = df(x) if flow else f(x + fx)
+                ok = isfinite(g)
+            except NONFINITE_ERRORS:
+                ok = False
+            if not ok:
                 reason = REASON_NONFINITE
                 break
-            if not (a <= candidate <= b):
-                reason = REASON_DOMAIN
-                break
-            if abs(candidate) > ESCAPE_BOUND:
-                reason = REASON_ESCAPE
-                break
-            f_cand = eval_f(p, candidate)
-            points.append((candidate, f_cand))
-            x_prev, f_prev, x, fx = x, fx, candidate, f_cand
-
-            # Step 0 is the bootstrap, not a step of the scheme: a tiny one is
-            # no sign of a root, so only the residual test judges it.
-            if step and stop_on_step and abs(x - x_prev) <= epsilon:
-                reason = REASON_STEP
-                break
-            if stop_on_residual and abs(fx) <= epsilon:
-                reason = REASON_RESIDUAL
-                break
-        else:
-            reason = REASON_MAX_ITERS
-    except NonFiniteValue:
-        reason = REASON_NONFINITE
-        if not points:  # f(x0) itself is not a finite real
-            points.append((x0, math.nan))
-    except DenominatorUnderflow:
-        # The step cannot be taken.  Where f(x) is exactly 0 the current point
-        # is a root (the difference quotients are 0/0 there): converged.
-        if fx == 0.0:
-            reason = REASON_STEP if stop_on_step else REASON_RESIDUAL
-        else:
+            if flow:
+                num, den = h * fx, mu * fx + g
+            else:
+                num, den = fx * fx, mu * fx * fx + (g - fx)
+        if den == 0.0:
             reason = REASON_UNDERFLOW
+            break
+        candidate = x - num / den
+
+        if not (lo <= candidate <= hi):
+            reason = (REASON_NONFINITE if not isfinite(candidate) else
+                      REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
+            break
+        try:
+            f_cand = f(candidate)
+            ok = isfinite(f_cand)
+        except NONFINITE_ERRORS:
+            ok = False
+        if not ok:
+            reason = REASON_NONFINITE
+            break
+        points.append((candidate, f_cand))
+        x_prev, f_prev, x, fx = x, fx, candidate, f_cand
+
+        # Step 0 is the bootstrap, not a step of the scheme: a tiny one is
+        # no sign of a root, so only the residual test judges it.
+        if step and stop_on_step and abs(x - x_prev) <= epsilon:
+            reason = REASON_STEP
+            break
+        if stop_on_residual and abs(fx) <= epsilon:
+            reason = REASON_RESIDUAL
+            break
+    else:
+        reason = REASON_MAX_ITERS
+    if reason is REASON_UNDERFLOW and fx == 0.0:
+        # The step cannot be taken, but the current point is a root (the
+        # difference quotients are 0/0 there): converged.
+        reason = REASON_STEP if stop_on_step else REASON_RESIDUAL
 
     iterations = len(points) - 1 - (two_point and len(points) > 1)
     return RunOutcome(reason, iterations, points, p.known_root)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from mpmath import mp
 
-from rootflow import SolverConfig, predicted_constant, run
+from rootflow import SolverConfig, estimate_order, predicted_constant, run
 
 # The built-in problems' left-hand sides, evaluated in mp arithmetic.
 MP_F = {
@@ -62,3 +62,16 @@ def test_run_meets_the_local_model_at_400_digits(problems, case):
         n = max(n for n in range(1, len(e) - 1) if abs(e[n + 1]) > mp.mpf(10) ** -350)
         ratio = e[n + 1] / (e[n] * (e[n - 1] if two_point else e[n]))
         assert abs(ratio / limit() - 1) < 1e-40
+
+
+def test_estimate_order_floors_at_the_trace_precision(problems):
+    # The saturation floor is 1e3 epsilons of the errors' own number type.  A
+    # float floor (2.2e-13) would cut this 400-digit trace after 5 steps, at
+    # a final order of 1.676; the mp floor keeps 12, down to order φ.
+    with mp.workdps(400):
+        p = replace(problems["log"], f=mp.log, df=None, known_root=mp.mpf(1),
+                    default_x0=mp.mpf("1.5"))
+        out = run(p, SolverConfig(scheme="secant_dyn", mu=0.3, epsilon=1e-300), p.default_x0)
+        est = estimate_order(out.trace)
+    assert est.usable_steps == 12
+    assert est.final_order == pytest.approx((1 + 5 ** 0.5) / 2, abs=1e-3)

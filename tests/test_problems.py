@@ -69,8 +69,9 @@ def test_eval_f_unchecked_allows_finite_values_anywhere(problems):
 
 
 def test_eval_f_unchecked_rejects_non_real_values():
-    # x ** 0.5 is complex below zero; an int past the float range is not finite
-    for f in (lambda x: x ** 0.5, lambda x: 10 ** 400):
+    # x ** 0.5 is complex below zero, and math.log raises TypeError on it; an
+    # int past the float range is not finite
+    for f in (lambda x: x ** 0.5, lambda x: math.log(x ** 0.5), lambda x: 10 ** 400):
         p = ProblemSpec(name="odd", f=f, domain=(-1e9, 1e9), default_x0=1.0)
         with pytest.raises(NonFiniteValue, match=r"^f\(-4\.0\) is not a finite real$"):
             eval_f_unchecked(p, -4.0)

@@ -424,19 +424,61 @@ def test_run_is_deterministic(problems):
     assert a == b
 
 
-def test_trace_replays_bit_for_bit(problems, sq):
-    # one-point scheme
-    out = run(problems["log"], SolverConfig(scheme="zheng", mu=1.0), 5.0)
-    pts = out.trace.points
-    for k in range(len(pts) - 1):
-        assert zheng_step(problems["log"], pts[k].x, 1.0) == pts[k + 1].x
-    # two-point scheme: first point comes from the bootstrap, the rest from
-    # the secant recurrence
-    out = run(sq, SolverConfig(scheme="secant_dyn", mu=0.4, epsilon=1e-12), 1.5)
-    pts = out.trace.points
-    assert zheng_step(sq, pts[0].x, 0.4) == pts[1].x
-    for k in range(1, len(pts) - 1):
-        assert secant_dyn_step(sq, pts[k - 1].x, pts[k].x, 0.4) == pts[k + 1].x
+# run's loop repeats the kernels' arithmetic inline; the public kernels are
+# the reference it must match bit for bit.
+REPLAY_PROBLEMS = {**builtin_problems(), "cubic": ProblemSpec(
+    name="cubic", f=lambda x: x ** 3 - 2.0 * x - 5.0, df=lambda x: 3.0 * x * x - 2.0,
+    domain=(-1e15, 1e15), default_x0=2.0)}
+KERNELS = {
+    "newton": lambda p, xs, mu, h: newton_step(p, xs[-1]),
+    "euler_flow": lambda p, xs, mu, h: euler_flow_step(p, xs[-1], mu, h),
+    "wu": lambda p, xs, mu, h: wu_step(p, xs[-1], mu),
+    "zheng": lambda p, xs, mu, h: zheng_step(p, xs[-1], mu),
+    "secant_dyn": lambda p, xs, mu, h: secant_dyn_step(p, xs[-2], xs[-1], mu),
+    "secant": lambda p, xs, mu, h: secant_step(p, xs[-2], xs[-1]),
+}
+
+
+def _kernel_next(p, cfg, xs):
+    """The next iterate after xs by the public kernels, or the bootstrap's point."""
+    mu, h = cfg.resolved()
+    if len(xs) == 1 and cfg.scheme in ("secant", "secant_dyn"):
+        if cfg.bootstrap == "zheng_first_step":
+            return zheng_step(p, xs[0], mu)
+        return xs[0] - math.copysign(1.0, eval_f(p, xs[0])) * cfg.epsilon * max(1.0, abs(xs[0]))
+    return KERNELS[cfg.scheme](p, xs, mu, h)
+
+
+@given(
+    name=st.sampled_from(sorted(REPLAY_PROBLEMS)),
+    scheme=st.sampled_from(SCHEMES),
+    bootstrap=st.sampled_from(BOOTSTRAPS),
+    stop_rule=st.sampled_from(STOP_RULES),
+    mu=st.floats(min_value=-10.0, max_value=10.0),
+    h=st.floats(min_value=0.05, max_value=2.0),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    epsilon=st.sampled_from([1e-5, 1e-13]),
+)
+def test_trace_replays_bit_for_bit(name, scheme, bootstrap, stop_rule, mu, h, t, epsilon):
+    p = REPLAY_PROBLEMS[name]
+    a, b = p.domain
+    x0 = min(b, a + t * (min(b, 10.0) - a))
+    cfg = SolverConfig(scheme=scheme, mu=mu, h=h, epsilon=epsilon, bootstrap=bootstrap,
+                       stop_rule=stop_rule)
+    out = run(p, cfg, x0)
+    xs = [x for x, _ in out.pairs]
+    assert [fx for _, fx in out.pairs] == [p.f(x) for x in xs]
+    for k in range(1, len(xs)):
+        assert _kernel_next(p, cfg, xs[:k]) == xs[k]
+    # The step that ended the run agrees too: a zero denominator, or a
+    # candidate the driver rejected for the reason it gave.
+    if out.reason == "denominator_underflow":
+        with pytest.raises(DenominatorUnderflow):
+            _kernel_next(p, cfg, xs)
+    elif out.reason in ("domain_violation", "escape_bound_exceeded"):
+        candidate = _kernel_next(p, cfg, xs)
+        assert (a <= candidate <= b) == (out.reason == "escape_bound_exceeded")
+        assert not (a <= candidate <= b and abs(candidate) <= ESCAPE_BOUND)
 
 
 def test_trace_indices_are_consecutive(problems):
@@ -495,12 +537,13 @@ def test_config_validation():
 # user problems that misbehave end in a verdict, not an exception
 
 def test_run_complex_valued_f_diverges():
-    # x ** 0.5 is complex for x < 0
-    p = ProblemSpec(name="sqrt", f=lambda x: x ** 0.5, domain=WIDE, default_x0=-4.0)
-    for scheme in ("zheng", "secant_dyn"):
-        out = run(p, SolverConfig(scheme=scheme, mu=0.5), -4.0)
-        assert out.verdict == "diverged"
-        assert out.reason == "nonfinite"
+    # x ** 0.5 is complex for x < 0, and math.log raises TypeError on it
+    for f in (lambda x: x ** 0.5, lambda x: math.log(x ** 0.5)):
+        p = ProblemSpec(name="sqrt", f=f, domain=WIDE, default_x0=-4.0)
+        for scheme in ("zheng", "secant_dyn"):
+            out = run(p, SolverConfig(scheme=scheme, mu=0.5), -4.0)
+            assert out.verdict == "diverged"
+            assert out.reason == "nonfinite"
 
 
 def test_run_raising_derivative_diverges():
@@ -554,6 +597,67 @@ def test_run_returns_whatever_the_evaluators_do(scheme, bootstrap, stop_rule, mu
     assert out.final_x == points[-1].x
     assert all(a <= pt.x <= b for pt in points)
     assert out.converged == (out.reason in CONVERGED_REASONS)
+
+
+def _misbehaving_at(g, bad_x, bad):
+    """g, except at exactly bad_x, where it misbehaves as ``bad``."""
+    def fn(x):
+        if x != bad_x:
+            return g(x)
+        if isinstance(bad, type):
+            raise bad(f"misbehaving at {x!r}")
+        return bad
+    return fn
+
+
+# Where run's loop evaluates: f at the candidate (every scheme), f at the
+# zheng probe x + f(x) (zheng, and secant_dyn's zheng_first_step bootstrap),
+# and f' at the current point (the flow rule).  Each site misbehaves once, on
+# x^2 - 4 from 3, at a point the clean run reaches: (scheme, site, kept pairs).
+GUARD_SITES = [
+    *((scheme, "candidate", 2) for scheme in SCHEMES),
+    ("zheng", "probe", 2),
+    ("secant_dyn", "probe", 1),
+    *((scheme, "df", 2) for scheme in ("newton", "euler_flow", "wu")),
+]
+
+
+@pytest.mark.parametrize("bad", MISBEHAVIOURS, ids=lambda bad: (
+    bad.__name__ if isinstance(bad, type) else "10**400" if bad == 10 ** 400 else repr(bad)))
+@pytest.mark.parametrize("scheme, site, kept", GUARD_SITES)
+def test_run_guards_each_evaluation(sq4, scheme, site, kept, bad):
+    cfg = SolverConfig(scheme=scheme, mu=0.5, h=0.5, epsilon=1e-12)
+    clean = run(sq4, cfg, 3.0)
+    assert len(clean.pairs) > kept
+    x, fx = clean.pairs[kept - 1] if site != "candidate" else clean.pairs[kept]
+    if site == "df":
+        p = ProblemSpec(name="bad", f=sq4.f, df=_misbehaving_at(sq4.df, x, bad),
+                        domain=sq4.domain, default_x0=3.0)
+    else:
+        bad_x = x + fx if site == "probe" else x
+        p = ProblemSpec(name="bad", f=_misbehaving_at(sq4.f, bad_x, bad), df=sq4.df,
+                        domain=sq4.domain, default_x0=3.0)
+    out = run(p, cfg, 3.0)
+    assert out.reason == "nonfinite"
+    assert out.pairs == clean.pairs[:kept]
+
+
+@pytest.mark.parametrize("df, domain, reason", [
+    # From 2, newton's candidate is 2 + 1e200 / 1e-290 = inf: past the
+    # escape bound and, on a bounded domain, past its edge, but it is not a
+    # finite real first.
+    (-1e-290, (-math.inf, math.inf), "nonfinite"),
+    (-1e-290, (-1e15, 1e15), "nonfinite"),
+    # Here it is 2 + 1e213: outside the domain is a domain exit first.
+    (-1e-13, (-1e15, 1e15), "domain_violation"),
+    (-1e-13, (-math.inf, math.inf), "escape_bound_exceeded"),
+])
+def test_run_names_the_first_failed_candidate_check(df, domain, reason):
+    p = ProblemSpec(name="steep", f=lambda x: 1e200 * (x - 1.0), df=lambda x: df,
+                    domain=domain, default_x0=2.0)
+    out = run(p, SolverConfig(scheme="newton"), 2.0)
+    assert out.reason == reason
+    assert out.pairs == [(2.0, 1e200)]
 
 
 def _cubic(k):
