@@ -64,15 +64,22 @@ class OrderEstimate:
 
 
 def _usable_errors(trace: IterationTrace) -> list[float]:
-    errors = trace.errors
-    if errors is None:
+    """The errors x_n - x* of the trace's pairs, up to the saturation floor.
+
+    One pass over the pairs: it stops at the first error at or below the
+    floor, which is taken from the number type of the first error.
+    """
+    root = trace.known_root
+    if root is None:
         raise InsufficientData("trace has no error sequence (problem lacks a known root)")
+    pairs = trace.pairs
     # An mpmath value carries its context, whose eps is the precision's own.
-    context = getattr(errors[0], "context", None) if errors else None
+    context = getattr(pairs[0][0] - root, "context", None) if pairs else None
     eps = sys.float_info.epsilon if context is None else context.eps
-    floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(trace.known_root))
+    floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(root))
     usable = []
-    for e in errors:
+    for x, _ in pairs:
+        e = x - root
         # An exact zero or a sub-floor error ends the asymptotically
         # meaningful prefix; everything after it is rounding noise.
         if abs(e) <= floor:
@@ -92,15 +99,19 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
         raise InsufficientData(
             f"need at least {MIN_USABLE_POINTS} usable points, have {len(errs)}"
         )
+    # Each ln|e_{n+1}/e_n| is computed once; the order at n is the next
+    # one over the previous one, until a previous one is exactly 0.
     orders = []
+    prev = math.log(abs(errs[1] / errs[0]))
     for n in range(1, len(errs) - 1):
-        den = math.log(abs(errs[n] / errs[n - 1]))
-        if den == 0.0:
+        if prev == 0.0:
             break
-        orders.append(math.log(abs(errs[n + 1] / errs[n])) / den)
+        cur = math.log(abs(errs[n + 1] / errs[n]))
+        orders.append(cur / prev)
+        prev = cur
     if not orders:
         raise InsufficientData("no informative error ratios (|e_n| is not shrinking)")
-    constants = [errs[n + 1] / (errs[n] * errs[n]) for n in range(len(errs) - 1)]
+    constants = [b / (a * a) for a, b in zip(errs, errs[1:])]
     return OrderEstimate(orders=tuple(orders), constant_estimates=tuple(constants))
 
 

@@ -68,9 +68,12 @@ class ProblemSpec:
     Construction checks the spec: a ``default_x0`` or ``known_root``
     outside the domain raises DomainViolation named after the field, an
     f(known_root) that is not a finite real raises NonFiniteValue, and a
-    residual above ROOT_RESIDUAL_TOL raises ValueError.  Instances are
-    immutable and safe to share between concurrent runs; evaluators must
-    be pure.
+    residual that is too large raises ValueError.  An exact f(x*) == 0
+    always passes.  With ``df`` the bound is |f(x*)| <= ROOT_RESIDUAL_TOL *
+    max(1, |x*|) * |f'(x*)|, a Newton correction at x* of at most 1e-12
+    relative, and f'(x*) passes the same guard as f; without ``df`` it is
+    |f(x*)| <= ROOT_RESIDUAL_TOL.  Instances are immutable and safe to share
+    between concurrent runs; evaluators must be pure.
     """
 
     name: str
@@ -86,15 +89,22 @@ class ProblemSpec:
             raise ValueError(f"domain must satisfy a < b, got [{a!r}, {b!r}]")
         if not (a <= self.default_x0 <= b):
             raise DomainViolation(self.default_x0, self.domain, "default_x0")
-        if self.known_root is not None:
-            if not (a <= self.known_root <= b):
-                raise DomainViolation(self.known_root, self.domain, "known_root")
+        root = self.known_root
+        if root is not None:
+            if not (a <= root <= b):
+                raise DomainViolation(root, self.domain, "known_root")
             # The one guard judges f(known_root) as it does every f value.
-            residual = _finite(self.f, self.known_root, "f")
-            if not (abs(residual) <= ROOT_RESIDUAL_TOL):
-                raise ValueError(
-                    f"|f(known_root)| = {abs(residual):.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}"
-                )
+            residual = _finite(self.f, root, "f")
+            if residual != 0.0:
+                # With f', the bound is on the Newton correction f/f' at the
+                # root, so scaling f and f' does not move it.
+                bound = ROOT_RESIDUAL_TOL
+                if self.df is not None:
+                    bound *= max(1.0, abs(root)) * abs(_finite(self.df, root, "f'"))
+                if not (abs(residual) <= bound):
+                    scale = "" if self.df is None else f" * max(1, |x*|) * |f'(x*)| = {bound:.3e}"
+                    raise ValueError(f"|f(known_root)| = {abs(residual):.3e} exceeds "
+                                     f"{ROOT_RESIDUAL_TOL:.0e}{scale}")
 
 
 def eval_f(p: ProblemSpec, x: float) -> float:

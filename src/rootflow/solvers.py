@@ -126,24 +126,30 @@ class TracePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """The accepted iterates (n, x_n, f(x_n)), and the root when it is known.
+    """The accepted (x_n, f(x_n)) pairs of a run, and the root when it is known.
 
-    ``errors`` (x_n - x*, computed on each read) is None without the root.
+    ``points`` (the (n, x_n, f(x_n)) tuples) and ``errors`` (x_n - x*, None
+    without the root) are computed from the pairs on each read.
     """
 
-    points: tuple[TracePoint, ...]
+    pairs: tuple[tuple[float, float], ...]
     known_root: float | None = None
 
     @property
+    def points(self) -> tuple[TracePoint, ...]:
+        return tuple(TracePoint(n, x, fx) for n, (x, fx) in enumerate(self.pairs))
+
+    @property
     def errors(self) -> tuple[float, ...] | None:
-        if self.known_root is None:
+        root = self.known_root
+        if root is None:
             return None
-        return tuple(pt.x - self.known_root for pt in self.points)
+        return tuple(x - root for x, _ in self.pairs)
 
     @classmethod
     def from_points(cls, points, known_root: float | None) -> "IterationTrace":
-        pts = tuple(TracePoint(i, x, fx) for i, (x, fx) in enumerate(points))
-        return cls(points=pts, known_root=known_root)
+        """A trace of a copy of the (x, f(x)) pairs in ``points``."""
+        return cls(pairs=tuple(points), known_root=known_root)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,6 +1,8 @@
 import math
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rootflow import (
     DerivativeZero,
@@ -118,6 +120,71 @@ def test_two_point_scheme_with_zero_mu_also_measures_golden_ratio(sq):
     assert 1.55 <= est.final_order <= 1.70
     # and the quadratic constant ratios blow up accordingly
     assert abs(est.constant_estimates[-1]) > abs(est.constant_estimates[0])
+
+
+def _two_log_estimate(trace):
+    """The estimator as it was before it computed each log once: the errors
+    tuple first, then ln|e_n/e_{n-1}| and ln|e_{n+1}/e_n| at every n."""
+    errors = trace.errors
+    if errors is None:
+        raise InsufficientData("no root")
+    context = getattr(errors[0], "context", None) if errors else None
+    eps = sys.float_info.epsilon if context is None else context.eps
+    floor = 1e3 * eps * max(1.0, abs(trace.known_root))
+    errs = []
+    for e in errors:
+        if abs(e) <= floor:
+            break
+        errs.append(e)
+    if len(errs) < 4:
+        raise InsufficientData("too few")
+    orders = []
+    for n in range(1, len(errs) - 1):
+        den = math.log(abs(errs[n] / errs[n - 1]))
+        if den == 0.0:
+            break
+        orders.append(math.log(abs(errs[n + 1] / errs[n])) / den)
+    if not orders:
+        raise InsufficientData("no ratios")
+    constants = [errs[n + 1] / (errs[n] * errs[n]) for n in range(len(errs) - 1)]
+    return tuple(orders), tuple(constants)
+
+
+# One error at a time: mostly a fresh magnitude, sometimes the previous one
+# again (so ln|e_n/e_{n-1}| is exactly 0), or the float floor around the
+# root, or one ulp above it.
+_KINDS = ["fresh"] * 12 + ["repeat"] * 2 + ["floor", "above floor"]
+_error_atoms = st.tuples(st.sampled_from(_KINDS), st.floats(min_value=1e-12, max_value=1e3))
+
+
+def _errors_of(atoms, root):
+    floor = 1e3 * sys.float_info.epsilon * max(1.0, abs(root))
+    errors, magnitude = [], 1.0
+    for kind, value in atoms:
+        magnitude = {"fresh": value, "repeat": magnitude, "floor": floor,
+                     "above floor": math.nextafter(floor, math.inf)}[kind]
+        errors.append(magnitude)
+    return errors
+
+
+@given(
+    atoms=st.lists(_error_atoms, min_size=4, max_size=12),
+    signs=st.lists(st.booleans(), min_size=12, max_size=12),
+    root=st.sampled_from([0.0, -3.0, math.pi / 6.0]),
+)
+def test_one_pass_estimate_equals_the_two_log_estimate(atoms, signs, root):
+    errors = [-e if neg else e for e, neg in zip(_errors_of(atoms, root), signs)]
+    trace = IterationTrace.from_points([(root + e, e) for e in errors], known_root=root)
+    try:
+        expected = _two_log_estimate(trace)
+    except InsufficientData:
+        with pytest.raises(InsufficientData):
+            estimate_order(trace)
+        return
+    est = estimate_order(trace)
+    # bit for bit: repr round-trips every float
+    assert [repr(r) for r in est.orders] == [repr(r) for r in expected[0]]
+    assert [repr(c) for c in est.constant_estimates] == [repr(c) for c in expected[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ MP_F = {
     "exp": lambda x: (x - 1) * mp.exp(-x),
     "trig": lambda x: 2 * mp.sin(x) - 1,
 }
-MP_DF = {"trig": lambda x: 2 * mp.cos(x)}
+MP_DF = {"log": lambda x: 1 / x, "trig": lambda x: 2 * mp.cos(x)}
 
 # f and f' scaled by k: mu + f''/f' does not change, however small k is.
 SCALES = {"": 1.0, "-2^-60": 2.0 ** -60, "-1e-13": 1e-13}
@@ -33,28 +33,44 @@ def test_predicted_constant_matches_mp_derivatives(problems, name, k):
     assert predicted_constant(scaled, 0.0) == pytest.approx(expected, rel=1e-9)
 
 
+MP_ROOT = {"log": lambda: mp.mpf(1), "exp": lambda: mp.mpf(1), "trig": lambda: mp.pi / 6}
+
+
+def mp_problem(problems, quart, name, x0):
+    """The named problem, or ``quart`` (x + x^4), in mp arithmetic from x0."""
+    if name == "quart":
+        return replace(quart, f=lambda x: x + x ** 4, df=None, known_root=mp.mpf(0),
+                       default_x0=mp.mpf(x0))
+    return replace(problems[name], f=MP_F[name], df=MP_DF.get(name),
+                   known_root=MP_ROOT[name](), default_x0=mp.mpf(x0))
+
+
 # Runs of the unmodified driver on mp problems at 400 digits, against the
 # local model of each update rule, with c = f''/(2f') at x*:
 # (scheme, problem, mu, x0, two-point ratio, limit).  The one-point ratio is
 # e_{n+1}/e_n^2, the two-point one e_{n+1}/(e_n e_{n-1}).
 ORACLE_RUNS = {
+    # flow rule at h = 1: c + mu, and c = -1/2 on log
+    "wu-log": ("wu", "log", 0.3, "1.5", False, lambda: mp.mpf(0.3) - mp.mpf(0.5)),
     # zheng: c(1 + f'(x*)) + mu, and f'(1) = 1 on log
     "zheng-log": ("zheng", "log", 0.3, "1.5", False, lambda: mp.mpf(0.3) - 1),
     # newton: c = -tan(pi/6)/2
     "newton-trig": ("newton", "trig", 0.0, "0.6", False, lambda: -mp.sqrt(3) / 6),
     # secant_dyn: c, whatever mu
     "secant_dyn-log": ("secant_dyn", "log", 0.3, "1.5", True, lambda: mp.mpf(-0.5)),
+    "secant_dyn-exp": ("secant_dyn", "exp", 0.3, "1.5", True, lambda: mp.mpf(-1)),
+    "secant_dyn-trig": ("secant_dyn", "trig", 0.3, "0.6", True, lambda: -mp.sqrt(3) / 6),
+    # secant_dyn where c = 0, as f'' and f''' vanish at the root: order 2, limit mu
+    "secant_dyn-quart": ("secant_dyn", "quart", 0.7, "0.3", False, lambda: mp.mpf(0.7)),
 }
-MP_ROOT = {"log": lambda: mp.mpf(1), "trig": lambda: mp.pi / 6}
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_RUNS))
-def test_run_meets_the_local_model_at_400_digits(problems, case):
+def test_run_meets_the_local_model_at_400_digits(problems, quart, case):
     scheme, name, mu, x0, two_point, limit = ORACLE_RUNS[case]
     with mp.workdps(400):
-        root = MP_ROOT[name]()
-        p = replace(problems[name], f=MP_F[name], df=MP_DF.get(name),
-                    known_root=root, default_x0=mp.mpf(x0))
+        p = mp_problem(problems, quart, name, x0)
+        root = p.known_root
         out = run(p, SolverConfig(scheme=scheme, mu=mu, epsilon=1e-300), p.default_x0)
         assert out.converged
         # Errors above 1e-350 are far from the 400-digit rounding noise.
@@ -62,6 +78,26 @@ def test_run_meets_the_local_model_at_400_digits(problems, case):
         n = max(n for n in range(1, len(e) - 1) if abs(e[n + 1]) > mp.mpf(10) ** -350)
         ratio = e[n + 1] / (e[n] * (e[n - 1] if two_point else e[n]))
         assert abs(ratio / limit() - 1) < 1e-40
+
+
+# The cubic points, where the leading term of e_{n+1}/e_n^2 vanishes: zheng
+# at mu = -c(1 + f'(x*)), which is 1 on log, and the flow rule at mu = -c,
+# which is sqrt(3)/6 on trig (an mp mu, so that it cancels c exactly).
+CUBIC_RUNS = {
+    "zheng-log": ("zheng", "log", lambda: 1.0, "1.5"),
+    "wu-trig": ("wu", "trig", lambda: mp.sqrt(3) / 6, "0.6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUBIC_RUNS))
+def test_cubic_points_estimate_order_three_at_400_digits(problems, quart, case):
+    scheme, name, mu, x0 = CUBIC_RUNS[case]
+    with mp.workdps(400):
+        p = mp_problem(problems, quart, name, x0)
+        out = run(p, SolverConfig(scheme=scheme, mu=mu(), epsilon=1e-300), p.default_x0)
+        est = estimate_order(out.trace)
+    assert out.converged
+    assert est.final_order == pytest.approx(3.0, abs=1e-3)
 
 
 def test_estimate_order_floors_at_the_trace_precision(problems):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +134,32 @@ def test_spec_validation():
     for bad in (lambda x: complex(x - 1.0, 1e-13), lambda x: 1.0 / (x - 1.0)):
         with pytest.raises(NonFiniteValue, match=r"^f\(1\.0\) is not a finite real$"):
             ProblemSpec(name="bad", f=bad, domain=(0.0, 2.0), default_x0=1.5, known_root=1.0)
+
+
+def scaled(p, k, **changes):
+    return replace(p, f=lambda x: k * p.f(x), df=lambda x: k * p.df(x), **changes)
+
+
+def test_root_check_with_a_derivative_scales_with_f(problems):
+    trig = problems["trig"]
+    # |f(pi/6)| = 1.1e-12 once f is scaled by 1e4, yet pi/6 is the same root:
+    # the Newton correction f/f' there is still 6e-17.
+    assert scaled(trig, 1e4).known_root == math.pi / 6.0
+    # Scaled by 1e-13, the wrong root 0.6 has |f| = 1.3e-14, below 1e-12;
+    # its Newton correction is 0.078, so it is refused.
+    with pytest.raises(ValueError, match=r"exceeds 1e-12 \* max\(1, \|x\*\|\) \* \|f'\(x\*\)\|"):
+        scaled(trig, 1e-13, known_root=0.6)
+
+
+def test_root_check_reads_the_derivative_only_off_an_exact_root():
+    bad_df = lambda x: 1.0 / (x - 1.0)
+    # f(1) == 0 exactly passes without calling f'
+    ProblemSpec(name="ok", f=lambda x: x - 1.0, df=bad_df, domain=(0.0, 2.0),
+                default_x0=1.5, known_root=1.0)
+    # a nonzero residual needs f'(x*), which passes the one guard
+    with pytest.raises(NonFiniteValue, match=r"^f'\(1\.0\) is not a finite real$"):
+        ProblemSpec(name="bad", f=lambda x: x - 1.0 + 1e-20, df=bad_df, domain=(0.0, 2.0),
+                    default_x0=1.5, known_root=1.0)
 
 
 def test_nonfinite_value_names_the_evaluator_that_failed():

@@ -11,9 +11,11 @@ from rootflow import (
     STOP_RULES,
     DenominatorUnderflow,
     DomainViolation,
+    IterationTrace,
     MissingDerivative,
     ProblemSpec,
     SolverConfig,
+    TracePoint,
     builtin_problems,
     euler_flow_step,
     eval_f,
@@ -729,3 +731,38 @@ def test_lazy_trace_contract_on_nonfinite_start():
     _check_lazy_trace(out)
     assert out.trace.errors is None
     assert run(p, SolverConfig(scheme="secant_dyn"), 1000.0) == out
+
+
+@pytest.mark.parametrize("case", ["converged", "diverged", "nonfinite"])
+def test_trace_reads_equal_the_eager_construction(problems, case):
+    # f(1000) overflows, so that run ends nonfinite at x0 with a known root
+    blows = ProblemSpec(name="blows", f=math.expm1, domain=(-1e6, 1e6),
+                        known_root=0.0, default_x0=1000.0)
+    p, cfg, x0, reason = {
+        "converged": (problems["log"], SolverConfig(scheme="secant_dyn", mu=0.135), 5.0,
+                      "step_below_epsilon"),
+        "diverged": (problems["log"], SolverConfig(scheme="newton"), 5.0, "domain_violation"),
+        "nonfinite": (blows, SolverConfig(scheme="secant_dyn"), 1000.0, "nonfinite"),
+    }[case]
+    out = run(p, cfg, x0)
+    assert out.reason == reason
+    # what the trace stored and computed when it built its points eagerly
+    eager = tuple(TracePoint(i, x, fx) for i, (x, fx) in enumerate(out.pairs))
+    eager_errors = tuple(pt.x - p.known_root for pt in eager)
+    trace = out.trace
+    # bit for bit: repr round-trips every float, NaN included
+    assert all(type(pt) is TracePoint for pt in trace.points)
+    assert [tuple(map(repr, pt)) for pt in trace.points] == [tuple(map(repr, pt)) for pt in eager]
+    assert list(map(repr, trace.errors)) == list(map(repr, eager_errors))
+
+
+def test_from_points_copies_its_input():
+    # a classmethod in the class's own namespace, where it can be patched
+    assert isinstance(IterationTrace.__dict__["from_points"], classmethod)
+    pairs = [(2.0, 3.0), (1.5, 1.25)]
+    trace = IterationTrace.from_points(pairs, known_root=1.0)
+    pairs.append((1.0, 0.0))
+    pairs[0] = (9.0, 80.0)
+    assert trace.pairs == ((2.0, 3.0), (1.5, 1.25))
+    assert trace.points == ((0, 2.0, 3.0), (1, 1.5, 1.25))
+    assert trace.errors == (1.0, 0.5)
