@@ -12,7 +12,8 @@ from the problem's exact derivative, differencing once for f''.
 
 Steps below the saturation floor (1e3 epsilons of the errors' own number
 type around the root: a float's, or an mpmath value's ``context.eps``) are
-rounding noise and are excluded from all estimates.
+rounding noise and are excluded from all estimates.  The logarithms are
+taken in the same number type, so a trace is estimated at its own precision.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .problems import MissingDerivative, NonFiniteValue, ProblemSpec, eval_df
 from .solvers import IterationTrace, RunOutcome, SolverConfig, run
@@ -63,11 +65,13 @@ class OrderEstimate:
         return len(self.constant_estimates)
 
 
-def _usable_errors(trace: IterationTrace) -> list[float]:
-    """The errors x_n - x* of the trace's pairs, up to the saturation floor.
+def _usable_errors(trace: IterationTrace) -> tuple[list[float], Callable]:
+    """The errors x_n - x* of the trace's pairs up to the saturation floor,
+    and the natural logarithm of their number type.
 
     One pass over the pairs: it stops at the first error at or below the
-    floor, which is taken from the number type of the first error.
+    floor.  The floor and the logarithm come from the first error's number
+    type: ``math.log`` for a float, the context's ``ln`` for an mpmath value.
     """
     root = trace.known_root
     if root is None:
@@ -75,7 +79,7 @@ def _usable_errors(trace: IterationTrace) -> list[float]:
     pairs = trace.pairs
     # An mpmath value carries its context, whose eps is the precision's own.
     context = getattr(pairs[0][0] - root, "context", None) if pairs else None
-    eps = sys.float_info.epsilon if context is None else context.eps
+    eps, log = (sys.float_info.epsilon, math.log) if context is None else (context.eps, context.ln)
     floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(root))
     usable = []
     for x, _ in pairs:
@@ -85,7 +89,7 @@ def _usable_errors(trace: IterationTrace) -> list[float]:
         if abs(e) <= floor:
             break
         usable.append(e)
-    return usable
+    return usable, log
 
 
 def estimate_order(trace: IterationTrace) -> OrderEstimate:
@@ -94,7 +98,7 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
     Requires at least four usable points (errors above the saturation
     floor, before any exact zero); raises InsufficientData otherwise.
     """
-    errs = _usable_errors(trace)
+    errs, log = _usable_errors(trace)
     if len(errs) < MIN_USABLE_POINTS:
         raise InsufficientData(
             f"need at least {MIN_USABLE_POINTS} usable points, have {len(errs)}"
@@ -102,11 +106,11 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
     # Each ln|e_{n+1}/e_n| is computed once; the order at n is the next
     # one over the previous one, until a previous one is exactly 0.
     orders = []
-    prev = math.log(abs(errs[1] / errs[0]))
+    prev = log(abs(errs[1] / errs[0]))
     for n in range(1, len(errs) - 1):
         if prev == 0.0:
             break
-        cur = math.log(abs(errs[n + 1] / errs[n]))
+        cur = log(abs(errs[n + 1] / errs[n]))
         orders.append(cur / prev)
         prev = cur
     if not orders:
@@ -162,27 +166,28 @@ class ConvergenceReport:
         return None if self.estimate is None else abs(self.estimate.final_order - 2.0)
 
     def to_text(self) -> str:
+        """The report as aligned lines, each real formatted as a float (an mpf has no :g)."""
         lines = [
             f"problem      : {self.problem}",
-            f"mu           : {self.mu:.17g}",
-            f"x0           : {self.x0:.17g}",
+            f"mu           : {float(self.mu):.17g}",
+            f"x0           : {float(self.x0):.17g}",
             f"verdict      : {self.outcome.verdict} ({self.outcome.reason})",
             f"iterations   : {self.outcome.iterations}",
-            f"final_x      : {self.outcome.final_x:.17g}",
+            f"final_x      : {float(self.outcome.final_x):.17g}",
         ]
         if self.estimate is None:
             lines.append("order        : not estimable (diverged or too short)")
         else:
             est = self.estimate
             lines.append(f"usable steps : {est.usable_steps}")
-            lines.append("orders       : " + " ".join(f"{r:.6f}" for r in est.orders))
-            lines.append("constants    : " + " ".join(f"{c:.6g}" for c in est.constant_estimates))
-            lines.append(f"final order  : {est.final_order:.6f}")
-            lines.append(f"final const  : {est.final_constant:.6g}")
+            lines.append("orders       : " + " ".join(f"{float(r):.6f}" for r in est.orders))
+            lines.append("constants    : " + " ".join(f"{float(c):.6g}" for c in est.constant_estimates))
+            lines.append(f"final order  : {float(est.final_order):.6f}")
+            lines.append(f"final const  : {float(est.final_constant):.6g}")
             if self.predicted is not None:
-                lines.append(f"predicted    : {self.predicted:.6g}")
-                lines.append(f"const relerr : {self.constant_rel_error:.6g}")
-            lines.append(f"|order - 2|  : {self.order_gap:.6f}")
+                lines.append(f"predicted    : {float(self.predicted):.6g}")
+                lines.append(f"const relerr : {float(self.constant_rel_error):.6g}")
+            lines.append(f"|order - 2|  : {float(self.order_gap):.6f}")
         return "\n".join(lines)
 
 

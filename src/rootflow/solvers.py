@@ -128,8 +128,8 @@ class TracePoint(NamedTuple):
 class IterationTrace:
     """The accepted (x_n, f(x_n)) pairs of a run, and the root when it is known.
 
-    ``points`` (the (n, x_n, f(x_n)) tuples) and ``errors`` (x_n - x*, None
-    without the root) are computed from the pairs on each read.
+    ``points`` (the (n, x_n, f(x_n)) tuples) is computed from the pairs on
+    each read.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -138,13 +138,6 @@ class IterationTrace:
     @property
     def points(self) -> tuple[TracePoint, ...]:
         return tuple(TracePoint(n, x, fx) for n, (x, fx) in enumerate(self.pairs))
-
-    @property
-    def errors(self) -> tuple[float, ...] | None:
-        root = self.known_root
-        if root is None:
-            return None
-        return tuple(x - root for x, _ in self.pairs)
 
     @classmethod
     def from_points(cls, points, known_root: float | None) -> "IterationTrace":
@@ -323,7 +316,10 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
             else:
                 num, den = fx * fx, mu * fx * fx + (g - fx)
         if den == 0.0:
-            reason = REASON_UNDERFLOW
+            # The step cannot be taken, but at an exact root (where the
+            # difference quotients are 0/0) the run has converged.
+            reason = (REASON_UNDERFLOW if fx != 0.0 else
+                      REASON_STEP if stop_on_step else REASON_RESIDUAL)
             break
         candidate = x - num / den
 
@@ -352,10 +348,6 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
             break
     else:
         reason = REASON_MAX_ITERS
-    if reason is REASON_UNDERFLOW and fx == 0.0:
-        # The step cannot be taken, but the current point is a root (the
-        # difference quotients are 0/0 there): converged.
-        reason = REASON_STEP if stop_on_step else REASON_RESIDUAL
 
     iterations = len(points) - 1 - (two_point and len(points) > 1)
     return RunOutcome(reason, iterations, points, p.known_root)

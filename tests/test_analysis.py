@@ -125,9 +125,9 @@ def test_two_point_scheme_with_zero_mu_also_measures_golden_ratio(sq):
 def _two_log_estimate(trace):
     """The estimator as it was before it computed each log once: the errors
     tuple first, then ln|e_n/e_{n-1}| and ln|e_{n+1}/e_n| at every n."""
-    errors = trace.errors
-    if errors is None:
+    if trace.known_root is None:
         raise InsufficientData("no root")
+    errors = tuple(x - trace.known_root for x, _ in trace.pairs)
     context = getattr(errors[0], "context", None) if errors else None
     eps = sys.float_info.epsilon if context is None else context.eps
     floor = 1e3 * eps * max(1.0, abs(trace.known_root))

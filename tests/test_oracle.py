@@ -5,7 +5,13 @@ from dataclasses import replace
 import pytest
 from mpmath import mp
 
-from rootflow import SolverConfig, estimate_order, predicted_constant, run
+from rootflow import (
+    SolverConfig,
+    estimate_order,
+    predicted_constant,
+    run,
+    verify_quadratic_convergence,
+)
 
 # The built-in problems' left-hand sides, evaluated in mp arithmetic.
 MP_F = {
@@ -111,3 +117,25 @@ def test_estimate_order_floors_at_the_trace_precision(problems):
         est = estimate_order(out.trace)
     assert est.usable_steps == 12
     assert est.final_order == pytest.approx((1 + 5 ** 0.5) / 2, abs=1e-3)
+
+
+def test_estimate_order_takes_logs_at_the_trace_precision(problems, quart):
+    # At 700 digits the error falls from about 2e-228 to 1.8e-683, above the
+    # floor; the ratio of the two is 0.0 as a float, whose log is undefined.
+    with mp.workdps(700):
+        p = mp_problem(problems, quart, "log", "1.5")
+        out = run(p, SolverConfig(scheme="zheng", mu=1.0, epsilon=1e-300, max_iters=200),
+                  p.default_x0)
+        est = estimate_order(out.trace)
+    assert (out.reason, out.iterations) == ("step_below_epsilon", 8)
+    assert est.final_order == pytest.approx(3.0, abs=1e-3)
+
+
+def test_report_on_mp_values_renders_as_text(problems, quart):
+    with mp.workdps(60):
+        p = mp_problem(problems, quart, "log", "1.5")
+        report = verify_quadratic_convergence(p, 0.3, p.default_x0, SolverConfig(epsilon=1e-50))
+        text = report.to_text()
+    assert report.estimate is not None and report.predicted is not None
+    assert f"final order  : {float(report.estimate.final_order):.6f}" in text
+    assert "predicted    : -0.7\n" in text

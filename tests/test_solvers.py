@@ -165,9 +165,6 @@ def test_run_two_point_on_log(problems):
     assert out.iterations == 6
     assert f"{out.final_x:.6f}" == "1.000000"
     assert out.trace.points[0] == (0, 5.0, math.log(5.0))
-    # errors track the known root exactly
-    assert out.trace.errors[0] == 5.0 - 1.0
-    assert len(out.trace.errors) == len(out.trace.points)
 
 
 def test_run_two_point_on_exp(problems):
@@ -700,8 +697,6 @@ def _check_lazy_trace(out):
     trace = out.trace
     assert out.final_x == trace.points[-1].x
     assert _same_float(out.final_fx, trace.points[-1].fx)
-    if trace.errors is not None:
-        assert len(trace.errors) == len(trace.points)
 
 
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
@@ -714,7 +709,6 @@ def test_lazy_trace_contract(problems, scheme, bootstrap, stop_rule):
             cfg = SolverConfig(scheme=scheme, mu=0.7, bootstrap=bootstrap, stop_rule=stop_rule)
             out = run(p, cfg, x0)
             _check_lazy_trace(out)
-            assert out.trace.errors is not None
             # equality does not depend on whether the trace was read
             fresh = run(p, cfg, x0)
             assert fresh == out
@@ -729,7 +723,6 @@ def test_lazy_trace_contract_on_nonfinite_start():
     assert out.reason == "nonfinite"
     assert math.isnan(out.final_fx)
     _check_lazy_trace(out)
-    assert out.trace.errors is None
     assert run(p, SolverConfig(scheme="secant_dyn"), 1000.0) == out
 
 
@@ -748,12 +741,10 @@ def test_trace_reads_equal_the_eager_construction(problems, case):
     assert out.reason == reason
     # what the trace stored and computed when it built its points eagerly
     eager = tuple(TracePoint(i, x, fx) for i, (x, fx) in enumerate(out.pairs))
-    eager_errors = tuple(pt.x - p.known_root for pt in eager)
     trace = out.trace
     # bit for bit: repr round-trips every float, NaN included
     assert all(type(pt) is TracePoint for pt in trace.points)
     assert [tuple(map(repr, pt)) for pt in trace.points] == [tuple(map(repr, pt)) for pt in eager]
-    assert list(map(repr, trace.errors)) == list(map(repr, eager_errors))
 
 
 def test_from_points_copies_its_input():
@@ -765,4 +756,3 @@ def test_from_points_copies_its_input():
     pairs[0] = (9.0, 80.0)
     assert trace.pairs == ((2.0, 3.0), (1.5, 1.25))
     assert trace.points == ((0, 2.0, 3.0), (1, 1.5, 1.25))
-    assert trace.errors == (1.0, 0.5)
