@@ -65,21 +65,24 @@ class OrderEstimate:
         return len(self.constant_estimates)
 
 
+def _arithmetic(v) -> tuple[float, Callable]:
+    """Epsilon and natural log of v's number type: a float's, or an mpmath context's."""
+    context = getattr(v, "context", None)
+    return (sys.float_info.epsilon, math.log) if context is None else (context.eps, context.ln)
+
+
 def _usable_errors(trace: IterationTrace) -> tuple[list[float], Callable]:
     """The errors x_n - x* of the trace's pairs up to the saturation floor,
     and the natural logarithm of their number type.
 
     One pass over the pairs: it stops at the first error at or below the
-    floor.  The floor and the logarithm come from the first error's number
-    type: ``math.log`` for a float, the context's ``ln`` for an mpmath value.
+    floor.  The floor and the logarithm come from the first error's number type.
     """
     root = trace.known_root
     if root is None:
         raise InsufficientData("trace has no error sequence (problem lacks a known root)")
     pairs = trace.pairs
-    # An mpmath value carries its context, whose eps is the precision's own.
-    context = getattr(pairs[0][0] - root, "context", None) if pairs else None
-    eps, log = (sys.float_info.epsilon, math.log) if context is None else (context.eps, context.ln)
+    eps, log = _arithmetic(pairs[0][0] - root if pairs else root)
     floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(root))
     usable = []
     for x, _ in pairs:
@@ -122,7 +125,8 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
 def predicted_constant(p: ProblemSpec, mu: float) -> float:
     """Predicted limit of e_{n+1}/e_n^2: mu + f''(x*)/f'(x*).
 
-    f''(x*) is the central difference of the exact f' with step 1e-5 * max(1, |x*|).
+    f''(x*) is the central difference of the exact f' with step 1e-5 * max(1, |x*|) times
+    (eps / float eps)^(1/3) for x*'s epsilon, so an mpmath x* takes a smaller step.
     A missing f' raises MissingDerivative, an f' that is not a finite real at x* or
     x* +- h raises NonFiniteValue, and an f'(x*) of exactly zero raises DerivativeZero.
     """
@@ -132,7 +136,8 @@ def predicted_constant(p: ProblemSpec, mu: float) -> float:
     fp = eval_df(p, root)
     if fp == 0.0:
         raise DerivativeZero(f"f'(x*) is 0 at x* = {root!r}")
-    h = SECOND_DERIVATIVE_STEP_FACTOR * max(1.0, abs(root))
+    scale = (_arithmetic(root)[0] / sys.float_info.epsilon) ** (1 / 3)  # 1 for a float
+    h = SECOND_DERIVATIVE_STEP_FACTOR * max(1.0, abs(root)) * scale
     fpp = (eval_df(p, root + h) - eval_df(p, root - h)) / (2.0 * h)
     return mu + fpp / fp
 
@@ -176,7 +181,7 @@ class ConvergenceReport:
             f"final_x      : {float(self.outcome.final_x):.17g}",
         ]
         if self.estimate is None:
-            lines.append("order        : not estimable (diverged or too short)")
+            lines.append("order        : not estimable (not converged or too short)")
         else:
             est = self.estimate
             lines.append(f"usable steps : {est.usable_steps}")

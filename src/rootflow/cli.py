@@ -1,13 +1,14 @@
 """Command-line front end: solve, bench, order, sweep-mu, sweep-h, basin.
 
-All numerical failure modes print as verdicts; only usage errors exit
+All numerical failure modes print as verdicts: ``solve`` and ``order`` name
+a run by its own (converged, divergence or exhausted), and table and CSV rows
+fold exhausted into divergence, keeping the reason.  Only usage errors exit
 nonzero (code 2), through argparse or, for an option value the library
 rejects, with its message on one ``rootflow: ...`` line on stderr and
-nothing on stdout.  ``solve --expect-converge`` exits 1
-when the run does not converge, and ``bench`` exits 1 when the verdict
-pattern differs from the reference pattern.  A solver setting whose flag is
-not typed takes its SolverConfig default.  Identical invocations produce
-byte-identical output.
+nothing on stdout.  ``solve --expect-converge`` exits 1 when the run does
+not converge, and ``bench`` exits 1 when the verdict pattern differs from
+the reference pattern.  A solver setting whose flag is not typed takes its
+SolverConfig default.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import NoReturn
 from .analysis import verify_quadratic_convergence
 from .harness import (
     DEFAULT_X0_COUNT,
-    VERDICT_DIVERGENCE,
     basin_to_csv,
     basin_to_grid_text,
     benchmark_verdicts_match,
@@ -139,8 +139,7 @@ def _cmd_solve(args, p, cfg, x0) -> tuple[str, int]:
         lines = [f"{'n':>4}  {'x_n':<24} f(x_n)"]
         for pt in outcome.trace.points:
             lines.append(f"{pt.n:>4}  {pt.x:<24.17g} {pt.fx:.17g}")
-        verdict = outcome.verdict if outcome.converged else VERDICT_DIVERGENCE
-        lines.append(f"verdict    : {verdict} ({outcome.reason})")
+        lines.append(f"verdict    : {outcome.verdict} ({outcome.reason})")
         lines.append(f"iterations : {outcome.iterations}")
         lines.append(f"final_x    : {outcome.final_x:.6f} ({outcome.final_x:.17g})")
     return "\n".join(lines) + "\n", 1 if args.expect_converge and not outcome.converged else 0

@@ -8,9 +8,9 @@ initial values (and mu) and runs every cell independently, which quantifies
 how much wider the two-point scheme's set of workable starting points is.
 
 Every table row is one run, a :class:`BenchmarkRow`, whether it comes from
-the benchmark, a sweep or a basin cell.  Diverged and exhausted runs are
-both reported as "divergence" here, with the precise reason retained in
-the CSV.
+the benchmark, a sweep or a basin cell.  Its verdict is the run's own,
+except that a row folds ``exhausted`` into ``divergence``: a table has two
+verdict words, and the reason column keeps the two endings apart.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .problems import ProblemSpec, builtin_problems
-from .solvers import VERDICT_CONVERGED, SolverConfig, run
-
-VERDICT_DIVERGENCE = "divergence"
+from .solvers import VERDICT_CONVERGED, VERDICT_DIVERGED, SolverConfig, run
 
 CSV_HEADER = "problem,scheme,mu,h,x0,verdict,reason,iterations,final_x,residual"
 
@@ -45,14 +43,14 @@ BENCH_MU = {
 # scheme converges on all three.  Its keys also give the benchmark's row
 # order, problem-major.
 BENCH_EXPECTED_VERDICTS = {
-    ("log", "newton"): VERDICT_DIVERGENCE,
+    ("log", "newton"): VERDICT_DIVERGED,
     ("log", "zheng"): VERDICT_CONVERGED,
     ("log", "secant_dyn"): VERDICT_CONVERGED,
-    ("exp", "newton"): VERDICT_DIVERGENCE,
-    ("exp", "zheng"): VERDICT_DIVERGENCE,
+    ("exp", "newton"): VERDICT_DIVERGED,
+    ("exp", "zheng"): VERDICT_DIVERGED,
     ("exp", "secant_dyn"): VERDICT_CONVERGED,
-    ("trig", "newton"): VERDICT_DIVERGENCE,
-    ("trig", "zheng"): VERDICT_DIVERGENCE,
+    ("trig", "newton"): VERDICT_DIVERGED,
+    ("trig", "zheng"): VERDICT_DIVERGED,
     ("trig", "secant_dyn"): VERDICT_CONVERGED,
 }
 
@@ -99,8 +97,8 @@ def _row(p: ProblemSpec, cfg: SolverConfig, x0: float) -> BenchmarkRow:
     outcome = run(p, cfg, x0)
     if outcome.converged:
         verdict, iterations, final_x = VERDICT_CONVERGED, outcome.iterations, outcome.final_x
-    else:
-        verdict, iterations, final_x = VERDICT_DIVERGENCE, None, None
+    else:  # the one place an exhausted run reads as divergence
+        verdict, iterations, final_x = VERDICT_DIVERGED, None, None
     mu, h = cfg.resolved()
     return BenchmarkRow(p.name, cfg.scheme, mu, h, x0, verdict, outcome.reason,
                         iterations, final_x, abs(outcome.final_fx))
@@ -130,31 +128,34 @@ def benchmark_verdicts_match(rows: Iterable[BenchmarkRow]) -> bool:
     return actual == BENCH_EXPECTED_VERDICTS
 
 
-def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Sequence[float], x0: float,
+def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Iterable[float], x0: float,
              cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One benchmark row per mu, in input order."""
+    mu_values = tuple(mu_values)
     if not mu_values:
         raise ValueError("mu values must be non-empty")
     base = cfg if cfg is not None else SolverConfig()
     return [_row(p, replace(base, scheme=scheme, mu=mu), x0) for mu in mu_values]
 
 
-def sweep_h(p: ProblemSpec, mu: float, h_values: Sequence[float], x0: float,
+def sweep_h(p: ProblemSpec, mu: float, h_values: Iterable[float], x0: float,
             cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One row per Euler step length h, for the euler_flow scheme."""
+    h_values = tuple(h_values)
     if not h_values:
         raise ValueError("h values must be non-empty")
     base = cfg if cfg is not None else SolverConfig()
     return [_row(p, replace(base, scheme="euler_flow", mu=mu, h=h), x0) for h in h_values]
 
 
-def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
-              x0_axis: Sequence[float], cfg: SolverConfig | None = None) -> BasinGrid:
+def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
+              x0_axis: Iterable[float], cfg: SolverConfig | None = None) -> BasinGrid:
     """Fill a |mu_axis| x |x0_axis| grid with independent run verdicts.
 
     Every x0 must lie inside the problem's domain.  Cells are pure and
     order-independent; the grid is evaluated row by row.
     """
+    mu_axis, x0_axis = tuple(mu_axis), tuple(x0_axis)
     if not mu_axis:
         raise ValueError("mu axis must be non-empty")
     if not x0_axis:
@@ -164,7 +165,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Sequence[float],
     for mu in mu_axis:
         c = replace(base, scheme=scheme, mu=mu)
         cells.append(tuple(_row(p, c, x0) for x0 in x0_axis))
-    return BasinGrid(mu_axis=tuple(mu_axis), x0_axis=tuple(x0_axis), cells=tuple(cells))
+    return BasinGrid(mu_axis=mu_axis, x0_axis=x0_axis, cells=tuple(cells))
 
 
 def default_x0_axis(p: ProblemSpec, count: int = DEFAULT_X0_COUNT) -> tuple[float, ...]:

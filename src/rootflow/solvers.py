@@ -46,7 +46,7 @@ BOOTSTRAPS = ("zheng_first_step", "offset_x0")
 STOP_RULES = ("step_size", "residual", "either")
 
 VERDICT_CONVERGED = "converged"
-VERDICT_DIVERGED = "diverged"
+VERDICT_DIVERGED = "divergence"
 VERDICT_EXHAUSTED = "exhausted"
 
 REASON_STEP = "step_below_epsilon"
@@ -255,7 +255,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     exactly zero, ends the run converged when the current point is an exact
     root (f(x) == 0; reported as the stop rule's own reason), and
     ``denominator_underflow`` anywhere else.  A domain exit, non-finite
-    value or escape beyond ``ESCAPE_BOUND`` yields a diverged verdict; an
+    value or escape beyond ``ESCAPE_BOUND`` yields a ``divergence`` verdict; an
     exhausted budget yields ``exhausted``.  The trace records every
     accepted iterate, starting with x0.  ``iterations`` counts accepted
     steps, and ``max_iters`` bounds it: a rejected candidate, or a step

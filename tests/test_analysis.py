@@ -267,7 +267,7 @@ def test_report_x0_is_the_first_trace_point(quart):
 def test_report_carries_divergence_as_verdict(problems):
     # mu = 0 from x0 = 5: the bootstrap hop leaves the interval
     report = verify_quadratic_convergence(problems["log"], 0.0, 5.0)
-    assert report.outcome.verdict == "diverged"
+    assert report.outcome.verdict == "divergence"
     assert report.estimate is None
     assert report.order_gap is None and report.constant_rel_error is None
     assert report.x0 == report.outcome.pairs[0][0] == 5.0

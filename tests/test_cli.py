@@ -63,17 +63,17 @@ def test_solve_divergence_exits_zero_without_expectation(capsys):
     assert "domain_violation" in out
 
 
-@pytest.mark.parametrize("argv, reason, iterations", [
+@pytest.mark.parametrize("argv, verdict, reason, iterations", [
     # a two-point run takes its bootstrap and then all 3 budgeted steps
     (["--problem", "exp", "--scheme", "secant-dyn", "--mu", "1.18", "--max-iters", "3"],
-     "max_iters_reached", 3),
+     "exhausted", "max_iters_reached", 3),
     # the first candidate leaves the domain, so no step is taken
-    (["--problem", "log", "--scheme", "newton"], "domain_violation", 0),
+    (["--problem", "log", "--scheme", "newton"], "divergence", "domain_violation", 0),
 ], ids=["exp-secant-dyn", "log-newton"])
-def test_solve_prints_the_accepted_steps(capsys, argv, reason, iterations):
+def test_solve_prints_the_accepted_steps(capsys, argv, verdict, reason, iterations):
     code, out, _ = run_cli(capsys, ["solve", *argv])
     assert code == 0
-    assert f"({reason})\niterations : {iterations}\n" in out
+    assert f"verdict    : {verdict} ({reason})\niterations : {iterations}\n" in out
 
 
 def test_solve_expect_converge_exit_code(capsys):
@@ -130,6 +130,14 @@ def test_order_report(capsys):
     assert code == 0
     assert "final order" in out
     assert "predicted" in out
+
+
+def test_order_names_a_failed_run_divergence(capsys):
+    # mu = 0 on exp's flat tail: the two-point denominator is exactly zero
+    code, out, _ = run_cli(capsys, ["order", "--problem", "exp", "--mu", "0", "--x0", "50"])
+    assert code == 0
+    assert "verdict      : divergence (denominator_underflow)\n" in out
+    assert "order        : not estimable (not converged or too short)" in out
 
 
 def test_order_is_deterministic(capsys):

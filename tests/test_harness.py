@@ -231,6 +231,31 @@ def test_basin_validates_axes(problems):
             default_x0_axis(wide, 5)
 
 
+class RefusesTruth(list):
+    """A sequence that cannot be tested for emptiness, as a numpy array cannot."""
+
+    def __bool__(self):
+        raise ValueError("the truth value of an array is ambiguous")
+
+
+@pytest.mark.parametrize("axis", [RefusesTruth, iter, lambda v: (x for x in v)],
+                         ids=["refuses-truth", "iterator", "generator"])
+def test_axes_are_read_once_whatever_their_type(problems, axis):
+    log = problems["log"]
+    mus, hs, x0s = [0.0, 0.135, 1.0], [0.5, 1.0], [1.5, 3.0, 5.0]
+    assert sweep_mu(log, "secant_dyn", axis(mus), 5.0) == sweep_mu(log, "secant_dyn", mus, 5.0)
+    assert sweep_h(log, 0.135, axis(hs), 5.0) == sweep_h(log, 0.135, hs, 5.0)
+    grid = map_basin(log, "secant_dyn", axis(mus), axis(x0s))
+    assert grid == map_basin(log, "secant_dyn", mus, x0s)
+    assert basin_to_grid_text(grid).count("\n") == 1 + len(mus)
+    for call in (lambda: sweep_mu(log, "secant_dyn", axis([]), 5.0),
+                 lambda: sweep_h(log, 0.135, axis([]), 5.0),
+                 lambda: map_basin(log, "secant_dyn", axis([]), axis(x0s)),
+                 lambda: map_basin(log, "secant_dyn", axis(mus), axis([]))):
+        with pytest.raises(ValueError, match="must be non-empty$"):
+            call()
+
+
 def test_default_x0_axis_spans_the_domain(problems):
     axis = default_x0_axis(problems["log"], 201)
     assert len(axis) == 201

@@ -131,6 +131,14 @@ def test_estimate_order_takes_logs_at_the_trace_precision(problems, quart):
     assert est.final_order == pytest.approx(3.0, abs=1e-3)
 
 
+def test_predicted_constant_differences_at_the_root_precision(problems, quart):
+    # A float-sized step (1e-5) leaves an O(h^2) error of about 1e-10 here.
+    with mp.workdps(60):
+        p = mp_problem(problems, quart, "log", "1.5")
+        error = abs(predicted_constant(p, mp.mpf("0.3")) - mp.mpf("-0.7"))
+    assert error < 1e-35
+
+
 def test_report_on_mp_values_renders_as_text(problems, quart):
     with mp.workdps(60):
         p = mp_problem(problems, quart, "log", "1.5")

@@ -26,7 +26,14 @@ from rootflow import (
     wu_step,
     zheng_step,
 )
-from rootflow.solvers import CONVERGED_REASONS, ESCAPE_BOUND
+from rootflow.harness import _row
+from rootflow.solvers import (
+    CONVERGED_REASONS,
+    ESCAPE_BOUND,
+    VERDICT_CONVERGED,
+    VERDICT_DIVERGED,
+    VERDICT_EXHAUSTED,
+)
 
 WIDE = (-1e9, 1e9)
 
@@ -184,7 +191,7 @@ def test_run_two_point_on_trig(problems):
 
 def test_run_newton_diverges_on_log_by_domain_exit(problems):
     out = run(problems["log"], SolverConfig(scheme="newton"), 5.0)
-    assert out.verdict == "diverged"
+    assert out.verdict == "divergence"
     assert out.reason == "domain_violation"
     assert out.iterations == 0  # the rejected candidate is not a step
     assert out.final_x == 5.0  # last accepted iterate
@@ -199,10 +206,10 @@ def test_run_zheng_on_log(problems):
 
 def test_run_zheng_diverges_on_exp_and_trig(problems):
     out = run(problems["exp"], SolverConfig(scheme="zheng", mu=1.0 + 1.0 / math.e), 50.0)
-    assert out.verdict == "diverged"
+    assert out.verdict == "divergence"
     out = run(problems["trig"], SolverConfig(scheme="zheng", mu=0.5 + math.sqrt(3.0) / 6.0),
               11.0 * math.pi / 24.0)
-    assert out.verdict == "diverged"
+    assert out.verdict == "divergence"
     assert out.reason == "domain_violation"
 
 
@@ -333,7 +340,7 @@ def test_run_escape_bound():
                     df=lambda x: abs(x) ** (-2.0 / 3.0) / 3.0,
                     domain=(-1e15, 1e15), default_x0=1.0)
     out = run(p, SolverConfig(scheme="newton"), 1.0)
-    assert out.verdict == "diverged"
+    assert out.verdict == "divergence"
     assert out.reason == "escape_bound_exceeded"
     assert out.iterations == 39
     assert abs(out.final_x) <= ESCAPE_BOUND < 2.0 * abs(out.final_x)
@@ -344,7 +351,7 @@ def test_run_nonfinite_candidate_diverges():
     p = ProblemSpec(name="steep", f=lambda x: 1e200 * (x - 1.0), df=lambda x: 1e-290,
                     domain=WIDE, default_x0=2.0)
     out = run(p, SolverConfig(scheme="newton"), 2.0)
-    assert out.verdict == "diverged"
+    assert out.verdict == "divergence"
     assert out.reason == "nonfinite"
     assert out.iterations == 0
     assert out.final_x == 2.0
@@ -393,25 +400,37 @@ def test_run_flat_derivative_diverges():
     p = ProblemSpec(name="flat", f=lambda x: x * x + 1.0, df=lambda x: 2.0 * x,
                     domain=WIDE, default_x0=0.0)
     out = run(p, SolverConfig(scheme="newton"), 0.0)
-    assert out.verdict == "diverged"
+    assert out.verdict == "divergence"
     assert out.reason == "denominator_underflow"
 
 
 def test_verdict_reason_coupling(problems):
-    # converged outcomes carry exactly the smallness reasons
-    for scheme, mu in (("newton", 0.0), ("zheng", 1.0), ("secant_dyn", 0.135)):
-        out = run(problems["log"], SolverConfig(scheme=scheme, mu=mu), 5.0)
+    cases = [(problems["log"], SolverConfig(scheme=scheme, mu=mu), 5.0)
+             for scheme, mu in (("newton", 0.0), ("zheng", 1.0), ("secant_dyn", 0.135))]
+    # a spent budget, which a table row folds into divergence
+    exp = problems["exp"]
+    cases.append((exp, SolverConfig(scheme="secant_dyn", mu=1.18, max_iters=3), exp.default_x0))
+    verdicts = set()
+    for p, cfg, x0 in cases:
+        out = run(p, cfg, x0)
+        verdicts.add(out.verdict)
+        # converged outcomes carry exactly the smallness reasons
         if out.verdict == "converged":
             assert out.reason in ("step_below_epsilon", "residual_below_epsilon")
         else:
             assert out.reason not in ("step_below_epsilon", "residual_below_epsilon")
+        row = _row(p, cfg, x0)
+        assert row.verdict == (VERDICT_DIVERGED if out.verdict == VERDICT_EXHAUSTED
+                               else out.verdict)
+        assert row.reason == out.reason
+    assert verdicts == {VERDICT_CONVERGED, VERDICT_DIVERGED, VERDICT_EXHAUSTED}
 
 
 def test_run_nonfinite_at_start():
     p = ProblemSpec(name="blows", f=lambda x: math.exp(x), df=math.exp,
                     domain=(-1e6, 1e6), default_x0=1000.0)
     out = run(p, SolverConfig(scheme="newton"), 1000.0)
-    assert out.verdict == "diverged"
+    assert out.verdict == "divergence"
     assert out.reason == "nonfinite"
     assert out.iterations == 0
 
@@ -541,7 +560,7 @@ def test_run_complex_valued_f_diverges():
         p = ProblemSpec(name="sqrt", f=f, domain=WIDE, default_x0=-4.0)
         for scheme in ("zheng", "secant_dyn"):
             out = run(p, SolverConfig(scheme=scheme, mu=0.5), -4.0)
-            assert out.verdict == "diverged"
+            assert out.verdict == "divergence"
             assert out.reason == "nonfinite"
 
 
@@ -550,7 +569,7 @@ def test_run_raising_derivative_diverges():
                     domain=WIDE, default_x0=1.5)
     for scheme in ("newton", "euler_flow", "wu"):
         out = run(p, SolverConfig(scheme=scheme, mu=0.5), 1.5)
-        assert out.verdict == "diverged"
+        assert out.verdict == "divergence"
         assert out.reason == "nonfinite"
         assert out.final_x == 1.5
 
