@@ -128,12 +128,18 @@ def benchmark_verdicts_match(rows: Iterable[BenchmarkRow]) -> bool:
     return actual == BENCH_EXPECTED_VERDICTS
 
 
+def _axis(values: Iterable[float], name: str) -> tuple[float, ...]:
+    """The values, read once into a tuple; ValueError when there are none."""
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    return values
+
+
 def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Iterable[float], x0: float,
              cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One benchmark row per mu, in input order."""
-    mu_values = tuple(mu_values)
-    if not mu_values:
-        raise ValueError("mu values must be non-empty")
+    mu_values = _axis(mu_values, "mu values")
     base = cfg if cfg is not None else SolverConfig()
     return [_row(p, replace(base, scheme=scheme, mu=mu), x0) for mu in mu_values]
 
@@ -141,9 +147,7 @@ def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Iterable[float], x0: float,
 def sweep_h(p: ProblemSpec, mu: float, h_values: Iterable[float], x0: float,
             cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One row per Euler step length h, for the euler_flow scheme."""
-    h_values = tuple(h_values)
-    if not h_values:
-        raise ValueError("h values must be non-empty")
+    h_values = _axis(h_values, "h values")
     base = cfg if cfg is not None else SolverConfig()
     return [_row(p, replace(base, scheme="euler_flow", mu=mu, h=h), x0) for h in h_values]
 
@@ -155,11 +159,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
     Every x0 must lie inside the problem's domain.  Cells are pure and
     order-independent; the grid is evaluated row by row.
     """
-    mu_axis, x0_axis = tuple(mu_axis), tuple(x0_axis)
-    if not mu_axis:
-        raise ValueError("mu axis must be non-empty")
-    if not x0_axis:
-        raise ValueError("x0 axis must be non-empty")
+    mu_axis, x0_axis = _axis(mu_axis, "mu axis"), _axis(x0_axis, "x0 axis")
     base = cfg if cfg is not None else SolverConfig()
     cells = []
     for mu in mu_axis:
@@ -170,7 +170,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
 
 def default_x0_axis(p: ProblemSpec, count: int = DEFAULT_X0_COUNT) -> tuple[float, ...]:
     """``count`` evenly spaced initial values across the problem domain."""
-    if not isinstance(count, int):
+    if isinstance(count, bool) or not isinstance(count, int):
         raise ValueError("x0 count must be an integer")
     if count < 1:
         raise ValueError("x0 count must be at least 1")

@@ -57,7 +57,7 @@ class ProblemSpec:
     """One scalar equation f(x) = 0.
 
     Fields:
-        name: identifier used by the registry and the CLI.
+        name: identifier used by the registry, the CLI and CSV rows; no comma or line break.
         f: the equation's left-hand side.
         domain: closed interval [a, b] inside which iterates are legal.
         default_x0: starting value used when the caller does not pick one.
@@ -84,6 +84,8 @@ class ProblemSpec:
     known_root: float | None = None
 
     def __post_init__(self):
+        if any(c in self.name for c in ",\n\r"):  # it is a CSV field
+            raise ValueError(f"name must not contain a comma or a line break, got {self.name!r}")
         a, b = self.domain
         if not (a < b):
             raise ValueError(f"domain must satisfy a < b, got [{a!r}, {b!r}]")

@@ -44,6 +44,7 @@ _SCHEME_TABLE = {
 SCHEMES = tuple(_SCHEME_TABLE)
 BOOTSTRAPS = ("zheng_first_step", "offset_x0")
 STOP_RULES = ("step_size", "residual", "either")
+_CHOICE_FIELDS = (("scheme", SCHEMES), ("bootstrap", BOOTSTRAPS), ("stop_rule", STOP_RULES))
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "divergence"
@@ -58,19 +59,18 @@ REASON_ESCAPE = "escape_bound_exceeded"
 REASON_MAX_ITERS = "max_iters_reached"
 
 CONVERGED_REASONS = (REASON_STEP, REASON_RESIDUAL)
-_VERDICT_OF_REASON = {
-    REASON_STEP: VERDICT_CONVERGED,
-    REASON_RESIDUAL: VERDICT_CONVERGED,
-    REASON_MAX_ITERS: VERDICT_EXHAUSTED,
-    REASON_DOMAIN: VERDICT_DIVERGED,
-    REASON_NONFINITE: VERDICT_DIVERGED,
-    REASON_UNDERFLOW: VERDICT_DIVERGED,
-    REASON_ESCAPE: VERDICT_DIVERGED,
-}
 
 
 class DenominatorUnderflow(Exception):
     """The scheme's denominator is exactly zero, so the step cannot be taken."""
+
+
+def _finite_real(value) -> bool:
+    """True for a finite real other than a bool, mpmath's too, by the guard rule of problems."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except NONFINITE_ERRORS:
+        return False
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,16 @@ class SolverConfig:
     stop_rule: str = "step_size"
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.bootstrap not in BOOTSTRAPS:
-            raise ValueError(f"unknown bootstrap {self.bootstrap!r}; expected one of {BOOTSTRAPS}")
-        if self.stop_rule not in STOP_RULES:
-            raise ValueError(f"unknown stop_rule {self.stop_rule!r}; expected one of {STOP_RULES}")
-        if not math.isfinite(self.mu):
+        for name, allowed in _CHOICE_FIELDS:
+            if (value := getattr(self, name)) not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
+        if not _finite_real(self.mu):
             raise ValueError("mu must be finite")
-        if not (0.0 < self.h < math.inf):
+        if not (_finite_real(self.h) and self.h > 0.0):
             raise ValueError("h must be positive and finite")
-        if not (0.0 < self.epsilon < math.inf):
+        if not (_finite_real(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be positive and finite")
-        if not isinstance(self.max_iters, int):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
             raise ValueError("max iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max iters must be at least 1")
@@ -164,7 +161,8 @@ class RunOutcome:
 
     @property
     def verdict(self) -> str:
-        return _VERDICT_OF_REASON[self.reason]
+        return (VERDICT_CONVERGED if self.reason in CONVERGED_REASONS else
+                VERDICT_EXHAUSTED if self.reason == REASON_MAX_ITERS else VERDICT_DIVERGED)
 
     @property
     def converged(self) -> bool:
@@ -187,6 +185,13 @@ class RunOutcome:
 # public one-step kernels (run's loop repeats their arithmetic inline,
 # expression for expression; a property test pins that the two agree)
 
+def _step(x: float, num: float, den: float, what: str) -> float:
+    """x - num / den, the form of every rule; DenominatorUnderflow naming ``what`` if den is 0."""
+    if den == 0.0:  # tested: numpy scalars divide by 0 without raising
+        raise DenominatorUnderflow(f"{what} is 0 at x = {x!r}")
+    return x - num / den
+
+
 def newton_step(p: ProblemSpec, x: float) -> float:
     """Classical Newton step x - f(x)/f'(x), the mu = 0, h = 1 case of euler_flow_step."""
     return euler_flow_step(p, x, 0.0, 1.0)
@@ -195,10 +200,7 @@ def newton_step(p: ProblemSpec, x: float) -> float:
 def euler_flow_step(p: ProblemSpec, x: float, mu: float, h: float) -> float:
     """Euler step of the continuation flow: x - h f(x) / (mu f(x) + f'(x))."""
     fx = eval_f(p, x)
-    den = mu * fx + eval_df(p, x)
-    if den == 0.0:  # tested: numpy scalars divide by 0 without raising
-        raise DenominatorUnderflow(f"mu*f + f' is 0 at x = {x!r}")
-    return x - h * fx / den
+    return _step(x, h * fx, mu * fx + eval_df(p, x), "mu*f + f'")
 
 
 def wu_step(p: ProblemSpec, x: float, mu: float) -> float:
@@ -216,9 +218,7 @@ def zheng_step(p: ProblemSpec, x: float, mu: float) -> float:
     # a finite value.  Group the difference first: the mu*f^2 term can be
     # many orders of magnitude below f(x) and would be absorbed otherwise.
     den = mu * fx * fx + (eval_f_unchecked(p, x + fx) - fx)
-    if den == 0.0:
-        raise DenominatorUnderflow(f"mu*f^2 + f(x+f) - f is 0 at x = {x!r}")
-    return x - fx * fx / den
+    return _step(x, fx * fx, den, "mu*f^2 + f(x+f) - f")
 
 
 def secant_dyn_step(p: ProblemSpec, x_prev: float, x_curr: float, mu: float) -> float:
@@ -231,10 +231,8 @@ def secant_dyn_step(p: ProblemSpec, x_prev: float, x_curr: float, mu: float) -> 
     f_curr = eval_f(p, x_curr)
     # A pair that coincides makes the denominator exactly 0.
     dx = x_curr - x_prev
-    den = mu * dx * f_curr + f_curr - f_prev
-    if den == 0.0:
-        raise DenominatorUnderflow(f"secant denominator is 0 at x = {x_curr!r}")
-    return x_curr - f_curr * dx / den
+    return _step(x_curr, f_curr * dx, mu * dx * f_curr + f_curr - f_prev,
+                 "mu*(x - x_prev)*f + f - f(x_prev)")
 
 
 def secant_step(p: ProblemSpec, x_prev: float, x_curr: float) -> float:

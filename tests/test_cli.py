@@ -384,6 +384,18 @@ def test_cli_adds_no_solver_defaults_of_its_own(capsys, command):
     assert out == library()
 
 
+@pytest.mark.parametrize("command", ["", *sorted(_SUBCOMMANDS)])
+def test_help_exits_zero(capsys, command):
+    # argparse formats every help string with %, so a stray % would crash here
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith(f"usage: rootflow {command}".rstrip() + " ")
+    assert out.err == ""
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -222,8 +222,9 @@ def test_basin_validates_axes(problems):
         map_basin(problems["log"], "newton", [0.0], [])
     with pytest.raises(ValueError, match=r"^x0 = 7\.0 is outside"):
         map_basin(problems["log"], "newton", [0.0], [7.0])
-    with pytest.raises(ValueError, match="^x0 count must be an integer$"):
-        default_x0_axis(problems["log"], 2.5)
+    for bad in (2.5, True, "5"):
+        with pytest.raises(ValueError, match="^x0 count must be an integer$"):
+            default_x0_axis(problems["log"], bad)
     # b - a overflows: the spaced starts would be NaN
     for domain in ((-math.inf, math.inf), (-1e308, 1e308)):
         wide = ProblemSpec(name="wide", f=lambda x: x, domain=domain, default_x0=0.0)

@@ -120,6 +120,10 @@ def test_spec_validation():
     f = lambda x: x
     with pytest.raises(ValueError, match=r"domain must satisfy a < b"):
         ProblemSpec(name="bad", f=f, domain=(2.0, 1.0), default_x0=1.5)
+    # the name is a CSV field: a comma or a line break would corrupt its row
+    for name in ("a,b", "a\nb", "a\rb", ","):
+        with pytest.raises(ValueError, match=r"^name must not contain a comma or a line break"):
+            ProblemSpec(name=name, f=f, domain=(0.0, 1.0), default_x0=0.5)
     with pytest.raises(DomainViolation,
                        match=r"^default_x0 = 3\.0 is outside the legal domain \[0\.0, 1\.0\]$"):
         ProblemSpec(name="bad", f=f, domain=(0.0, 1.0), default_x0=3.0)

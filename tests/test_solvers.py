@@ -2,6 +2,7 @@ import math
 import struct
 import zlib
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from rootflow import (
     IterationTrace,
     MissingDerivative,
     ProblemSpec,
+    RunOutcome,
     SolverConfig,
     TracePoint,
     builtin_problems,
@@ -26,6 +28,7 @@ from rootflow import (
     wu_step,
     zheng_step,
 )
+from rootflow import solvers
 from rootflow.harness import _row
 from rootflow.solvers import (
     CONVERGED_REASONS,
@@ -90,8 +93,15 @@ def test_secant_step_value(sq4):
 
 def test_secant_stagnant_pair(sq):
     # a pair that coincides makes the secant denominator exactly 0
-    with pytest.raises(DenominatorUnderflow):
+    with pytest.raises(DenominatorUnderflow,
+                       match=r"^mu\*\(x - x_prev\)\*f \+ f - f\(x_prev\) is 0 at x = 1\.5$"):
         secant_dyn_step(sq, 1.5, 1.5, 0.7)
+
+
+def test_euler_flow_step_flat_derivative(sq4):
+    # f'(0) = 0, so with mu = 0 the flow denominator mu*f + f' is exactly 0
+    with pytest.raises(DenominatorUnderflow, match=r"^mu\*f \+ f' is 0 at x = 0\.0$"):
+        euler_flow_step(sq4, 0.0, 0.0, 1.0)
 
 
 @given(
@@ -157,7 +167,8 @@ def test_kernels_fix_exact_roots(sq4):
     assert secant_step(sq4, 3.0, 2.0) == 2.0
     # the one-point difference quotient degenerates at an exact root: its
     # denominator is exactly zero there
-    with pytest.raises(DenominatorUnderflow):
+    with pytest.raises(DenominatorUnderflow,
+                       match=r"^mu\*f\^2 \+ f\(x\+f\) - f is 0 at x = 2\.0$"):
         zheng_step(sq4, 2.0, 0.5)
 
 
@@ -426,6 +437,26 @@ def test_verdict_reason_coupling(problems):
     assert verdicts == {VERDICT_CONVERGED, VERDICT_DIVERGED, VERDICT_EXHAUSTED}
 
 
+VERDICT_OF_REASON = {
+    "step_below_epsilon": "converged",
+    "residual_below_epsilon": "converged",
+    "max_iters_reached": "exhausted",
+    "domain_violation": "divergence",
+    "nonfinite": "divergence",
+    "denominator_underflow": "divergence",
+    "escape_bound_exceeded": "divergence",
+}
+
+
+def test_verdict_of_each_reason():
+    # a new REASON_* constant must be given its verdict here on purpose
+    reasons = {v for k, v in vars(solvers).items() if k.startswith("REASON_")}
+    assert reasons == set(VERDICT_OF_REASON)
+    for reason, verdict in VERDICT_OF_REASON.items():
+        out = RunOutcome(reason, 0, [(1.0, 0.0)], None)
+        assert (out.verdict, out.converged) == (verdict, verdict == "converged")
+
+
 def test_run_nonfinite_at_start():
     p = ProblemSpec(name="blows", f=lambda x: math.exp(x), df=math.exp,
                     domain=(-1e6, 1e6), default_x0=1000.0)
@@ -527,7 +558,7 @@ def test_rescaling_f_leaves_iterates_unchanged(problems, name, kappa):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown scheme 'banana'; expected one of \("):
         SolverConfig(scheme="banana")
     with pytest.raises(ValueError):
         SolverConfig(h=0.0)
@@ -540,15 +571,32 @@ def test_config_validation():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             SolverConfig(epsilon=bad)
-    for bad in (2.5, math.nan, math.inf):
+    for bad in (2.5, math.nan, math.inf, True, False, "5"):
         with pytest.raises(ValueError, match="max iters must be an integer"):
             SolverConfig(max_iters=bad)
     with pytest.raises(ValueError, match="max iters must be at least 1"):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown bootstrap 'nope'; expected one of \("):
         SolverConfig(bootstrap="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown stop_rule 'sometimes'; expected one of \("):
         SolverConfig(stop_rule="sometimes")
+    # a bool, or a value that is not a real, gets the field's own message
+    for bad in (None, "1", True, 1j, 10 ** 400):
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            SolverConfig(mu=bad)
+        with pytest.raises(ValueError, match="^h must be positive and finite$"):
+            SolverConfig(h=bad)
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+            SolverConfig(epsilon=bad)
+    # scheme, bootstrap and stop_rule are checked first, in that order
+    for kwargs, first in (({"scheme": "banana", "bootstrap": "nope"}, "scheme"),
+                          ({"bootstrap": "nope", "stop_rule": "sometimes"}, "bootstrap"),
+                          ({"stop_rule": "sometimes", "mu": None}, "stop_rule")):
+        with pytest.raises(ValueError, match=f"^unknown {first} "):
+            SolverConfig(**kwargs)
+    # mpmath reals, as the oracle tests use, pass
+    cfg = SolverConfig(mu=mpmath.mpf("0.3"), h=mpmath.mpf(1), epsilon=mpmath.mpf("1e-50"))
+    assert cfg.resolved() == (mpmath.mpf("0.3"), 1.0)
 
 
 # ---------------------------------------------------------------------------
