@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .problems import ProblemSpec, builtin_problems
-from .solvers import VERDICT_CONVERGED, VERDICT_DIVERGED, SolverConfig, run
+from .solvers import VERDICT_CONVERGED, VERDICT_DIVERGED, SolverConfig, _count, run
 
 CSV_HEADER = "problem,scheme,mu,h,x0,verdict,reason,iterations,final_x,residual"
 
@@ -170,10 +170,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
 
 def default_x0_axis(p: ProblemSpec, count: int = DEFAULT_X0_COUNT) -> tuple[float, ...]:
     """``count`` evenly spaced initial values across the problem domain."""
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError("x0 count must be an integer")
-    if count < 1:
-        raise ValueError("x0 count must be at least 1")
+    count = _count(count, "x0 count")
     a, b = p.domain
     if not math.isfinite(b - a):
         raise ValueError(f"domain [{a!r}, {b!r}] is too wide to space x0 values")

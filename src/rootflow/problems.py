@@ -22,10 +22,10 @@ from typing import Callable
 ROOT_RESIDUAL_TOL = 1e-12
 
 # The guard rule: an evaluator's value is a finite real unless the call, or
-# math.isfinite on its result, raises one of these (a domain error, an
-# overflow, a division by zero, a complex value or an int past the float
-# range), or math.isfinite returns False.  _finite and run's loop apply it.
-NONFINITE_ERRORS = (ValueError, OverflowError, ZeroDivisionError, TypeError)
+# math.isfinite on its result, raises one of these (an overflow, a division by
+# zero, a numpy or decimal arithmetic error, a domain error, a complex value or
+# an int past the float range), or isfinite returns False.  _finite and run's loop apply it.
+NONFINITE_ERRORS = (ArithmeticError, ValueError, TypeError)
 
 
 class DomainViolation(ValueError):
@@ -57,7 +57,7 @@ class ProblemSpec:
     """One scalar equation f(x) = 0.
 
     Fields:
-        name: identifier used by the registry, the CLI and CSV rows; no comma or line break.
+        name: identifier used by the registry, the CLI and CSV rows; no comma, quote or line break.
         f: the equation's left-hand side.
         domain: closed interval [a, b] inside which iterates are legal.
         default_x0: starting value used when the caller does not pick one.
@@ -84,8 +84,9 @@ class ProblemSpec:
     known_root: float | None = None
 
     def __post_init__(self):
-        if any(c in self.name for c in ",\n\r"):  # it is a CSV field
-            raise ValueError(f"name must not contain a comma or a line break, got {self.name!r}")
+        if any(c in self.name for c in ',"\n\r'):  # it is an unquoted CSV field
+            raise ValueError("name must not contain a comma, a quote or a line break, "
+                             f"got {self.name!r}")
         a, b = self.domain
         if not (a < b):
             raise ValueError(f"domain must satisfy a < b, got [{a!r}, {b!r}]")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import NamedTuple
 
 from .problems import (
@@ -66,11 +67,21 @@ class DenominatorUnderflow(Exception):
 
 
 def _finite_real(value) -> bool:
-    """True for a finite real other than a bool, mpmath's too, by the guard rule of problems."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except NONFINITE_ERRORS:
+    """True for a finite numbers.Real other than a bool: numpy's and mpmath's pass, Decimal not."""
+    try:  # float first, as an ABC isinstance costs ~0.4 us
+        return ((type(value) is float or type(value) is not bool and isinstance(value, Real))
+                and math.isfinite(value))
+    except NONFINITE_ERRORS:  # an int or Fraction past the float range
         return False
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int if it is a numbers.Integral other than a bool, and at least 1."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, Integral)):
+        raise ValueError(f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -104,10 +115,7 @@ class SolverConfig:
             raise ValueError("h must be positive and finite")
         if not (_finite_real(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be positive and finite")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
-            raise ValueError("max iters must be an integer")
-        if self.max_iters < 1:
-            raise ValueError("max iters must be at least 1")
+        _count(self.max_iters, "max iters")
 
     def resolved(self) -> tuple[float, float]:
         """The (mu, h) the scheme runs with: the scheme's fixed values, else the config's."""
@@ -252,12 +260,13 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     at once).  A step that cannot be taken, because its denominator is
     exactly zero, ends the run converged when the current point is an exact
     root (f(x) == 0; reported as the stop rule's own reason), and
-    ``denominator_underflow`` anywhere else.  A domain exit, non-finite
-    value or escape beyond ``ESCAPE_BOUND`` yields a ``divergence`` verdict; an
-    exhausted budget yields ``exhausted``.  The trace records every
-    accepted iterate, starting with x0.  ``iterations`` counts accepted
-    steps, and ``max_iters`` bounds it: a rejected candidate, or a step
-    that cannot be taken, is not counted.
+    ``denominator_underflow`` anywhere else.  A domain exit, an escape
+    beyond ``ESCAPE_BOUND`` or a ``nonfinite`` step (a value that is not a
+    finite real, or a raise in the step, as from a ``Decimal`` meeting a
+    float) yields ``divergence``; an exhausted budget, ``exhausted``.  The
+    trace records every accepted iterate, starting with x0.  ``iterations``
+    counts accepted steps, and ``max_iters`` bounds it: a rejected
+    candidate, or a step that cannot be taken, is not counted.
 
     x0 must lie inside the problem's domain, and a ``newton``, ``wu`` or
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
@@ -283,9 +292,10 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
-    # The hot loop calls nothing but f and f'.  It applies the guard rule of
-    # problems (NONFINITE_ERRORS, then math.isfinite) to each value itself,
-    # and one test admits a candidate: inside the domain and ESCAPE_BOUND.
+    # The hot loop calls nothing but f and f'.  One guard covers each step,
+    # from f' or the probe to f(candidate): NONFINITE_ERRORS, raised by an
+    # evaluator or the arithmetic on its values, ends the run nonfinite, as
+    # isfinite's refusal does.  One test admits a candidate: inside the domain and ESCAPE_BOUND.
     f, df, isfinite = p.f, p.df, math.isfinite
     lo, hi = max(a, -ESCAPE_BOUND), min(b, ESCAPE_BOUND)
 
@@ -293,44 +303,40 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     points = [(x, fx)]
     # Step 0 is a two-point scheme's bootstrap, outside the budget.
     for step in range(0 if two_point else 1, max_iters + 1):
-        # Every rule steps to x - num / den, with the kernels' expressions
-        # (the offset bootstrap with den = 1, which is exact).
-        if two_point and step:
-            dx = x - x_prev
-            num, den = fx * dx, mu * dx * fx + fx - f_prev
-        elif two_point and offset_bootstrap:
-            num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
-        else:  # f'(x) for the flow rule; else the zheng probe f(x + f(x)), off-domain or not
-            try:
+        try:
+            # Every rule steps to x - num / den, with the kernels' expressions
+            # (the offset bootstrap with den = 1, which is exact).
+            if two_point and step:
+                dx = x - x_prev
+                num, den = fx * dx, mu * dx * fx + fx - f_prev
+            elif two_point and offset_bootstrap:
+                num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
+            else:  # f'(x) for the flow rule; else the zheng probe f(x + f(x)), off-domain or not
                 g = df(x) if flow else f(x + fx)
-                ok = isfinite(g)
-            except NONFINITE_ERRORS:
-                ok = False
-            if not ok:
+                if not isfinite(g):
+                    reason = REASON_NONFINITE
+                    break
+                if flow:
+                    num, den = h * fx, mu * fx + g
+                else:
+                    num, den = fx * fx, mu * fx * fx + (g - fx)
+            if den == 0.0:
+                # The step cannot be taken, but at an exact root (where the
+                # difference quotients are 0/0) the run has converged.
+                reason = (REASON_UNDERFLOW if fx != 0.0 else
+                          REASON_STEP if stop_on_step else REASON_RESIDUAL)
+                break
+            candidate = x - num / den
+
+            if not (lo <= candidate <= hi):
+                reason = (REASON_NONFINITE if not isfinite(candidate) else
+                          REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
+                break
+            f_cand = f(candidate)
+            if not isfinite(f_cand):
                 reason = REASON_NONFINITE
                 break
-            if flow:
-                num, den = h * fx, mu * fx + g
-            else:
-                num, den = fx * fx, mu * fx * fx + (g - fx)
-        if den == 0.0:
-            # The step cannot be taken, but at an exact root (where the
-            # difference quotients are 0/0) the run has converged.
-            reason = (REASON_UNDERFLOW if fx != 0.0 else
-                      REASON_STEP if stop_on_step else REASON_RESIDUAL)
-            break
-        candidate = x - num / den
-
-        if not (lo <= candidate <= hi):
-            reason = (REASON_NONFINITE if not isfinite(candidate) else
-                      REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
-            break
-        try:
-            f_cand = f(candidate)
-            ok = isfinite(f_cand)
         except NONFINITE_ERRORS:
-            ok = False
-        if not ok:
             reason = REASON_NONFINITE
             break
         points.append((candidate, f_cand))

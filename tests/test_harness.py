@@ -225,11 +225,20 @@ def test_basin_validates_axes(problems):
     for bad in (2.5, True, "5"):
         with pytest.raises(ValueError, match="^x0 count must be an integer$"):
             default_x0_axis(problems["log"], bad)
+    with pytest.raises(ValueError, match="^x0 count must be at least 1$"):
+        default_x0_axis(problems["log"], 0)
     # b - a overflows: the spaced starts would be NaN
     for domain in ((-math.inf, math.inf), (-1e308, 1e308)):
         wide = ProblemSpec(name="wide", f=lambda x: x, domain=domain, default_x0=0.0)
         with pytest.raises(ValueError, match=r"^domain \[.*\] is too wide to space x0 values$"):
             default_x0_axis(wide, 5)
+    # numpy's ints are counts, and its bool is not
+    np = pytest.importorskip("numpy")
+    axis = default_x0_axis(problems["log"], np.int64(5))
+    assert axis == default_x0_axis(problems["log"], 5)
+    assert all(type(x0) is float for x0 in axis)
+    with pytest.raises(ValueError, match="^x0 count must be an integer$"):
+        default_x0_axis(problems["log"], np.True_)
 
 
 class RefusesTruth(list):

@@ -81,6 +81,14 @@ def test_eval_f_unchecked_rejects_non_real_values():
         p = ProblemSpec(name="odd", f=lambda x: x, df=df, domain=(-1e9, 1e9), default_x0=1.0)
         with pytest.raises(NonFiniteValue, match=rf"^f'\({x!r}\) is not a finite real$"):
             eval_df(p, x)
+    # numpy's FloatingPointError, under np.seterr(over="raise"), is an
+    # ArithmeticError like OverflowError, and fails the same guard
+    def overflows(x):
+        raise FloatingPointError("overflow encountered in exp")
+    p = ProblemSpec(name="fpe", f=overflows, df=overflows, domain=(-1e9, 1e9), default_x0=1.0)
+    for evaluate, name in ((eval_f, "f"), (eval_f_unchecked, "f"), (eval_df, "f'")):
+        with pytest.raises(NonFiniteValue, match=rf"^{name}\(2\.0\) is not a finite real$"):
+            evaluate(p, 2.0)
     # and a missing f' is a ValueError
     nodf = ProblemSpec(name="nodf", f=lambda x: x, domain=(-1e9, 1e9), default_x0=1.0)
     assert issubclass(MissingDerivative, ValueError)
@@ -120,9 +128,11 @@ def test_spec_validation():
     f = lambda x: x
     with pytest.raises(ValueError, match=r"domain must satisfy a < b"):
         ProblemSpec(name="bad", f=f, domain=(2.0, 1.0), default_x0=1.5)
-    # the name is a CSV field: a comma or a line break would corrupt its row
-    for name in ("a,b", "a\nb", "a\rb", ","):
-        with pytest.raises(ValueError, match=r"^name must not contain a comma or a line break"):
+    # the name is an unquoted CSV field: a comma, a quote or a line break
+    # would corrupt its row
+    for name in ("a,b", "a\nb", "a\rb", ",", '"q', 'a"b'):
+        with pytest.raises(ValueError,
+                           match=r"^name must not contain a comma, a quote or a line break"):
             ProblemSpec(name=name, f=f, domain=(0.0, 1.0), default_x0=0.5)
     with pytest.raises(DomainViolation,
                        match=r"^default_x0 = 3\.0 is outside the legal domain \[0\.0, 1\.0\]$"):

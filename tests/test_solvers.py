@@ -1,6 +1,8 @@
 import math
 import struct
 import zlib
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -580,8 +582,9 @@ def test_config_validation():
         SolverConfig(bootstrap="nope")
     with pytest.raises(ValueError, match=r"^unknown stop_rule 'sometimes'; expected one of \("):
         SolverConfig(stop_rule="sometimes")
-    # a bool, or a value that is not a real, gets the field's own message
-    for bad in (None, "1", True, 1j, 10 ** 400):
+    # a bool, or a value that is not a numbers.Real, gets the field's own
+    # message: a Decimal setting would end every run nonfinite
+    for bad in (None, "1", True, 1j, 10 ** 400, Decimal("1")):
         with pytest.raises(ValueError, match="^mu must be finite$"):
             SolverConfig(mu=bad)
         with pytest.raises(ValueError, match="^h must be positive and finite$"):
@@ -594,9 +597,18 @@ def test_config_validation():
                           ({"stop_rule": "sometimes", "mu": None}, "stop_rule")):
         with pytest.raises(ValueError, match=f"^unknown {first} "):
             SolverConfig(**kwargs)
-    # mpmath reals, as the oracle tests use, pass
+    # mpmath reals, as the oracle tests use, pass, and so do ints and Fractions
     cfg = SolverConfig(mu=mpmath.mpf("0.3"), h=mpmath.mpf(1), epsilon=mpmath.mpf("1e-50"))
     assert cfg.resolved() == (mpmath.mpf("0.3"), 1.0)
+    cfg = SolverConfig(scheme="euler_flow", mu=1, h=Fraction(1, 2), epsilon=Fraction(1, 10**6))
+    assert cfg.resolved() == (1, 0.5)
+    # numpy's bool is refused as every setting; its reals and ints pass
+    np = pytest.importorskip("numpy")
+    for name in ("mu", "h", "epsilon", "max_iters"):
+        with pytest.raises(ValueError, match="must be (finite|positive and finite|an integer)$"):
+            SolverConfig(**{name: np.True_})
+    cfg = SolverConfig(mu=np.float64(0.5), h=np.float32(1), max_iters=np.int64(5))
+    assert run(builtin_problems()["log"], cfg, 5.0).iterations <= 5
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +637,7 @@ def test_run_raising_derivative_diverges():
 # What a misbehaving evaluator does instead of answering: return a value that
 # is not a finite real, or raise.
 MISBEHAVIOURS = (math.nan, math.inf, -math.inf, 1j, 10 ** 400,
-                 ValueError, ZeroDivisionError, OverflowError)
+                 ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
 
 
 def misbehaving(g, salt):
@@ -674,6 +686,18 @@ def _misbehaving_at(g, bad_x, bad):
             raise bad(f"misbehaving at {x!r}")
         return bad
     return fn
+
+
+@pytest.mark.parametrize("bootstrap", BOOTSTRAPS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_decimal_valued_f_diverges(scheme, bootstrap):
+    # Decimal(x) - 2 passes math.isfinite, but Decimal and float do not mix in
+    # the update arithmetic, or in the zheng probe x + f(x)
+    p = ProblemSpec(name="decimal", f=lambda x: Decimal(x) - 2, df=lambda x: 1.0,
+                    domain=(0.0, 5.0), default_x0=3.0)
+    out = run(p, SolverConfig(scheme=scheme, bootstrap=bootstrap, mu=0.5), 3.0)
+    assert out.reason == "nonfinite"
+    assert out.verdict == "divergence"
 
 
 # Where run's loop evaluates: f at the candidate (every scheme), f at the
