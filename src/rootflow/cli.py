@@ -3,20 +3,21 @@
 All numerical failure modes print as verdicts: ``solve`` and ``order`` name
 a run by its own (converged, divergence or exhausted), and table and CSV rows
 fold exhausted into divergence, keeping the reason.  Only usage errors exit
-nonzero (code 2), through argparse or, for an option value the library
-rejects, with its message on one ``rootflow: ...`` line on stderr and
-nothing on stdout.  ``solve --expect-converge`` exits 1 when the run does
-not converge, and ``bench`` exits 1 when the verdict pattern differs from
-the reference pattern.  A solver setting whose flag is not typed takes its
+nonzero (code 2): through argparse, or for an option value the library rejects
+or an output file or stdout that cannot be written, as one ``rootflow: ...``
+line on stderr and nothing on stdout.  ``solve --expect-converge`` exits 1
+when the run does not converge, and ``bench`` exits 1 when its verdict pattern
+is not the reference one.  A solver setting whose flag is not typed takes its
 SolverConfig default.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import fields
-from typing import NoReturn
 
 from .analysis import verify_quadratic_convergence
 from .harness import (
@@ -82,27 +83,25 @@ _FLAGS = {
 }
 
 
-def _usage_error(message: str) -> NoReturn:
-    print(f"rootflow: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(output, "w", newline="\n") as fh:
-            fh.write(text)
+        if output is None:
+            print(text, end="", flush=True)
+        else:
+            with open(output, "w", newline="\n") as fh:
+                fh.write(text)
     except OSError as exc:
-        _usage_error(f"cannot write {output}: {exc.strerror or exc}")
+        if output is None:  # so that the interpreter's flush at exit cannot fail again
+            with contextlib.suppress(OSError):  # as for a stdout with no file descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write {output or 'stdout'}: {exc.strerror or exc}")
 
 
 def _parse_values(raw: str, flag: str) -> list[float]:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
-        _usage_error(f"invalid {flag} list: {raw!r}")
+        raise ValueError(f"invalid {flag} list: {raw!r}") from None
 
 
 def _config(args: argparse.Namespace) -> SolverConfig:
@@ -230,9 +229,10 @@ def main(argv=None) -> int:
         if x0 is None and p is not None:
             x0 = p.default_x0
         text, code = args.handler(args, p, cfg, x0)
-    except ValueError as exc:  # the library rejected an option value
-        _usage_error(str(exc))
-    _emit(text, args.output)
+        _emit(text, args.output)
+    except ValueError as exc:  # an option value the library rejected, or an unwritable output
+        print(f"rootflow: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     return code
 
 

@@ -57,7 +57,7 @@ class ProblemSpec:
     """One scalar equation f(x) = 0.
 
     Fields:
-        name: identifier used by the registry, the CLI and CSV rows; no comma, quote or line break.
+        name: a str naming it to the registry, the CLI and CSV rows; no comma, quote or line break.
         f: the equation's left-hand side.
         domain: closed interval [a, b] inside which iterates are legal.
         default_x0: starting value used when the caller does not pick one.
@@ -84,6 +84,8 @@ class ProblemSpec:
     known_root: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if any(c in self.name for c in ',"\n\r'):  # it is an unquoted CSV field
             raise ValueError("name must not contain a comma, a quote or a line break, "
                              f"got {self.name!r}")

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,6 +168,7 @@ def test_sweep_mu_bad_values_usage_error(capsys):
         main(["sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
               "--mu-values", "a,b"])
     assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "rootflow: invalid --mu-values list: 'a,b'\n")
 
 
 def test_sweep_h_csv(capsys):
@@ -264,6 +268,33 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, target):
     assert out == ""
     assert err.startswith(f"rootflow: cannot write {path}: ")
     assert err.count("\n") == 1
+
+
+# A stdout that fails the write, in a child process: a full device, or a pipe
+# whose reader has gone, as in `rootflow basin ... | head -1`.  Buffered, the
+# write fails at the flush; unbuffered, in the write itself.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed-pipe"])
+def test_unwritable_stdout_is_a_usage_error(stdout, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if stdout == "/dev/full":
+        if not os.path.exists(stdout):
+            pytest.skip("no /dev/full here")
+        fd = os.open(stdout, os.O_WRONLY)
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "rootflow.cli", "bench"], stdout=fd,
+                               stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(fd)
+    assert child.returncode == 2
+    assert child.stderr.startswith("rootflow: cannot write stdout: ")
+    assert child.stderr.count("\n") == 1
 
 
 # Flags a subcommand does not read, an abbreviation of one it does, and a

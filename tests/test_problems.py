@@ -134,6 +134,10 @@ def test_spec_validation():
         with pytest.raises(ValueError,
                            match=r"^name must not contain a comma, a quote or a line break"):
             ProblemSpec(name=name, f=f, domain=(0.0, 1.0), default_x0=0.5)
+    # a name that is not a str is refused before the character rule reads it
+    for name in (None, 5, b"log"):
+        with pytest.raises(ValueError, match=r"^name must be a string, got "):
+            ProblemSpec(name=name, f=f, domain=(0.0, 1.0), default_x0=0.5)
     with pytest.raises(DomainViolation,
                        match=r"^default_x0 = 3\.0 is outside the legal domain \[0\.0, 1\.0\]$"):
         ProblemSpec(name="bad", f=f, domain=(0.0, 1.0), default_x0=3.0)
