@@ -5,10 +5,14 @@ computes the standard computational order of convergence
 
     rho_n = ln|e_{n+1}/e_n| / ln|e_n/e_{n-1}|
 
-and the quadratic error-constant ratios c_n = e_{n+1}/e_n^2.  For the
-parameterized two-point scheme the limit of c_n predicted by the local
-expansion is mu + f''(x*)/f'(x*); :func:`predicted_constant` evaluates it
-from the problem's exact derivative, differencing once for f''.
+and the quadratic error-constant ratios c_n = e_{n+1}/e_n^2.
+:func:`predicted_constant` evaluates the paper's claimed limit of c_n for the
+parameterized two-point scheme, mu + f''(x*)/f'(x*), from the problem's exact
+derivative, differencing once for f''.  Acceptance checks 3 and 4 test that
+claim, and it fails.  The 400-digit oracle rows in ``tests/test_oracle.py``
+show what the scheme does: where f''(x*) != 0 its order is the golden ratio,
+with e_{n+1}/(e_n e_{n-1}) -> f''(x*)/(2 f'(x*)) for any mu, so c_n does not
+settle.
 
 Steps below the saturation floor (1e3 epsilons of the errors' own number
 type around the root: a float's, or an mpmath value's ``context.eps``) are
@@ -123,7 +127,11 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
 
 
 def predicted_constant(p: ProblemSpec, mu: float) -> float:
-    """Predicted limit of e_{n+1}/e_n^2: mu + f''(x*)/f'(x*).
+    """The paper's claimed limit of e_{n+1}/e_n^2 for the two-point scheme: mu + f''(x*)/f'(x*).
+
+    The claim fails (acceptance checks 3 and 4): where f''(x*) != 0 the scheme
+    has order phi, and the oracle rows in ``tests/test_oracle.py`` measure
+    e_{n+1}/(e_n e_{n-1}) -> f''(x*)/(2 f'(x*)) for any mu instead.
 
     f''(x*) is the central difference of the exact f' with step 1e-5 * max(1, |x*|) times
     (eps / float eps)^(1/3) for x*'s epsilon, so an mpmath x* takes a smaller step.
@@ -200,7 +208,10 @@ def verify_quadratic_convergence(
     p: ProblemSpec, mu: float, x0: float, cfg: SolverConfig | None = None
 ) -> ConvergenceReport:
     """Run the parameterized two-point scheme and compare its asymptotics
-    against the predicted quadratic error constant.
+    against the paper's claimed quadratic error constant.
+
+    The claim is :func:`predicted_constant`'s.  Where f''(x*) != 0 the scheme
+    does not meet it, since its order is phi rather than 2.
 
     A divergent run is reported as a verdict, not raised.  The comparison
     metrics are |final_constant - predicted| / max(1, |predicted|) and

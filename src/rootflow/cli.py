@@ -2,19 +2,19 @@
 
 All numerical failure modes print as verdicts: ``solve`` and ``order`` name
 a run by its own (converged, divergence or exhausted), and table and CSV rows
-fold exhausted into divergence, keeping the reason.  Only usage errors exit
-nonzero (code 2): through argparse, or for an option value the library rejects
-or an output file or stdout that cannot be written, as one ``rootflow: ...``
-line on stderr and nothing on stdout.  ``solve --expect-converge`` exits 1
-when the run does not converge, and ``bench`` exits 1 when its verdict pattern
-is not the reference one.  A solver setting whose flag is not typed takes its
-SolverConfig default.  Identical invocations produce byte-identical output.
+fold exhausted into divergence, keeping the reason.  ``main(argv)`` holds all
+output until its end and returns the exit code: 1 for a ``bench`` verdict
+mismatch or a ``solve --expect-converge`` run that does not converge, 2 for a
+usage error.  argparse reports its own; an option value the library rejects,
+or an output file, stdout or stderr that cannot be written (help included),
+prints one ``rootflow: ...`` line on stderr.  Output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 from dataclasses import fields
@@ -83,18 +83,12 @@ _FLAGS = {
 }
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str) -> None:
     try:
-        if output is None:
-            print(text, end="", flush=True)
-        else:
-            with open(output, "w", newline="\n") as fh:
-                fh.write(text)
+        with open(output, "w", newline="\n") as fh:
+            fh.write(text)
     except OSError as exc:
-        if output is None:  # so that the interpreter's flush at exit cannot fail again
-            with contextlib.suppress(OSError):  # as for a stdout with no file descriptor
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ValueError(f"cannot write {output or 'stdout'}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {output}: {exc.strerror or exc}")
 
 
 def _parse_values(raw: str, flag: str) -> list[float]:
@@ -213,26 +207,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    # The top-level parser takes only -h.  Left to argparse, a leading flag
-    # is set aside and its value is read as the subcommand.
-    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        parser.error(f"unrecognized arguments: {argv[0]}")
-    args, unread = parser.parse_known_args(argv)
-    if unread:
-        # parse_args would report them with the top-level usage, not the subcommand's.
-        args.subparser.error("unrecognized arguments: " + " ".join(unread))
+    out, err = io.StringIO(), io.StringIO()  # held until the loop at the end writes them
     try:
-        p = builtin_problems()[args.problem] if "problem" in args else None
-        cfg = _config(args)
-        x0 = getattr(args, "x0", None)
-        if x0 is None and p is not None:
-            x0 = p.default_x0
-        text, code = args.handler(args, p, cfg, x0)
-        _emit(text, args.output)
-    except ValueError as exc:  # an option value the library rejected, or an unwritable output
-        print(f"rootflow: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            parser = build_parser()
+            # The top-level parser takes only -h.  Left to argparse, a leading
+            # flag is set aside and its value is read as the subcommand.
+            if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+                parser.error(f"unrecognized arguments: {argv[0]}")
+            args, unread = parser.parse_known_args(argv)
+            if unread:
+                # parse_args would report them with the top-level usage, not the subcommand's.
+                args.subparser.error("unrecognized arguments: " + " ".join(unread))
+            p = builtin_problems()[args.problem] if "problem" in args else None
+            cfg = _config(args)
+            x0 = getattr(args, "x0", None)
+            if x0 is None and p is not None:
+                x0 = p.default_x0
+            text, code = args.handler(args, p, cfg, x0)
+            if args.output is None:
+                print(text, end="")
+            else:
+                _emit(text, args.output)
+    except SystemExit as exc:  # argparse's help (0) or usage error (2)
+        code = exc.code
+    except ValueError as exc:  # an option value the library rejected, or an unwritable file
+        code = 2
+        err.write(f"rootflow: {exc}\n")
+    for stream, buffer in ((sys.stdout, out), (sys.stderr, err)):
+        try:
+            print(buffer.getvalue(), end="", file=stream, flush=True)
+        except OSError as exc:
+            code = 2
+            if buffer is out:
+                err.write(f"rootflow: cannot write stdout: {exc.strerror or exc}\n")
+            with contextlib.suppress(OSError, AttributeError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), stream.fileno())  # so that the flush at exit cannot fail again
     return code
 
 

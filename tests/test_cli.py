@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import os
 import re
 import subprocess
@@ -5,9 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootflow import SolverConfig, builtin_problems, run, verify_quadratic_convergence
-from rootflow.cli import _SUBCOMMANDS, main
+from rootflow.cli import _FLAGS, _SUBCOMMANDS, main
 from rootflow.harness import CSV_HEADER, rows_to_csv, run_benchmark, sweep_h, sweep_mu
 
 
@@ -113,15 +117,11 @@ def test_solve_reads_hyphenated_bootstrap_and_stop_rule(capsys):
 
 
 def test_solve_unknown_problem_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--problem", "cubic", "--scheme", "newton"])
-    assert exc.value.code == 2
+    assert main(["solve", "--problem", "cubic", "--scheme", "newton"]) == 2
 
 
 def test_solve_unknown_scheme_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--problem", "log", "--scheme", "halley"])
-    assert exc.value.code == 2
+    assert main(["solve", "--problem", "log", "--scheme", "halley"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +164,9 @@ def test_sweep_mu_csv(capsys):
 
 
 def test_sweep_mu_bad_values_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
-              "--mu-values", "a,b"])
-    assert exc.value.code == 2
-    assert capsys.readouterr() == ("", "rootflow: invalid --mu-values list: 'a,b'\n")
+    assert run_cli(capsys, ["sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
+                            "--mu-values", "a,b"]) == (
+        2, "", "rootflow: invalid --mu-values list: 'a,b'\n")
 
 
 def test_sweep_h_csv(capsys):
@@ -240,10 +238,8 @@ USAGE_ERRORS = {
 @pytest.mark.parametrize("flag", sorted(USAGE_ERRORS))
 def test_bad_flag_values_are_usage_errors(capsys, flag):
     argv, message = USAGE_ERRORS[flag]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
     assert out == ""
     assert err.startswith("rootflow: " + message)
     assert err.count("\n") == 1
@@ -257,44 +253,134 @@ UNWRITABLE_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory", "empty"])
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, target):
-    path = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
-    with pytest.raises(SystemExit) as exc:
-        main(UNWRITABLE_OUTPUTS[command] + [str(path)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
+    path = {"missing-dir": tmp_path / "missing" / "out.txt", "a-directory": tmp_path,
+            "empty": ""}[target]
+    code, out, err = run_cli(capsys, UNWRITABLE_OUTPUTS[command] + [str(path)])
+    assert code == 2
     assert out == ""
     assert err.startswith(f"rootflow: cannot write {path}: ")
     assert err.count("\n") == 1
 
 
-# A stdout that fails the write, in a child process: a full device, or a pipe
-# whose reader has gone, as in `rootflow basin ... | head -1`.  Buffered, the
-# write fails at the flush; unbuffered, in the write itself.
+# Commands whose stdout or stderr fails the write, each in a child process:
+# a full device, or a pipe whose reader has gone, as in
+# `rootflow basin ... | head -1`.  Buffered, the write fails at the flush;
+# unbuffered, in the write itself.  Each case: argv, then where stdout and
+# stderr go (None: a pipe read here).
+SOLVE = ["solve", "--problem", "log", "--scheme", "newton"]
+UNWRITABLE_STREAMS = {
+    "/dev/full": (["bench"], "/dev/full", None),
+    "closed-pipe": (["bench"], "closed-pipe", None),
+    "--help >full": (["--help"], "/dev/full", None),
+    "solve --help >full": (["solve", "--help"], "/dev/full", None),
+    "--bogus 2>full": (["--bogus", "1", *SOLVE], None, "/dev/full"),
+    "--max-iters 0 2>full": ([*SOLVE, "--max-iters", "0"], None, "/dev/full"),
+    "bench >full 2>full": (["bench"], "/dev/full", "/dev/full"),
+    "--output full 2>full": ([*SOLVE, "--output", "/dev/full"], None, "/dev/full"),
+}
+
+
+def unwritable_fd(target):
+    if target == "/dev/full":
+        return os.open(target, os.O_WRONLY)
+    read_end, fd = os.pipe()
+    os.close(read_end)
+    return fd
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("stdout", ["/dev/full", "closed-pipe"])
-def test_unwritable_stdout_is_a_usage_error(stdout, unbuffered):
+@pytest.mark.parametrize("case", list(UNWRITABLE_STREAMS))
+def test_unwritable_stdout_is_a_usage_error(case, unbuffered):
+    argv, stdout, stderr = UNWRITABLE_STREAMS[case]
+    if "/dev/full" in (stdout, stderr) and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    if stdout == "/dev/full":
-        if not os.path.exists(stdout):
-            pytest.skip("no /dev/full here")
-        fd = os.open(stdout, os.O_WRONLY)
-    else:
-        read_end, fd = os.pipe()
-        os.close(read_end)
+    fds = [subprocess.PIPE if target is None else unwritable_fd(target)
+           for target in (stdout, stderr)]
     try:
-        child = subprocess.run([sys.executable, "-m", "rootflow.cli", "bench"], stdout=fd,
-                               stderr=subprocess.PIPE, env=env, text=True)
+        child = subprocess.run([sys.executable, "-m", "rootflow.cli", *argv], stdout=fds[0],
+                               stderr=fds[1], env=env, text=True)
     finally:
-        os.close(fd)
+        for fd in fds:
+            if fd != subprocess.PIPE:
+                os.close(fd)
     assert child.returncode == 2
-    assert child.stderr.startswith("rootflow: cannot write stdout: ")
-    assert child.stderr.count("\n") == 1
+    if stdout is None:
+        assert child.stdout == ""
+    if stderr is None:  # so stdout is the stream that failed
+        assert "Traceback" not in child.stderr and "Exception ignored" not in child.stderr
+        assert child.stderr.startswith("rootflow: cannot write stdout: ")
+        assert child.stderr.count("\n") == 1
+
+
+# Values each flag accepts, and values some flag rejects.  Outputs go to the
+# null device, or to a path that cannot be opened, so no draw writes a file.
+VALID_VALUES = {
+    **{flag: spec["choices"] for flag, spec in _FLAGS.items() if "choices" in spec},
+    "--mu": ["0", "0.5", "2.65"], "--h": ["0.5", "1"], "--x0": ["0.6", "1.2"],
+    "--epsilon": ["1e-5", "1e-13"], "--max-iters": ["3", "50"], "--x0-count": ["1", "5"],
+    "--mu-values": ["0.5", "0.1,1"], "--h-values": ["0.5", "0.1,1"],
+    "--output": [os.devnull], "--grid-output": [os.devnull], "--expect-converge": [None],
+    "--help": [None],
+}
+INVALID_VALUES = ["0", "-1", "nan", "inf", "2.5", "x", ",", "a,b", "", "bogus", None]
+UNOPENABLE = ["", os.path.join(os.devnull, "x"), None]
+
+
+class Unwritable:
+    """A stream whose every write fails, with no file descriptor."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        self.write("")
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with all its flags, some repeated, each with a value it
+    accepts.  A faulty draw may also drop flags, pass values some flag
+    rejects or none, add flags the subcommand does not read, lead with a
+    flag, or name no subcommand or a bogus one."""
+    faulty = draw(st.booleans())
+
+    def fault():
+        return faulty and draw(st.booleans())
+
+    name = draw(st.sampled_from([*sorted(_SUBCOMMANDS), *(["bogus", None] if faulty else [])]))
+    own = _SUBCOMMANDS[name][2].split() if name in _SUBCOMMANDS else []
+    flags = [flag for flag in own if not fault()]
+    extra = [*sorted(_FLAGS), "--help"] if faulty else own
+    flags += draw(st.lists(st.sampled_from(extra), max_size=2)) if extra else []
+    argv = [] if name is None else [name]
+    for flag in flags:
+        if not fault():
+            value = draw(st.sampled_from(VALID_VALUES[flag]))
+        else:
+            value = draw(st.sampled_from(UNOPENABLE if flag.endswith("output") else INVALID_VALUES))
+        argv += [flag] if value is None else [flag, value]
+    if argv and fault():  # the subcommand last, so a flag leads
+        argv = argv[1:] + argv[:1]
+    return argv
+
+
+@settings(deadline=None)
+@given(argv=command_lines(), stdout_works=st.booleans(), stderr_works=st.booleans())
+def test_main_returns_an_exit_code_whatever_its_streams(argv, stdout_works, stderr_works):
+    stdout = io.StringIO() if stdout_works else Unwritable()
+    stderr = io.StringIO() if stderr_works else Unwritable()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert type(code) is int and code in (0, 1, 2)
+    if stdout_works and stderr_works:  # a usage error prints on stderr only, and only it does
+        assert (stdout if code == 2 else stderr).getvalue() == ""
 
 
 # Flags a subcommand does not read, an abbreviation of one it does, and a
@@ -315,10 +401,8 @@ UNKNOWN_FLAGS = {
 
 @pytest.mark.parametrize("command", sorted(UNKNOWN_FLAGS))
 def test_unread_and_abbreviated_flags_are_usage_errors(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main(UNKNOWN_FLAGS[command])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, UNKNOWN_FLAGS[command])
+    assert code == 2
     assert out == ""
     # the usage of the parser that rejects the flag: the subcommand's, which
     # lists the flags it does take, or before a subcommand the top-level one
@@ -419,15 +503,11 @@ def test_cli_adds_no_solver_defaults_of_its_own(capsys, command):
 def test_help_exits_zero(capsys, command):
     # argparse formats every help string with %, so a stray % would crash here
     argv = [command, "--help"] if command else ["--help"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
-    out = capsys.readouterr()
-    assert out.out.startswith(f"usage: rootflow {command}".rstrip() + " ")
-    assert out.err == ""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out.startswith(f"usage: rootflow {command}".rstrip() + " ")
+    assert err == ""
 
 
 def test_missing_subcommand_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    assert main([]) == 2
