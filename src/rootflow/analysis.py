@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from .problems import MissingDerivative, NonFiniteValue, ProblemSpec, eval_df
 from .solvers import IterationTrace, RunOutcome, SolverConfig, run
@@ -43,8 +43,7 @@ class DerivativeZero(Exception):
     """f'(x*) is exactly zero, so the predicted error constant is undefined."""
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
+class OrderEstimate(NamedTuple):
     """Per-step order estimates and quadratic constant ratios.
 
     ``final_order`` and ``final_constant`` are the last entries computed
@@ -150,8 +149,7 @@ def predicted_constant(p: ProblemSpec, mu: float) -> float:
     return mu + fpp / fp
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Observed versus predicted asymptotics for one two-point-scheme run.
 
     Only the run, the estimate and the prediction are stored; x0 and the

@@ -16,7 +16,7 @@ verdict words, and the reason column keeps the two endings apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -76,8 +76,7 @@ class BenchmarkRow(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
-class BasinGrid:
+class BasinGrid(NamedTuple):
     """Verdict matrix over a mu axis and an initial-value axis.
 
     ``cells[i][j]`` is the row for ``mu_axis[i]`` and ``x0_axis[j]``;

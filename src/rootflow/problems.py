@@ -24,7 +24,7 @@ ROOT_RESIDUAL_TOL = 1e-12
 # The guard rule: an evaluator's value is a finite real unless the call, or
 # math.isfinite on its result, raises one of these (an overflow, a division by
 # zero, a numpy or decimal arithmetic error, a domain error, a complex value or
-# an int past the float range), or isfinite returns False.  _finite and run's loop apply it.
+# an int past the float range), or isfinite returns False.  _finite and run apply it.
 NONFINITE_ERRORS = (ArithmeticError, ValueError, TypeError)
 
 
@@ -37,10 +37,12 @@ class DomainViolation(ValueError):
         super().__init__(f"{name} = {x!r} is outside the legal domain [{domain[0]!r}, {domain[1]!r}]")
 
 
-class NonFiniteValue(Exception):
+class NonFiniteValue(ArithmeticError):
     """Evaluation produced an overflow, NaN, or mathematically undefined value.
 
-    ``name`` is the evaluator that failed, ``f`` or ``f'``.
+    ``name`` is the evaluator that failed, ``f`` or ``f'``.  As an
+    ArithmeticError it fails the guard again, so an evaluator built on
+    another problem's eval_f fails as its own value would.
     """
 
     def __init__(self, x: float, name: str):

@@ -10,7 +10,7 @@ exhausted budget) into a :class:`RunOutcome` instead of an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -18,7 +18,6 @@ from .problems import (
     NONFINITE_ERRORS,
     DomainViolation,
     MissingDerivative,
-    NonFiniteValue,
     ProblemSpec,
     eval_df,
     eval_f,
@@ -129,8 +128,7 @@ class TracePoint(NamedTuple):
     fx: float
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """The accepted (x_n, f(x_n)) pairs of a run, and the root when it is known.
 
     ``points`` (the (n, x_n, f(x_n)) tuples) is computed from the pairs on
@@ -147,11 +145,10 @@ class IterationTrace:
     @classmethod
     def from_points(cls, points, known_root: float | None) -> "IterationTrace":
         """A trace of a copy of the (x, f(x)) pairs in ``points``."""
-        return cls(pairs=tuple(points), known_root=known_root)
+        return cls(tuple(points), known_root)
 
 
-@dataclass(frozen=True, slots=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """How one solver run ended, and the (x, f(x)) pairs it accepted from x0 on.
 
     ``iterations`` counts accepted steps: a rejected candidate, or a step
@@ -159,13 +156,21 @@ class RunOutcome:
     two-point scheme.  The rest is derived: ``final_fx`` is the last
     pair's f(x), NaN when f(x0) itself is not a finite real, and ``trace``
     is built from the pairs on each read, so callers that need only the
-    final point never pay for one.
+    final point never pay for one.  Equal runs hash equal: the hash leaves
+    out the pairs, a list, as the repr does.
     """
 
     reason: str
     iterations: int
-    pairs: list[tuple[float, float]] = field(repr=False, hash=False)
+    pairs: list[tuple[float, float]]
     known_root: float | None
+
+    def __hash__(self) -> int:
+        return hash((self.reason, self.iterations, self.known_root))
+
+    def __repr__(self) -> str:
+        return (f"RunOutcome(reason={self.reason!r}, iterations={self.iterations!r}, "
+                f"known_root={self.known_root!r})")
 
     @property
     def verdict(self) -> str:
@@ -278,25 +283,29 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     a, b = p.domain
     if not (a <= x0 <= b):
         raise DomainViolation(x0, p.domain, "x0")
-    rule = _SCHEME_TABLE[cfg.scheme][0]
+    rule, mu, h = _SCHEME_TABLE[cfg.scheme]
     if rule is _FLOW and p.df is None:
         raise MissingDerivative(
             f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
+    # The hot loop calls nothing but f and f'.  One guard covers each step,
+    # from f' or the probe to f(candidate): NONFINITE_ERRORS, raised by an
+    # evaluator or the arithmetic on its values, ends the run nonfinite, as
+    # isfinite's refusal does.  f(x0) passes the same guard.
+    f, df, isfinite = p.f, p.df, math.isfinite
     try:
-        fx = eval_f(p, x0)
-    except NonFiniteValue:  # f(x0) itself is not a finite real
+        fx = f(x0)
+        finite = isfinite(fx)
+    except NONFINITE_ERRORS:
+        finite = False
+    if not finite:  # f(x0) itself is not a finite real
         return RunOutcome(REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root)
-    mu, h = cfg.resolved()
+    mu, h = cfg.mu if mu is None else mu, cfg.h if h is None else h  # as cfg.resolved()
     flow, two_point = rule is _FLOW, rule is _SECANT
     offset_bootstrap = cfg.bootstrap == "offset_x0"
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
-    # The hot loop calls nothing but f and f'.  One guard covers each step,
-    # from f' or the probe to f(candidate): NONFINITE_ERRORS, raised by an
-    # evaluator or the arithmetic on its values, ends the run nonfinite, as
-    # isfinite's refusal does.  One test admits a candidate: inside the domain and ESCAPE_BOUND.
-    f, df, isfinite = p.f, p.df, math.isfinite
+    # One test admits a candidate: inside the domain and ESCAPE_BOUND.
     lo, hi = max(a, -ESCAPE_BOUND), min(b, ESCAPE_BOUND)
 
     x = x0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import zlib
@@ -12,21 +13,28 @@ from rootflow import (
     BOOTSTRAPS,
     SCHEMES,
     STOP_RULES,
+    BasinGrid,
+    ConvergenceReport,
     DenominatorUnderflow,
     DomainViolation,
     IterationTrace,
     MissingDerivative,
+    NonFiniteValue,
+    OrderEstimate,
     ProblemSpec,
     RunOutcome,
     SolverConfig,
     TracePoint,
     builtin_problems,
+    estimate_order,
     euler_flow_step,
     eval_f,
+    map_basin,
     newton_step,
     run,
     secant_dyn_step,
     secant_step,
+    verify_quadratic_convergence,
     wu_step,
     zheng_step,
 )
@@ -634,10 +642,17 @@ def test_run_raising_derivative_diverges():
         assert out.final_x == 1.5
 
 
+class NestedNonFiniteValue(NonFiniteValue):
+    """What an f built on another problem's eval_f raises where that one fails."""
+
+    def __init__(self, _message):
+        super().__init__(math.inf, "inner f")
+
+
 # What a misbehaving evaluator does instead of answering: return a value that
 # is not a finite real, or raise.
-MISBEHAVIOURS = (math.nan, math.inf, -math.inf, 1j, 10 ** 400,
-                 ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
+MISBEHAVIOURS = (math.nan, math.inf, -math.inf, 1j, 10 ** 400, ValueError,
+                 ZeroDivisionError, OverflowError, FloatingPointError, NestedNonFiniteValue)
 
 
 def misbehaving(g, salt):
@@ -712,8 +727,11 @@ GUARD_SITES = [
 ]
 
 
-@pytest.mark.parametrize("bad", MISBEHAVIOURS, ids=lambda bad: (
-    bad.__name__ if isinstance(bad, type) else "10**400" if bad == 10 ** 400 else repr(bad)))
+def _misbehaviour_id(bad):
+    return bad.__name__ if isinstance(bad, type) else "10**400" if bad == 10 ** 400 else repr(bad)
+
+
+@pytest.mark.parametrize("bad", MISBEHAVIOURS, ids=_misbehaviour_id)
 @pytest.mark.parametrize("scheme, site, kept", GUARD_SITES)
 def test_run_guards_each_evaluation(sq4, scheme, site, kept, bad):
     cfg = SolverConfig(scheme=scheme, mu=0.5, h=0.5, epsilon=1e-12)
@@ -730,6 +748,20 @@ def test_run_guards_each_evaluation(sq4, scheme, site, kept, bad):
     out = run(p, cfg, 3.0)
     assert out.reason == "nonfinite"
     assert out.pairs == clean.pairs[:kept]
+
+
+@pytest.mark.parametrize("bad", MISBEHAVIOURS, ids=_misbehaviour_id)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_guards_f_at_x0(sq4, scheme, bad):
+    # The site before the loop: f misbehaves at x0 alone, and is asked once.
+    calls = []
+    bad_f = _misbehaving_at(sq4.f, 3.0, bad)
+    p = ProblemSpec(name="bad", f=lambda x: calls.append(x) or bad_f(x), df=sq4.df,
+                    domain=sq4.domain, default_x0=3.0)
+    out = run(p, SolverConfig(scheme=scheme, mu=0.5, h=0.5), 3.0)
+    assert (out.reason, out.iterations) == ("nonfinite", 0)
+    assert len(out.pairs) == 1 and out.final_x == 3.0 and math.isnan(out.final_fx)
+    assert calls == [3.0]
 
 
 @pytest.mark.parametrize("df, domain, reason", [
@@ -847,3 +879,63 @@ def test_from_points_copies_its_input():
     pairs[0] = (9.0, 80.0)
     assert trace.pairs == ((2.0, 3.0), (1.5, 1.25))
     assert trace.points == ((0, 2.0, 3.0), (1, 1.5, 1.25))
+
+
+# ---------------------------------------------------------------------------
+# result types are immutable named tuples; the validated inputs stay dataclasses
+
+def _converged(problems):
+    return run(problems["log"], SolverConfig(scheme="secant_dyn", mu=0.135, epsilon=1e-13), 5.0)
+
+
+def _results(problems):
+    """Each result type's fields, and a factory that computes one afresh."""
+    log = problems["log"]
+    converged = lambda: _converged(problems)
+    return [
+        (RunOutcome, ("reason", "iterations", "pairs", "known_root"), converged),
+        (IterationTrace, ("pairs", "known_root"), lambda: converged().trace),
+        (OrderEstimate, ("orders", "constant_estimates"),
+         lambda: estimate_order(converged().trace)),
+        (ConvergenceReport, ("problem", "mu", "outcome", "estimate", "predicted"),
+         lambda: verify_quadratic_convergence(log, 0.135, 5.0)),
+        (BasinGrid, ("mu_axis", "x0_axis", "cells"),
+         lambda: map_basin(log, "secant_dyn", [0.135, 1.0], [2.0, 5.0])),
+    ]
+
+
+def test_result_types_are_immutable_and_hash_by_value(problems):
+    for cls, fields, make in _results(problems):
+        a, b = make(), make()
+        assert type(a) is cls and cls._fields == fields
+        assert a == b and hash(a) == hash(b)
+        assert cls(*a) == cls(**{name: getattr(a, name) for name in fields}) == a
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(b, name))
+    # so RunOutcome's hash above cannot have been a plain tuple hash
+    assert type(_converged(problems).pairs) is list
+
+
+def test_run_outcome_repr_leaves_out_the_pairs(problems):
+    out = _converged(problems)
+    assert repr(out) == ("RunOutcome(reason='step_below_epsilon', "
+                         f"iterations={out.iterations}, known_root=1.0)")
+
+
+def test_inputs_stay_validated_frozen_dataclasses(problems):
+    cfg = SolverConfig()
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "scheme", "mu", "h", "epsilon", "max_iters", "bootstrap", "stop_rule"]
+    assert dataclasses.replace(cfg, mu=0.5) == SolverConfig(mu=0.5)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, h=0.0)
+    p = problems["log"]
+    assert [f.name for f in dataclasses.fields(ProblemSpec)] == [
+        "name", "f", "domain", "default_x0", "df", "known_root"]
+    assert dataclasses.replace(p, default_x0=2.0).default_x0 == 2.0
+    with pytest.raises(DomainViolation):
+        dataclasses.replace(p, default_x0=9.0)
+    for obj, name in ((cfg, "mu"), (p, "name")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
