@@ -21,7 +21,8 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .problems import ProblemSpec, builtin_problems
-from .solvers import VERDICT_CONVERGED, VERDICT_DIVERGED, SolverConfig, _count, run
+from .solvers import (CONVERGED_REASONS, VERDICT_CONVERGED, VERDICT_DIVERGED, SolverConfig,
+                      _count, run)
 
 CSV_HEADER = "problem,scheme,mu,h,x0,verdict,reason,iterations,final_x,residual"
 
@@ -92,15 +93,18 @@ class BasinGrid(NamedTuple):
         return sum(1 for c in row if c.verdict == VERDICT_CONVERGED) / len(row)
 
 
-def _row(p: ProblemSpec, cfg: SolverConfig, x0: float) -> BenchmarkRow:
-    outcome = run(p, cfg, x0)
-    if outcome.converged:
-        verdict, iterations, final_x = VERDICT_CONVERGED, outcome.iterations, outcome.final_x
+def _row(p: ProblemSpec, cfg: SolverConfig, x0: float, mu: float, h: float) -> BenchmarkRow:
+    """The row of one run; ``(mu, h)`` is ``cfg.resolved()``, which a caller resolves once."""
+    reason, iterations, pairs, _ = run(p, cfg, x0)
+    final_x, fx = pairs[-1]
+    if reason in CONVERGED_REASONS:
+        verdict = VERDICT_CONVERGED
     else:  # the one place an exhausted run reads as divergence
         verdict, iterations, final_x = VERDICT_DIVERGED, None, None
-    mu, h = cfg.resolved()
-    return BenchmarkRow(p.name, cfg.scheme, mu, h, x0, verdict, outcome.reason,
-                        iterations, final_x, abs(outcome.final_fx))
+    # abs(nan) is a fresh NaN, and a row holding one is unequal to itself
+    # recomputed, so a NaN residual stays the run's own object.
+    return BenchmarkRow(p.name, cfg.scheme, mu, h, x0, verdict, reason, iterations, final_x,
+                        fx if fx != fx else abs(fx))
 
 
 def run_benchmark(epsilon: float = SolverConfig.epsilon,
@@ -117,7 +121,7 @@ def run_benchmark(epsilon: float = SolverConfig.epsilon,
         p = problems[pname]
         mu = BENCH_MU.get((pname, scheme), SolverConfig.mu)
         cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, max_iters=max_iters)
-        rows.append(_row(p, cfg, p.default_x0))
+        rows.append(_row(p, cfg, p.default_x0, *cfg.resolved()))
     return rows
 
 
@@ -140,7 +144,8 @@ def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Iterable[float], x0: float,
     """One benchmark row per mu, in input order."""
     mu_values = _axis(mu_values, "mu values")
     base = cfg if cfg is not None else SolverConfig()
-    return [_row(p, replace(base, scheme=scheme, mu=mu), x0) for mu in mu_values]
+    cfgs = (replace(base, scheme=scheme, mu=mu) for mu in mu_values)
+    return [_row(p, c, x0, *c.resolved()) for c in cfgs]
 
 
 def sweep_h(p: ProblemSpec, mu: float, h_values: Iterable[float], x0: float,
@@ -148,7 +153,8 @@ def sweep_h(p: ProblemSpec, mu: float, h_values: Iterable[float], x0: float,
     """One row per Euler step length h, for the euler_flow scheme."""
     h_values = _axis(h_values, "h values")
     base = cfg if cfg is not None else SolverConfig()
-    return [_row(p, replace(base, scheme="euler_flow", mu=mu, h=h), x0) for h in h_values]
+    cfgs = (replace(base, scheme="euler_flow", mu=mu, h=h) for h in h_values)
+    return [_row(p, c, x0, *c.resolved()) for c in cfgs]
 
 
 def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
@@ -163,7 +169,8 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
     cells = []
     for mu in mu_axis:
         c = replace(base, scheme=scheme, mu=mu)
-        cells.append(tuple(_row(p, c, x0) for x0 in x0_axis))
+        run_mu, run_h = c.resolved()
+        cells.append(tuple([_row(p, c, x0, run_mu, run_h) for x0 in x0_axis]))
     return BasinGrid(mu_axis=mu_axis, x0_axis=x0_axis, cells=tuple(cells))
 
 
@@ -183,28 +190,27 @@ def default_x0_axis(p: ProblemSpec, count: int = DEFAULT_X0_COUNT) -> tuple[floa
 # rendering: CSV rows and the dense basin grid file
 
 def _real(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _final(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
+    return "%.17g" % v  # through float(), and cheaper than f"{v:.17g}"
 
 
 def _csv(rows: Iterable[BenchmarkRow]) -> str:
+    # Each thing is formatted once per call: the problem,scheme,mu,h head once
+    # for each run of rows holding the same four objects, and each x0 object
+    # once.  Objects, not values, are the keys, as 0.0 == -0.0 renders "0"
+    # and "-0"; the x0 cache holds each object, so its id cannot be reused.
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.problem,
-            r.scheme,
-            _real(r.mu),
-            _real(r.h),
-            _real(r.x0),
-            r.verdict,
-            r.reason,
-            "" if r.iterations is None else str(r.iterations),
-            _final(r.final_x),
-            _real(r.residual),
-        ]))
+    x0_texts = {}
+    problem_ = scheme_ = mu_ = h_ = object()  # the objects head renders; none yet
+    for problem, scheme, mu, h, x0, verdict, reason, iterations, final_x, residual in rows:
+        if mu is not mu_ or h is not h_ or problem is not problem_ or scheme is not scheme_:
+            problem_, scheme_, mu_, h_ = problem, scheme, mu, h
+            head = f"{problem},{scheme},{_real(mu)},{_real(h)},"
+        x0_text = x0_texts.get(id(x0))
+        if x0_text is None:
+            x0_text = x0_texts[id(x0)] = x0, _real(x0)
+        lines.append(f"{head}{x0_text[1]},{verdict},{reason},"
+                     f"{'' if iterations is None else iterations},"
+                     f"{'' if final_x is None else '%.6f' % final_x},{_real(residual)}")
     return "\n".join(lines) + "\n"
 
 
@@ -212,7 +218,8 @@ def rows_to_csv(rows: Iterable[BenchmarkRow]) -> str:
     """Render rows as CSV, one header row first.
 
     Reals carry 17 significant digits except final_x, which uses the
-    6-decimal table rendering.
+    6-decimal table rendering.  Each goes through float() first, so mpmath,
+    Fraction and Decimal values render as the float nearest them.
     """
     return _csv(rows)
 

@@ -306,10 +306,12 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     stop_on_residual = cfg.stop_rule != "step_size"
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
     # One test admits a candidate: inside the domain and ESCAPE_BOUND.
-    lo, hi = max(a, -ESCAPE_BOUND), min(b, ESCAPE_BOUND)
+    lo = -ESCAPE_BOUND if -ESCAPE_BOUND > a else a  # max(a, -ESCAPE_BOUND)
+    hi = ESCAPE_BOUND if ESCAPE_BOUND < b else b  # min(b, ESCAPE_BOUND)
 
     x = x0
     points = [(x, fx)]
+    append = points.append
     # Step 0 is a two-point scheme's bootstrap, outside the budget.
     for step in range(0 if two_point else 1, max_iters + 1):
         try:
@@ -348,7 +350,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
         except NONFINITE_ERRORS:
             reason = REASON_NONFINITE
             break
-        points.append((candidate, f_cand))
+        append((candidate, f_cand))
         x_prev, f_prev, x, fx = x, fx, candidate, f_cand
 
         # Step 0 is the bootstrap, not a step of the scheme: a tiny one is

@@ -453,6 +453,16 @@ def test_readme_basin_output_is_pinned(tmp_path, capsys):
     assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
 
 
+def test_basin_heads_that_change_between_rows_are_pinned(capsys):
+    # Captured before the renderer formatted each head and x0 object once per
+    # call: 0 and -0 are equal values with distinct heads.
+    code, out, _ = run_cli(capsys, [
+        "basin", "--problem", "exp", "--scheme", "zheng", "--mu-values", "0,-0,1.18",
+        "--x0-count", "51"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "basin_signed_zero.csv").read_bytes()
+
+
 def test_readme_examples_are_current(capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     # The library snippet prints what its last line's comment says.

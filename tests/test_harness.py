@@ -1,9 +1,16 @@
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
+from itertools import chain
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from rootflow import (
+    BasinGrid,
+    BenchmarkRow,
     ProblemSpec,
     SolverConfig,
     basin_to_csv,
@@ -17,6 +24,7 @@ from rootflow import (
     sweep_mu,
 )
 from rootflow.harness import BENCH_EXPECTED_VERDICTS, CSV_HEADER
+from rootflow.solvers import CONVERGED_REASONS, REASON_MAX_ITERS, REASON_NONFINITE
 
 
 def by_key(rows):
@@ -342,3 +350,155 @@ def test_expected_pattern_constant_is_consistent():
     conv = [k for k, v in BENCH_EXPECTED_VERDICTS.items() if v == "converged"]
     assert sorted(conv) == [("exp", "secant_dyn"), ("log", "secant_dyn"),
                             ("log", "zheng"), ("trig", "secant_dyn")]
+
+
+def test_rows_with_a_nonfinite_residual_equal_themselves():
+    # f(x0) overflows, so the run's one pair is (x0, math.nan)
+    blows = ProblemSpec(name="blows", f=math.exp, domain=(-1e6, 1e6), default_x0=0.0)
+    grid = map_basin(blows, "secant_dyn", [0.5], [1000.0])
+    assert grid == map_basin(blows, "secant_dyn", [0.5], [1000.0])
+    rows = sweep_mu(blows, "secant_dyn", [0.5], 1000.0)
+    assert rows == sweep_mu(blows, "secant_dyn", [0.5], 1000.0)
+    assert rows[0].reason == REASON_NONFINITE and math.isnan(rows[0].residual)
+    assert rows_to_csv(rows).endswith(",divergence,nonfinite,,,nan\n")
+    assert basin_to_csv(grid) == rows_to_csv(rows)
+
+
+# ---------------------------------------------------------------------------
+# the CSV renderer against the per-field renderer it replaced
+
+def reference_csv(rows):
+    """Every field of every row formatted on its own, reals through float()."""
+    def real(v):
+        return f"{float(v):.17g}"
+    lines = [CSV_HEADER]
+    for r in rows:
+        lines.append(",".join([
+            r.problem,
+            r.scheme,
+            real(r.mu),
+            real(r.h),
+            real(r.x0),
+            r.verdict,
+            r.reason,
+            "" if r.iterations is None else str(r.iterations),
+            "" if r.final_x is None else f"{float(r.final_x):.6f}",
+            real(r.residual),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def floated(rows):
+    """The rows with every real passed through float()."""
+    return [r._replace(mu=float(r.mu), h=float(r.h), x0=float(r.x0), residual=float(r.residual),
+                       final_x=None if r.final_x is None else float(r.final_x))
+            for r in rows]
+
+
+def test_csv_renders_mpmath_and_fraction_reals_as_floats(sq):
+    mpsq = ProblemSpec(name="mpsq", f=lambda x: mpmath.mpf(x) ** 2 - 2, domain=(0.5, 3.0),
+                       default_x0=1.5)
+    rows = sweep_mu(mpsq, "zheng", [0.5], 1.5)
+    assert isinstance(rows[0].residual, mpmath.mpf)
+    assert rows_to_csv(rows) == rows_to_csv(floated(rows)) == reference_csv(rows)
+    grid = map_basin(sq, "secant_dyn", [0.5], [Fraction(3, 2)])
+    cells = list(chain.from_iterable(grid.cells))
+    assert basin_to_csv(grid) == rows_to_csv(floated(cells)) == reference_csv(cells)
+    # a Decimal is no numbers.Real, and renders as the float nearest it
+    row = cells[0]._replace(x0=Decimal("0.1"))
+    assert rows_to_csv([row]).split("\n")[1].split(",")[4] == "0.10000000000000001"
+
+
+def fresh(v):
+    """A copy of v that renders as v does, as another object (bar Python's small ints)."""
+    return (float(repr(v)) if type(v) is float else int(str(v)) if type(v) is int
+            else type(v)(v))
+
+
+def test_csv_keys_axis_values_by_object_not_value(sq):
+    np = pytest.importorskip("numpy")
+    # 0.0 == -0.0 but they render 0 and -0; 1.5 three times over, as three objects
+    mus = [0.0, -0.0, np.float64(-0.0), np.float64(0.5), 0.5]
+    x0s = [0.0, -0.0, 1.5, fresh(1.5), np.float64(1.5), -1.5]
+    grid = map_basin(sq, "secant_dyn", mus, x0s)
+    cells = list(chain.from_iterable(grid.cells))
+    text = basin_to_csv(grid)
+    assert text == reference_csv(cells) == rows_to_csv(cells)
+    heads = [line.split(",1,")[0] for line in text.split("\n")[1:-1:len(x0s)]]
+    assert heads == ["sq,secant_dyn,0", "sq,secant_dyn,-0", "sq,secant_dyn,-0",
+                     "sq,secant_dyn,0.5", "sq,secant_dyn,0.5"]
+    assert [line.split(",")[4] for line in text.split("\n")[1:1 + len(x0s)]] == \
+        ["0", "-0", "1.5", "1.5", "1.5", "-1.5"]
+    for x0 in x0s:
+        rows = sweep_mu(sq, "secant_dyn", mus, x0)
+        assert rows_to_csv(rows) == reference_csv(rows)
+
+
+def test_csv_of_rows_made_one_at_a_time():
+    # Each row and its x0 are freed once the renderer moves past them, so a
+    # later x0 may take a freed one's id; the renderer must not mistake it.
+    def rows():
+        for i in range(200):
+            yield BenchmarkRow("sq", "zheng", 0.5, 1.0, i + 0.25, "divergence",
+                               REASON_NONFINITE, None, None, math.nan)
+    assert rows_to_csv(rows()) == reference_csv(rows())
+
+
+try:
+    import numpy
+    _NUMPY_KINDS = [numpy.float64]
+except ImportError:  # numpy is in the test extra; without it the other kinds still run
+    _NUMPY_KINDS = []
+
+
+@st.composite
+def reals(draw):
+    """A real of one of the kinds a row may hold, NaN and infinities included."""
+    v = draw(st.floats() | st.sampled_from([0.0, -0.0, 1.5, 1e300]))
+    kinds = [float, mpmath.mpf, *_NUMPY_KINDS]
+    if math.isfinite(v):
+        kinds += [int, Fraction]
+    return draw(st.sampled_from(kinds))(v)
+
+
+@st.composite
+def row_runs(draw, min_size=0):
+    """Rows in runs that share their problem, scheme, mu and h objects.
+
+    Each run's head keeps or redraws each of those four of the last run's,
+    so two runs may differ in one field alone.  Every real comes from a
+    small pool that holds each value twice, as two objects, so equal values
+    held as distinct objects meet in one call.
+    """
+    pool = draw(st.lists(reals(), min_size=1, max_size=4))
+    pick = st.sampled_from(pool + [fresh(v) for v in pool] + [0.0, -0.0])
+    fields = (st.sampled_from(["log", "".join(["lo", "g"]), "sq"]),
+              st.sampled_from(["zheng", "secant_dyn"]), pick, pick)
+    rows = []
+    head = [draw(field) for field in fields]
+    while len(rows) < min_size or draw(st.booleans()):
+        head = [draw(field) if draw(st.booleans()) else kept for field, kept in zip(fields, head)]
+        for _ in range(draw(st.integers(1, 4))):
+            reason = draw(st.sampled_from([*CONVERGED_REASONS, REASON_MAX_ITERS, REASON_NONFINITE]))
+            converged = reason in CONVERGED_REASONS
+            rows.append(BenchmarkRow(
+                *head, draw(pick), "converged" if converged else "divergence", reason,
+                draw(st.integers(0, 500)) if converged else None,
+                draw(pick) if converged else None,
+                draw(pick | st.sampled_from([math.nan, math.inf, -math.inf]))))
+    return rows
+
+
+@given(rows=row_runs())
+def test_rows_to_csv_equals_the_reference_renderer(rows):
+    assert rows_to_csv(rows) == reference_csv(rows)
+
+
+@given(rows=row_runs(min_size=1), data=st.data())
+def test_basin_to_csv_equals_the_reference_renderer(rows, data):
+    # a hand-built grid: its cells need not agree with its axes or each other
+    width = data.draw(st.integers(1, len(rows)))
+    cells = tuple(tuple(rows[i:i + width]) for i in range(0, len(rows) - width + 1, width))
+    axis = st.lists(reals(), min_size=1, max_size=3).map(tuple)
+    grid = BasinGrid(data.draw(axis), data.draw(axis), cells)
+    assert basin_to_csv(grid) == reference_csv(chain.from_iterable(cells))

@@ -440,7 +440,7 @@ def test_verdict_reason_coupling(problems):
             assert out.reason in ("step_below_epsilon", "residual_below_epsilon")
         else:
             assert out.reason not in ("step_below_epsilon", "residual_below_epsilon")
-        row = _row(p, cfg, x0)
+        row = _row(p, cfg, x0, *cfg.resolved())
         assert row.verdict == (VERDICT_DIVERGED if out.verdict == VERDICT_EXHAUSTED
                                else out.verdict)
         assert row.reason == out.reason
