@@ -14,10 +14,13 @@ show what the scheme does: where f''(x*) != 0 its order is the golden ratio,
 with e_{n+1}/(e_n e_{n-1}) -> f''(x*)/(2 f'(x*)) for any mu, so c_n does not
 settle.
 
-Steps below the saturation floor (1e3 epsilons of the errors' own number
-type around the root: a float's, or an mpmath value's ``context.eps``) are
-rounding noise and are excluded from all estimates.  The logarithms are
-taken in the same number type, so a trace is estimated at its own precision.
+:func:`estimate_order` reads the trace in one pass, taking each logarithm
+once.  The first error at or below the saturation floor (1e3 epsilons of
+the errors' own number type around the root: a float's, or an mpmath
+value's ``context.eps``) ends the usable prefix, as does the first NaN or
+infinite error; what follows is rounding noise, excluded from all
+estimates.  The logarithms are taken in the same number type, so a trace
+is estimated at its own precision.
 """
 
 from __future__ import annotations
@@ -70,16 +73,16 @@ class OrderEstimate(NamedTuple):
 
 def _arithmetic(v) -> tuple[float, Callable]:
     """Epsilon and natural log of v's number type: a float's, or an mpmath context's."""
-    context = getattr(v, "context", None)
+    context = None if type(v) is float else getattr(v, "context", None)
     return (sys.float_info.epsilon, math.log) if context is None else (context.eps, context.ln)
 
 
-def _usable_errors(trace: IterationTrace) -> tuple[list[float], Callable]:
-    """The errors x_n - x* of the trace's pairs up to the saturation floor,
-    and the natural logarithm of their number type.
+def estimate_order(trace: IterationTrace) -> OrderEstimate:
+    """Estimate the convergence order and error constant from a trace.
 
-    One pass over the pairs: it stops at the first error at or below the
-    floor.  The floor and the logarithm come from the first error's number type.
+    Requires at least four usable points (finite errors above the saturation
+    floor, before any exact zero); raises InsufficientData otherwise.  The
+    floor and the logarithm come from the first error's number type.
     """
     root = trace.known_root
     if root is None:
@@ -87,42 +90,30 @@ def _usable_errors(trace: IterationTrace) -> tuple[list[float], Callable]:
     pairs = trace.pairs
     eps, log = _arithmetic(pairs[0][0] - root if pairs else root)
     floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(root))
-    usable = []
+    orders, constants = [], []
+    e_prev = log_prev = None
     for x, _ in pairs:
         e = x - root
-        # An exact zero or a sub-floor error ends the asymptotically
-        # meaningful prefix; everything after it is rounding noise.
-        if abs(e) <= floor:
+        # An exact zero, a sub-floor error or a NaN or infinite one ends the
+        # asymptotically meaningful prefix; everything after it is noise.
+        if not floor < abs(e) < math.inf:
             break
-        usable.append(e)
-    return usable, log
-
-
-def estimate_order(trace: IterationTrace) -> OrderEstimate:
-    """Estimate the convergence order and error constant from a trace.
-
-    Requires at least four usable points (errors above the saturation
-    floor, before any exact zero); raises InsufficientData otherwise.
-    """
-    errs, log = _usable_errors(trace)
-    if len(errs) < MIN_USABLE_POINTS:
-        raise InsufficientData(
-            f"need at least {MIN_USABLE_POINTS} usable points, have {len(errs)}"
-        )
-    # Each ln|e_{n+1}/e_n| is computed once; the order at n is the next
-    # one over the previous one, until a previous one is exactly 0.
-    orders = []
-    prev = log(abs(errs[1] / errs[0]))
-    for n in range(1, len(errs) - 1):
-        if prev == 0.0:
-            break
-        cur = log(abs(errs[n + 1] / errs[n]))
-        orders.append(cur / prev)
-        prev = cur
+        if e_prev is not None:
+            constants.append(e / (e_prev * e_prev))
+            # Each ln|e_{n+1}/e_n| is computed once; the order at n is the
+            # next one over the previous one, until a previous one is 0.
+            if log_prev != 0.0:
+                log_e = log(abs(e / e_prev))
+                if log_prev is not None:
+                    orders.append(log_e / log_prev)
+                log_prev = log_e
+        e_prev = e
+    usable = len(constants) + (e_prev is not None)
+    if usable < MIN_USABLE_POINTS:
+        raise InsufficientData(f"need at least {MIN_USABLE_POINTS} usable points, have {usable}")
     if not orders:
         raise InsufficientData("no informative error ratios (|e_n| is not shrinking)")
-    constants = [b / (a * a) for a, b in zip(errs, errs[1:])]
-    return OrderEstimate(orders=tuple(orders), constant_estimates=tuple(constants))
+    return OrderEstimate(tuple(orders), tuple(constants))
 
 
 def predicted_constant(p: ProblemSpec, mu: float) -> float:
@@ -217,7 +208,10 @@ def verify_quadratic_convergence(
     the configuration should use a much tighter epsilon than the solve
     default (1e-13 is used when cfg is omitted).
     """
-    cfg = replace(cfg or SolverConfig(epsilon=1e-13), scheme="secant_dyn", mu=mu)
+    if cfg is None:
+        cfg = SolverConfig(scheme="secant_dyn", mu=mu, epsilon=1e-13)
+    elif cfg.scheme != "secant_dyn" or cfg.mu is not mu:  # else replace would rebuild an equal cfg
+        cfg = replace(cfg, scheme="secant_dyn", mu=mu)
     outcome = run(p, cfg, x0)
     estimate = predicted = None
     if outcome.converged:

@@ -301,7 +301,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
         return RunOutcome(REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root)
     mu, h = cfg.mu if mu is None else mu, cfg.h if h is None else h  # as cfg.resolved()
     flow, two_point = rule is _FLOW, rule is _SECANT
-    offset_bootstrap = cfg.bootstrap == "offset_x0"
+    offset_bootstrap = two_point and cfg.bootstrap == "offset_x0"
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
@@ -317,20 +317,23 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
         try:
             # Every rule steps to x - num / den, with the kernels' expressions
             # (the offset bootstrap with den = 1, which is exact).
-            if two_point and step:
-                dx = x - x_prev
-                num, den = fx * dx, mu * dx * fx + fx - f_prev
-            elif two_point and offset_bootstrap:
-                num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
-            else:  # f'(x) for the flow rule; else the zheng probe f(x + f(x)), off-domain or not
-                g = df(x) if flow else f(x + fx)
+            if flow:
+                g = df(x)
                 if not isfinite(g):
                     reason = REASON_NONFINITE
                     break
-                if flow:
-                    num, den = h * fx, mu * fx + g
-                else:
-                    num, den = fx * fx, mu * fx * fx + (g - fx)
+                num, den = h * fx, mu * fx + g
+            elif two_point and step:
+                dx = x - x_prev
+                num, den = fx * dx, mu * dx * fx + fx - f_prev
+            elif offset_bootstrap:
+                num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
+            else:  # zheng, or its bootstrap step: probe f(x + f(x)), off-domain or not
+                g = f(x + fx)
+                if not isfinite(g):
+                    reason = REASON_NONFINITE
+                    break
+                num, den = fx * fx, mu * fx * fx + (g - fx)
             if den == 0.0:
                 # The step cannot be taken, but at an exact root (where the
                 # difference quotients are 0/0) the run has converged.
@@ -351,7 +354,8 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
             reason = REASON_NONFINITE
             break
         append((candidate, f_cand))
-        x_prev, f_prev, x, fx = x, fx, candidate, f_cand
+        x_prev, f_prev = x, fx
+        x, fx = candidate, f_cand
 
         # Step 0 is the bootstrap, not a step of the scheme: a tiny one is
         # no sign of a root, so only the residual test judges it.

@@ -1,10 +1,15 @@
+import dataclasses
 import math
 import sys
+from fractions import Fraction
 
+import mpmath
+import numpy
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rootflow import (
+    ConvergenceReport,
     DerivativeZero,
     InsufficientData,
     IterationTrace,
@@ -124,26 +129,28 @@ def test_two_point_scheme_with_zero_mu_also_measures_golden_ratio(sq):
 
 def _two_log_estimate(trace):
     """The estimator as it was before it computed each log once: the errors
-    tuple first, then ln|e_n/e_{n-1}| and ln|e_{n+1}/e_n| at every n."""
+    tuple first, then ln|e_n/e_{n-1}| and ln|e_{n+1}/e_n| at every n, with
+    the epsilon and log of the first error's number type.  A NaN or infinite
+    error ends the usable prefix, as the floor does."""
     if trace.known_root is None:
         raise InsufficientData("no root")
     errors = tuple(x - trace.known_root for x, _ in trace.pairs)
     context = getattr(errors[0], "context", None) if errors else None
-    eps = sys.float_info.epsilon if context is None else context.eps
+    eps, log = (sys.float_info.epsilon, math.log) if context is None else (context.eps, context.ln)
     floor = 1e3 * eps * max(1.0, abs(trace.known_root))
     errs = []
     for e in errors:
-        if abs(e) <= floor:
+        if abs(e) <= floor or not math.isfinite(e):
             break
         errs.append(e)
     if len(errs) < 4:
         raise InsufficientData("too few")
     orders = []
     for n in range(1, len(errs) - 1):
-        den = math.log(abs(errs[n] / errs[n - 1]))
+        den = log(abs(errs[n] / errs[n - 1]))
         if den == 0.0:
             break
-        orders.append(math.log(abs(errs[n + 1] / errs[n])) / den)
+        orders.append(log(abs(errs[n + 1] / errs[n])) / den)
     if not orders:
         raise InsufficientData("no ratios")
     constants = [errs[n + 1] / (errs[n] * errs[n]) for n in range(len(errs) - 1)]
@@ -151,18 +158,28 @@ def _two_log_estimate(trace):
 
 
 # One error at a time: mostly a fresh magnitude, sometimes the previous one
-# again (so ln|e_n/e_{n-1}| is exactly 0), or the float floor around the
-# root, or one ulp above it.
-_KINDS = ["fresh"] * 12 + ["repeat"] * 2 + ["floor", "above floor"]
+# again (so ln|e_n/e_{n-1}| is exactly 0), or the floor around the root of
+# the number type, or just above it, or an infinite or NaN error.
+_KINDS = ["fresh"] * 12 + ["repeat"] * 2 + ["floor", "above floor", "inf", "nan"]
 _error_atoms = st.tuples(st.sampled_from(_KINDS), st.floats(min_value=1e-12, max_value=1e3))
 
+# Number type -> (conversion, epsilon).  A Fraction has no inf or NaN, so
+# those stay floats; mpf values are made and estimated at mp.dps = 50.
+_NUMBERS = {
+    "float": (float, lambda: sys.float_info.epsilon),
+    "mpf": (mpmath.mpf, lambda: mpmath.mp.eps),
+    "float64": (numpy.float64, lambda: sys.float_info.epsilon),
+    "Fraction": (lambda v: Fraction(v) if math.isfinite(v) else v, lambda: sys.float_info.epsilon),
+}
 
-def _errors_of(atoms, root):
-    floor = 1e3 * sys.float_info.epsilon * max(1.0, abs(root))
+
+def _errors_of(atoms, root, eps=sys.float_info.epsilon):
+    floor = 1e3 * eps * max(1.0, abs(root))
+    above = math.nextafter(floor, math.inf) if type(floor) is float else floor * (1 + 2 * eps)
     errors, magnitude = [], 1.0
     for kind, value in atoms:
-        magnitude = {"fresh": value, "repeat": magnitude, "floor": floor,
-                     "above floor": math.nextafter(floor, math.inf)}[kind]
+        magnitude = {"fresh": value, "repeat": magnitude, "floor": floor, "above floor": above,
+                     "inf": math.inf, "nan": math.nan}[kind]
         errors.append(magnitude)
     return errors
 
@@ -171,20 +188,41 @@ def _errors_of(atoms, root):
     atoms=st.lists(_error_atoms, min_size=4, max_size=12),
     signs=st.lists(st.booleans(), min_size=12, max_size=12),
     root=st.sampled_from([0.0, -3.0, math.pi / 6.0]),
+    number=st.sampled_from(sorted(_NUMBERS)),
 )
-def test_one_pass_estimate_equals_the_two_log_estimate(atoms, signs, root):
-    errors = [-e if neg else e for e, neg in zip(_errors_of(atoms, root), signs)]
-    trace = IterationTrace.from_points([(root + e, e) for e in errors], known_root=root)
-    try:
-        expected = _two_log_estimate(trace)
-    except InsufficientData:
-        with pytest.raises(InsufficientData):
-            estimate_order(trace)
-        return
-    est = estimate_order(trace)
-    # bit for bit: repr round-trips every float
-    assert [repr(r) for r in est.orders] == [repr(r) for r in expected[0]]
-    assert [repr(c) for c in est.constant_estimates] == [repr(c) for c in expected[1]]
+@settings(max_examples=400)
+def test_one_pass_estimate_equals_the_two_log_estimate(atoms, signs, root, number):
+    # Every number type gives the same estimate as the generic two-log one,
+    # float's fast path included.
+    convert, eps = _NUMBERS[number]
+    with mpmath.workdps(50):
+        root = convert(root)
+        magnitudes = _errors_of(atoms, root, eps())
+        errors = [convert(-e if neg else e) for e, neg in zip(magnitudes, signs)]
+        trace = IterationTrace.from_points([(root + e, e) for e in errors], known_root=root)
+        try:
+            expected = _two_log_estimate(trace)
+        except InsufficientData:
+            with pytest.raises(InsufficientData):
+                estimate_order(trace)
+            return
+        est = estimate_order(trace)
+        # bit for bit: repr round-trips every float and every mpf
+        assert [repr(r) for r in est.orders] == [repr(r) for r in expected[0]]
+        assert [repr(c) for c in est.constant_estimates] == [repr(c) for c in expected[1]]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("at", [2, 3])
+def test_nonfinite_error_ends_the_usable_prefix(bad, at):
+    # Four usable points before the non-finite one are needed; three are not,
+    # whatever follows.
+    xs = [5.0, 3.0, 2.0, 1.5, 1.25, 1.125]
+    xs.insert(at, bad)
+    with pytest.raises(InsufficientData):
+        estimate_order(IterationTrace.from_points([(x, 1.0) for x in xs], 1.0))
+    xs[at] = 1.75
+    assert estimate_order(IterationTrace.from_points([(x, 1.0) for x in xs], 1.0)).usable_steps == 6
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +326,55 @@ def test_report_scheme_is_forced_to_two_point(problems):
     report = verify_quadratic_convergence(problems["log"], 1.0, 1.5, cfg)
     assert report.outcome.converged
     assert report.estimate is not None
+
+
+def _report_through_replace(p, mu, x0, cfg):
+    """The report verify_quadratic_convergence gives when it rebuilds every
+    cfg with dataclasses.replace, as it did before it reused a matching one."""
+    outcome = run(p, dataclasses.replace(cfg, scheme="secant_dyn", mu=mu), x0)
+    assert outcome.converged
+    return ConvergenceReport(p.name, mu, outcome, estimate_order(outcome.trace),
+                             predicted_constant(p, mu))
+
+
+# Each: the cfg's scheme and mu, and an equal mu passed with it (None: cfg.mu
+# itself).  Only a secant_dyn cfg with cfg.mu itself is reused; the rest go
+# through replace.
+_CFG_MUS = {
+    "mu is cfg.mu": ("secant_dyn", 1.25, None),
+    "an equal float": ("secant_dyn", 1.25, float("1.25")),
+    "0.0 against -0.0": ("secant_dyn", -0.0, 0.0),
+    "an mpf against a float": ("secant_dyn", 1.25, mpmath.mpf(1.25)),
+    "a newton cfg": ("newton", 1.25, None),
+}
+
+
+@pytest.mark.parametrize("case", _CFG_MUS)
+def test_report_equals_the_one_built_through_replace(case, problems):
+    scheme, cfg_mu, given = _CFG_MUS[case]
+    cfg = SolverConfig(scheme=scheme, mu=cfg_mu, epsilon=1e-13)
+    mu = cfg.mu if given is None else given
+    assert mu == cfg.mu and (mu is cfg.mu) == (given is None)
+    p = problems["log"]
+    report = verify_quadratic_convergence(p, mu, 1.5, cfg)
+    expected = _report_through_replace(p, mu, 1.5, cfg)
+    assert report.mu is mu
+    assert report.outcome == expected.outcome
+    assert repr(report.outcome.pairs) == repr(expected.outcome.pairs)
+    assert report.estimate == expected.estimate
+    assert report.to_text() == expected.to_text()
+
+
+def test_report_reuses_a_matching_cfg_without_replace(monkeypatch, problems):
+    def no_replace(*args, **kwargs):
+        raise AssertionError("replace called")
+
+    monkeypatch.setattr("rootflow.analysis.replace", no_replace)
+    cfg = SolverConfig(mu=1.0, epsilon=1e-13)
+    assert verify_quadratic_convergence(problems["log"], cfg.mu, 1.5, cfg).outcome.converged
+    # another mu, or another scheme, still rebuilds the cfg
+    with pytest.raises(AssertionError, match="replace called"):
+        verify_quadratic_convergence(problems["log"], 0.5, 1.5, cfg)
+    with pytest.raises(AssertionError, match="replace called"):
+        newton = SolverConfig(scheme="newton", mu=1.0, epsilon=1e-13)
+        verify_quadratic_convergence(problems["log"], newton.mu, 1.5, newton)

@@ -1,0 +1,97 @@
+"""Every committed ``BENCH_*.json`` agrees with ``BENCHMARK.json`` and with its own runs.
+
+A record gives, per workload and end-to-end metric, each side's runs in
+pair order (the i-th parent run and the i-th change run share a seed), and
+figures derived from them.  Each derived figure is recomputed here from the
+runs: the medians and quartiles (``statistics.quantiles``, inclusive), the
+parent's IQR, the relative change, the pairs won and lost, each metric's
+verdict, and the claim's ``met``.
+"""
+
+import json
+import statistics
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+BETTER = "better: won at least 9 in 10 pairs, by more than the parent's IQR"
+
+
+def _load(path):
+    return json.loads(path.read_text())
+
+
+def _gain(metric, parent, change):
+    """How much better ``change`` is than ``parent`` in the metric's own direction."""
+    return change - parent if metric["better"] == "higher" else parent - change
+
+
+def _rule_met(metric):
+    """At least 9 of 10 pairs won, and a median gain beyond the parent's IQR."""
+    return (metric["change_won"] >= 9
+            and _gain(metric, metric["parent"]["median"], metric["change"]["median"])
+            > metric["parent_iqr"])
+
+
+def _metrics(path):
+    return [(workload, name, metric)
+            for workload, record in _load(path)["workloads"].items()
+            for name, metric in record["metrics"].items()]
+
+
+def test_records_exist():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_matches_the_benchmark_declaration(path):
+    declared = _load(ROOT / "BENCHMARK.json")
+    record = _load(path)
+    assert set(record["workloads"]) == {w["name"] for w in declared["workloads"]}
+    end_to_end = {m["name"]: m for m in declared["end_to_end"]}
+    for workload, stats in record["workloads"].items():
+        assert set(stats["metrics"]) == set(end_to_end), workload
+        for name, metric in stats["metrics"].items():
+            for key in ("unit", "better", "bound"):
+                assert metric[key] == end_to_end[name][key], (workload, name, key)
+        assert stats["pairs"] == len(record["seeds"])
+        assert stats["correct"] is True
+        assert stats["failed_operations"] == {"parent": 0, "change": 0}
+        assert all(stats["outputs_identical_per_seed"].values()), workload
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_figures_follow_from_its_runs(path):
+    pairs = len(_load(path)["seeds"])
+    for workload, name, metric in _metrics(path):
+        where = (workload, name)
+        runs = metric["runs"]
+        assert len(runs["parent"]) == len(runs["change"]) == pairs, where
+        for side in ("parent", "change"):
+            q1, median, q3 = statistics.quantiles(runs[side], n=4, method="inclusive")
+            assert metric[side]["median"] == pytest.approx(statistics.median(runs[side])), where
+            assert metric[side]["median"] == pytest.approx(median), where
+            assert (metric[side]["q1"], metric[side]["q3"]) == pytest.approx((q1, q3)), where
+        assert metric["parent_iqr"] == pytest.approx(
+            metric["parent"]["q3"] - metric["parent"]["q1"]), where
+        assert metric["change_vs_parent"] == pytest.approx(
+            metric["change"]["median"] / metric["parent"]["median"] - 1.0), where
+        gains = [_gain(metric, p, c) for p, c in zip(runs["parent"], runs["change"])]
+        assert metric["change_won"] == sum(g > 0 for g in gains), where
+        assert metric["change_lost"] == sum(g < 0 for g in gains), where
+        assert (metric["verdict"] == BETTER) == _rule_met(metric), where
+        if metric["verdict"] != BETTER:
+            assert metric["verdict"] == "within its bound", where
+            assert -_gain(metric, 1.0, 1.0 + metric["change_vs_parent"]) <= metric["bound"], where
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_claim_is_met_by_its_stated_rule(path):
+    record = _load(path)
+    claim = record["claim"]
+    metric = record["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    assert claim["rule"] == ("the change wins at least 9 of 10 pairs and its median exceeds "
+                             "the parent's by more than the parent's IQR")
+    assert claim["met"] == _rule_met(metric)
