@@ -88,15 +88,17 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
     if root is None:
         raise InsufficientData("trace has no error sequence (problem lacks a known root)")
     pairs = trace.pairs
-    eps, log = _arithmetic(pairs[0][0] - root if pairs else root)
+    e0 = pairs[0][0] - root if pairs else root
+    eps, log = (sys.float_info.epsilon, math.log) if type(e0) is float else _arithmetic(e0)
     floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(root))
+    inf = math.inf
     orders, constants = [], []
     e_prev = log_prev = None
     for x, _ in pairs:
         e = x - root
         # An exact zero, a sub-floor error or a NaN or infinite one ends the
         # asymptotically meaningful prefix; everything after it is noise.
-        if not floor < abs(e) < math.inf:
+        if not floor < abs(e) < inf:
             break
         if e_prev is not None:
             constants.append(e / (e_prev * e_prev))
@@ -113,7 +115,8 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
         raise InsufficientData(f"need at least {MIN_USABLE_POINTS} usable points, have {usable}")
     if not orders:
         raise InsufficientData("no informative error ratios (|e_n| is not shrinking)")
-    return OrderEstimate(tuple(orders), tuple(constants))
+    # tuple.__new__ skips the NamedTuple's __new__, a Python function that only calls it.
+    return tuple.__new__(OrderEstimate, (tuple(orders), tuple(constants)))
 
 
 def predicted_constant(p: ProblemSpec, mu: float) -> float:
@@ -222,4 +225,4 @@ def verify_quadratic_convergence(
             predicted = predicted_constant(p, mu)
         except (InsufficientData, MissingDerivative, NonFiniteValue, DerivativeZero):
             pass
-    return ConvergenceReport(p.name, mu, outcome, estimate, predicted)
+    return tuple.__new__(ConvergenceReport, (p.name, mu, outcome, estimate, predicted))

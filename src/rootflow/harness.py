@@ -101,10 +101,10 @@ def _row(p: ProblemSpec, cfg: SolverConfig, x0: float, mu: float, h: float) -> B
         verdict = VERDICT_CONVERGED
     else:  # the one place an exhausted run reads as divergence
         verdict, iterations, final_x = VERDICT_DIVERGED, None, None
-    # abs(nan) is a fresh NaN, and a row holding one is unequal to itself
-    # recomputed, so a NaN residual stays the run's own object.
-    return BenchmarkRow(p.name, cfg.scheme, mu, h, x0, verdict, reason, iterations, final_x,
-                        fx if fx != fx else abs(fx))
+    # abs(nan) is a fresh NaN, and a row holding one is unequal to itself recomputed, so a
+    # NaN residual stays the run's own object.  tuple.__new__ skips the Python-level __new__.
+    return tuple.__new__(BenchmarkRow, (p.name, cfg.scheme, mu, h, x0, verdict, reason,
+                                        iterations, final_x, fx if fx != fx else abs(fx)))
 
 
 def run_benchmark(epsilon: float = SolverConfig.epsilon,

@@ -145,7 +145,8 @@ class IterationTrace(NamedTuple):
     @classmethod
     def from_points(cls, points, known_root: float | None) -> "IterationTrace":
         """A trace of a copy of the (x, f(x)) pairs in ``points``."""
-        return cls(tuple(points), known_root)
+        # tuple.__new__ skips the NamedTuple's __new__, a Python function that only calls it.
+        return tuple.__new__(cls, (tuple(points), known_root))
 
 
 class RunOutcome(NamedTuple):
@@ -195,8 +196,8 @@ class RunOutcome(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# public one-step kernels (run's loop repeats their arithmetic inline,
-# expression for expression; a property test pins that the two agree)
+# public one-step kernels (run's flow, zheng and two-point loops, and the bootstrap taken before
+# the two-point loop, repeat their arithmetic inline; a property test pins that the two agree)
 
 def _step(x: float, num: float, den: float, what: str) -> float:
     """x - num / den, the form of every rule; DenominatorUnderflow naming ``what`` if den is 0."""
@@ -256,6 +257,12 @@ def secant_step(p: ProblemSpec, x_prev: float, x_curr: float) -> float:
 # ---------------------------------------------------------------------------
 # driver
 
+def _rejected(candidate, a: float, b: float) -> str:
+    """Why a candidate outside the domain's and ESCAPE_BOUND's common box ends the run."""
+    return (REASON_NONFINITE if not math.isfinite(candidate) else
+            REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
+
+
 def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     """Iterate the configured scheme from x0 until a verdict.
 
@@ -276,9 +283,9 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     x0 must lie inside the problem's domain, and a ``newton``, ``wu`` or
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
     ``DomainViolation`` or ``MissingDerivative``, both ``ValueError``.
-    Two-point schemes first produce their second starting point via the
-    bootstrap policy.  That step is traced, but it is outside the count, the
-    budget and the step test; the residual test still judges it.
+    Two-point schemes take their second starting point once, before their
+    loop, by the bootstrap policy.  That step is traced, but it is outside
+    the count, the budget and the step test; the residual test judges it.
     """
     a, b = p.domain
     if not (a <= x0 <= b):
@@ -287,10 +294,8 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     if rule is _FLOW and p.df is None:
         raise MissingDerivative(
             f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
-    # The hot loop calls nothing but f and f'.  One guard covers each step,
-    # from f' or the probe to f(candidate): NONFINITE_ERRORS, raised by an
-    # evaluator or the arithmetic on its values, ends the run nonfinite, as
-    # isfinite's refusal does.  f(x0) passes the same guard.
+    # The loops call only f and f'.  From f(x0) on, NONFINITE_ERRORS raised by either, or by
+    # the arithmetic on their values, ends the run nonfinite, as isfinite's refusal does.
     f, df, isfinite = p.f, p.df, math.isfinite
     try:
         fx = f(x0)
@@ -298,12 +303,11 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     except NONFINITE_ERRORS:
         finite = False
     if not finite:  # f(x0) itself is not a finite real
-        return RunOutcome(REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root)
+        return tuple.__new__(RunOutcome, (REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root))
     mu, h = cfg.mu if mu is None else mu, cfg.h if h is None else h  # as cfg.resolved()
-    flow, two_point = rule is _FLOW, rule is _SECANT
-    offset_bootstrap = two_point and cfg.bootstrap == "offset_x0"
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
+    at_root = REASON_STEP if stop_on_step else REASON_RESIDUAL
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
     # One test admits a candidate: inside the domain and ESCAPE_BOUND.
     lo = -ESCAPE_BOUND if -ESCAPE_BOUND > a else a  # max(a, -ESCAPE_BOUND)
@@ -312,61 +316,114 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     x = x0
     points = [(x, fx)]
     append = points.append
-    # Step 0 is a two-point scheme's bootstrap, outside the budget.
-    for step in range(0 if two_point else 1, max_iters + 1):
-        try:
-            # Every rule steps to x - num / den, with the kernels' expressions
-            # (the offset bootstrap with den = 1, which is exact).
-            if flow:
+    reason = REASON_MAX_ITERS
+    # One loop per rule: x - num / den with the kernels' expressions, then the same guards in
+    # the same order.  A zero den at an exact root (the quotients are 0/0) is convergence.
+    try:
+        if rule is _FLOW:
+            for _ in range(max_iters):
                 g = df(x)
                 if not isfinite(g):
                     reason = REASON_NONFINITE
                     break
                 num, den = h * fx, mu * fx + g
-            elif two_point and step:
-                dx = x - x_prev
-                num, den = fx * dx, mu * dx * fx + fx - f_prev
-            elif offset_bootstrap:
-                num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
-            else:  # zheng, or its bootstrap step: probe f(x + f(x)), off-domain or not
-                g = f(x + fx)
+                if den == 0.0:
+                    reason = REASON_UNDERFLOW if fx != 0.0 else at_root
+                    break
+                candidate = x - num / den
+                if not (lo <= candidate <= hi):
+                    reason = _rejected(candidate, a, b)
+                    break
+                f_cand = f(candidate)
+                if not isfinite(f_cand):
+                    reason = REASON_NONFINITE
+                    break
+                append((candidate, f_cand))
+                if stop_on_step and abs(candidate - x) <= epsilon:
+                    reason = REASON_STEP
+                    break
+                if stop_on_residual and abs(f_cand) <= epsilon:
+                    reason = REASON_RESIDUAL
+                    break
+                x, fx = candidate, f_cand
+        elif rule is _ZHENG:
+            for _ in range(max_iters):
+                g = f(x + fx)  # the probe, off-domain or not
                 if not isfinite(g):
                     reason = REASON_NONFINITE
                     break
                 num, den = fx * fx, mu * fx * fx + (g - fx)
-            if den == 0.0:
-                # The step cannot be taken, but at an exact root (where the
-                # difference quotients are 0/0) the run has converged.
-                reason = (REASON_UNDERFLOW if fx != 0.0 else
-                          REASON_STEP if stop_on_step else REASON_RESIDUAL)
-                break
-            candidate = x - num / den
+                if den == 0.0:
+                    reason = REASON_UNDERFLOW if fx != 0.0 else at_root
+                    break
+                candidate = x - num / den
+                if not (lo <= candidate <= hi):
+                    reason = _rejected(candidate, a, b)
+                    break
+                f_cand = f(candidate)
+                if not isfinite(f_cand):
+                    reason = REASON_NONFINITE
+                    break
+                append((candidate, f_cand))
+                if stop_on_step and abs(candidate - x) <= epsilon:
+                    reason = REASON_STEP
+                    break
+                if stop_on_residual and abs(f_cand) <= epsilon:
+                    reason = REASON_RESIDUAL
+                    break
+                x, fx = candidate, f_cand
+        else:
+            # The bootstrap, one pass (a break skips the loop): only the residual test judges it.
+            for _ in range(1):
+                if cfg.bootstrap == "offset_x0":  # den = 1 is exact
+                    num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
+                else:  # a zheng step
+                    g = f(x + fx)
+                    if not isfinite(g):
+                        reason = REASON_NONFINITE
+                        break
+                    num, den = fx * fx, mu * fx * fx + (g - fx)
+                if den == 0.0:
+                    reason = REASON_UNDERFLOW if fx != 0.0 else at_root
+                    break
+                candidate = x - num / den
+                if not (lo <= candidate <= hi):
+                    reason = _rejected(candidate, a, b)
+                    break
+                f_cand = f(candidate)
+                if not isfinite(f_cand):
+                    reason = REASON_NONFINITE
+                    break
+                append((candidate, f_cand))
+                if stop_on_residual and abs(f_cand) <= epsilon:
+                    reason = REASON_RESIDUAL
+                    break
+            else:
+                for _ in range(max_iters):
+                    x_prev, f_prev = x, fx
+                    x, fx = candidate, f_cand
+                    dx = x - x_prev
+                    num, den = fx * dx, mu * dx * fx + fx - f_prev
+                    if den == 0.0:
+                        reason = REASON_UNDERFLOW if fx != 0.0 else at_root
+                        break
+                    candidate = x - num / den
+                    if not (lo <= candidate <= hi):
+                        reason = _rejected(candidate, a, b)
+                        break
+                    f_cand = f(candidate)
+                    if not isfinite(f_cand):
+                        reason = REASON_NONFINITE
+                        break
+                    append((candidate, f_cand))
+                    if stop_on_step and abs(candidate - x) <= epsilon:
+                        reason = REASON_STEP
+                        break
+                    if stop_on_residual and abs(f_cand) <= epsilon:
+                        reason = REASON_RESIDUAL
+                        break
+    except NONFINITE_ERRORS:
+        reason = REASON_NONFINITE
 
-            if not (lo <= candidate <= hi):
-                reason = (REASON_NONFINITE if not isfinite(candidate) else
-                          REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
-                break
-            f_cand = f(candidate)
-            if not isfinite(f_cand):
-                reason = REASON_NONFINITE
-                break
-        except NONFINITE_ERRORS:
-            reason = REASON_NONFINITE
-            break
-        append((candidate, f_cand))
-        x_prev, f_prev = x, fx
-        x, fx = candidate, f_cand
-
-        # Step 0 is the bootstrap, not a step of the scheme: a tiny one is
-        # no sign of a root, so only the residual test judges it.
-        if step and stop_on_step and abs(x - x_prev) <= epsilon:
-            reason = REASON_STEP
-            break
-        if stop_on_residual and abs(fx) <= epsilon:
-            reason = REASON_RESIDUAL
-            break
-    else:
-        reason = REASON_MAX_ITERS
-
-    iterations = len(points) - 1 - (two_point and len(points) > 1)
-    return RunOutcome(reason, iterations, points, p.known_root)
+    iterations = len(points) - 1 - (rule is _SECANT and len(points) > 1)
+    return tuple.__new__(RunOutcome, (reason, iterations, points, p.known_root))

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rootflow import (
     BOOTSTRAPS,
     SCHEMES,
     STOP_RULES,
     BasinGrid,
+    BenchmarkRow,
     ConvergenceReport,
     DenominatorUnderflow,
     DomainViolation,
@@ -32,6 +33,7 @@ from rootflow import (
     map_basin,
     newton_step,
     run,
+    run_benchmark,
     secant_dyn_step,
     secant_step,
     verify_quadratic_convergence,
@@ -40,9 +42,20 @@ from rootflow import (
 )
 from rootflow import solvers
 from rootflow.harness import _row
+from rootflow.problems import NONFINITE_ERRORS
 from rootflow.solvers import (
+    _FLOW,
+    _SCHEME_TABLE,
+    _SECANT,
     CONVERGED_REASONS,
     ESCAPE_BOUND,
+    REASON_DOMAIN,
+    REASON_ESCAPE,
+    REASON_MAX_ITERS,
+    REASON_NONFINITE,
+    REASON_RESIDUAL,
+    REASON_STEP,
+    REASON_UNDERFLOW,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
     VERDICT_EXHAUSTED,
@@ -782,6 +795,161 @@ def test_run_names_the_first_failed_candidate_check(df, domain, reason):
     assert out.pairs == [(2.0, 1e200)]
 
 
+# ---------------------------------------------------------------------------
+# run's per-rule loops against the single loop they replaced
+
+def _reference_run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
+    """run as a single loop that chooses its rule on every step, kept verbatim as the reference."""
+    a, b = p.domain
+    if not (a <= x0 <= b):
+        raise DomainViolation(x0, p.domain, "x0")
+    rule, mu, h = _SCHEME_TABLE[cfg.scheme]
+    if rule is _FLOW and p.df is None:
+        raise MissingDerivative(
+            f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
+    # The hot loop calls nothing but f and f'.  One guard covers each step,
+    # from f' or the probe to f(candidate): NONFINITE_ERRORS, raised by an
+    # evaluator or the arithmetic on its values, ends the run nonfinite, as
+    # isfinite's refusal does.  f(x0) passes the same guard.
+    f, df, isfinite = p.f, p.df, math.isfinite
+    try:
+        fx = f(x0)
+        finite = isfinite(fx)
+    except NONFINITE_ERRORS:
+        finite = False
+    if not finite:  # f(x0) itself is not a finite real
+        return RunOutcome(REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root)
+    mu, h = cfg.mu if mu is None else mu, cfg.h if h is None else h  # as cfg.resolved()
+    flow, two_point = rule is _FLOW, rule is _SECANT
+    offset_bootstrap = two_point and cfg.bootstrap == "offset_x0"
+    stop_on_step = cfg.stop_rule != "residual"
+    stop_on_residual = cfg.stop_rule != "step_size"
+    epsilon, max_iters = cfg.epsilon, cfg.max_iters
+    # One test admits a candidate: inside the domain and ESCAPE_BOUND.
+    lo = -ESCAPE_BOUND if -ESCAPE_BOUND > a else a  # max(a, -ESCAPE_BOUND)
+    hi = ESCAPE_BOUND if ESCAPE_BOUND < b else b  # min(b, ESCAPE_BOUND)
+
+    x = x0
+    points = [(x, fx)]
+    append = points.append
+    # Step 0 is a two-point scheme's bootstrap, outside the budget.
+    for step in range(0 if two_point else 1, max_iters + 1):
+        try:
+            # Every rule steps to x - num / den, with the kernels' expressions
+            # (the offset bootstrap with den = 1, which is exact).
+            if flow:
+                g = df(x)
+                if not isfinite(g):
+                    reason = REASON_NONFINITE
+                    break
+                num, den = h * fx, mu * fx + g
+            elif two_point and step:
+                dx = x - x_prev
+                num, den = fx * dx, mu * dx * fx + fx - f_prev
+            elif offset_bootstrap:
+                num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
+            else:  # zheng, or its bootstrap step: probe f(x + f(x)), off-domain or not
+                g = f(x + fx)
+                if not isfinite(g):
+                    reason = REASON_NONFINITE
+                    break
+                num, den = fx * fx, mu * fx * fx + (g - fx)
+            if den == 0.0:
+                # The step cannot be taken, but at an exact root (where the
+                # difference quotients are 0/0) the run has converged.
+                reason = (REASON_UNDERFLOW if fx != 0.0 else
+                          REASON_STEP if stop_on_step else REASON_RESIDUAL)
+                break
+            candidate = x - num / den
+
+            if not (lo <= candidate <= hi):
+                reason = (REASON_NONFINITE if not isfinite(candidate) else
+                          REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
+                break
+            f_cand = f(candidate)
+            if not isfinite(f_cand):
+                reason = REASON_NONFINITE
+                break
+        except NONFINITE_ERRORS:
+            reason = REASON_NONFINITE
+            break
+        append((candidate, f_cand))
+        x_prev, f_prev = x, fx
+        x, fx = candidate, f_cand
+
+        # Step 0 is the bootstrap, not a step of the scheme: a tiny one is
+        # no sign of a root, so only the residual test judges it.
+        if step and stop_on_step and abs(x - x_prev) <= epsilon:
+            reason = REASON_STEP
+            break
+        if stop_on_residual and abs(fx) <= epsilon:
+            reason = REASON_RESIDUAL
+            break
+    else:
+        reason = REASON_MAX_ITERS
+
+    iterations = len(points) - 1 - (two_point and len(points) > 1)
+    return RunOutcome(reason, iterations, points, p.known_root)
+
+
+def _faulty(g, bad_x, bad):
+    """g, except at exactly bad_x: a Decimal of g's value for "decimal", as in
+    test_run_decimal_valued_f_diverges, else each of MISBEHAVIOURS."""
+    if bad == "decimal":
+        return lambda x: Decimal(g(x)) if x == bad_x else g(x)
+    return _misbehaving_at(g, bad_x, bad)
+
+
+@settings(max_examples=600)
+@given(
+    name=st.sampled_from(sorted(REPLAY_PROBLEMS)),
+    scheme=st.sampled_from(SCHEMES),
+    bootstrap=st.sampled_from(BOOTSTRAPS),
+    stop_rule=st.sampled_from(STOP_RULES),
+    max_iters=st.sampled_from([1, 2, 3, 4, 5, 500]),
+    mu=st.floats(min_value=-10.0, max_value=10.0),
+    h=st.floats(min_value=0.05, max_value=2.0),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    epsilon=st.sampled_from([1e-5, 1e-13]),
+    # None, or (site, bad, k): the evaluator misbehaves at the clean run's
+    # k-th point: f there (f(x0) for k = 0, else f(candidate)), f' there, or
+    # f at its probe x + f(x).
+    faulty=st.none() | st.tuples(st.sampled_from(["f", "df", "probe"]),
+                                 st.sampled_from((*MISBEHAVIOURS, "decimal")), st.integers(0, 6)),
+)
+# Runs that random draws seldom reach.  Under "either", a step that fires both
+# stop tests at once reports the step: one such run per loop.  And the
+# residual test ends a run at its bootstrap point, under each policy.
+@example("trig", "newton", "offset_x0", "either", 500, 0.0, 0.5, 0.25, 1e-5, None)
+@example("trig", "zheng", "offset_x0", "either", 500, 2.0, 1.5, 1.0, 1e-13, None)
+@example("trig", "secant_dyn", "zheng_first_step", "either", 500, -0.5, 1.0, 0.25, 1e-5, None)
+@example("trig", "secant", "offset_x0", "either", 500, 0.5, 1.0, 0.125, 1e-5, None)
+@example("log", "secant_dyn", "zheng_first_step", "residual", 500, 0.0, 1.0, 0.1105, 1e-5, None)
+@example("log", "secant_dyn", "offset_x0", "either", 500, 0.0, 1.0, 0.1111135533097436, 1e-5,
+         None)
+def test_run_equals_the_single_loop_reference(name, scheme, bootstrap, stop_rule, max_iters,
+                                              mu, h, t, epsilon, faulty):
+    p = REPLAY_PROBLEMS[name]
+    a, b = p.domain
+    x0 = min(b, a + t * (min(b, 10.0) - a))
+    cfg = SolverConfig(scheme=scheme, mu=mu, h=h, epsilon=epsilon, max_iters=max_iters,
+                       bootstrap=bootstrap, stop_rule=stop_rule)
+    if faulty is not None:
+        site, bad, k = faulty
+        clean = _reference_run(p, cfg, x0)
+        x, fx = clean.pairs[min(k, len(clean.pairs) - 1)]
+        f, df = p.f, p.df
+        if site == "df":
+            df = _faulty(df, x, bad)
+        else:
+            f = _faulty(f, x + fx if site == "probe" else x, bad)
+        p = ProblemSpec(name="faulty", f=f, df=df, domain=p.domain, default_x0=x0)
+    ref, out = _reference_run(p, cfg, x0), run(p, cfg, x0)
+    assert type(out) is RunOutcome
+    assert (out.reason, out.iterations, repr(out.pairs)) == (
+        ref.reason, ref.iterations, repr(ref.pairs))
+
+
 def _cubic(k):
     """x^3 - 2x - 5 and its derivative times 2^k (exact short of over- or underflow)."""
     s = math.ldexp(1.0, k)
@@ -892,8 +1060,21 @@ def _results(problems):
     """Each result type's fields, and a factory that computes one afresh."""
     log = problems["log"]
     converged = lambda: _converged(problems)
+    # f(1000) overflows, so that run ends nonfinite at x0
+    blows = ProblemSpec(name="blows", f=math.expm1, domain=(-1e6, 1e6),
+                        known_root=0.0, default_x0=1000.0)
+    outcome_fields = ("reason", "iterations", "pairs", "known_root")
+    row_fields = ("problem", "scheme", "mu", "h", "x0", "verdict", "reason", "iterations",
+                  "final_x", "residual")
     return [
-        (RunOutcome, ("reason", "iterations", "pairs", "known_root"), converged),
+        (RunOutcome, outcome_fields, converged),
+        (RunOutcome, outcome_fields, lambda: run(blows, SolverConfig(scheme="secant_dyn"), 1000.0)),
+        # the bootstrap's zheng step leaves log's domain
+        (RunOutcome, outcome_fields,
+         lambda: run(log, SolverConfig(scheme="secant_dyn", mu=0.1), 3.0)),
+        (BenchmarkRow, row_fields, lambda: run_benchmark()[0]),
+        (BenchmarkRow, row_fields,
+         lambda: map_basin(log, "secant_dyn", [0.135], [5.0]).cells[0][0]),
         (IterationTrace, ("pairs", "known_root"), lambda: converged().trace),
         (OrderEstimate, ("orders", "constant_estimates"),
          lambda: estimate_order(converged().trace)),
