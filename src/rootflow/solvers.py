@@ -18,6 +18,7 @@ from .problems import (
     NONFINITE_ERRORS,
     DomainViolation,
     MissingDerivative,
+    NonFiniteValue,
     ProblemSpec,
     eval_df,
     eval_f,
@@ -196,13 +197,19 @@ class RunOutcome(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# public one-step kernels (run's flow, zheng and two-point loops, and the bootstrap taken before
-# the two-point loop, repeat their arithmetic inline; a property test pins that the two agree)
+# public one-step kernels (run's one-point loop, for flow and zheng, and its two-point loop, whose
+# step 0 is the bootstrap, repeat their arithmetic inline; a property test pins that the two agree)
 
 def _step(x: float, num: float, den: float, what: str) -> float:
-    """x - num / den, the form of every rule; DenominatorUnderflow naming ``what`` if den is 0."""
+    """x - num / den, the form of every rule.
+
+    DenominatorUnderflow naming ``what`` if den is 0, and NonFiniteValue naming it if den is not
+    a finite real: an overflowed den would make the step exactly 0.
+    """
     if den == 0.0:  # tested: numpy scalars divide by 0 without raising
         raise DenominatorUnderflow(f"{what} is 0 at x = {x!r}")
+    if not _finite_real(den):
+        raise NonFiniteValue(x, f"({what})")
     return x - num / den
 
 
@@ -280,12 +287,25 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     counts accepted steps, and ``max_iters`` bounds it: a rejected
     candidate, or a step that cannot be taken, is not counted.
 
+    A denominator that overflows to infinity makes the step exactly 0.
+    Under ``step_size`` and ``either`` the step test sees it, and the run
+    ends ``nonfinite`` with that step neither traced nor counted.  Under
+    ``residual`` no test reads the step: a one-point run repeats its point
+    until its budget is spent, and a two-point run ends
+    ``denominator_underflow`` at the next step, where its pair coincides.
+    A huge but finite denominator is the step rule's own weakness and ends
+    nothing: on x^2 - 1 from 200, ``secant_dyn`` at mu = 1e300 with the
+    ``offset_x0`` bootstrap takes a step below epsilon and "converges" at
+    199.998.
+
     x0 must lie inside the problem's domain, and a ``newton``, ``wu`` or
     ``euler_flow`` run needs ``p.df``; otherwise ``run`` raises
     ``DomainViolation`` or ``MissingDerivative``, both ``ValueError``.
-    Two-point schemes take their second starting point once, before their
-    loop, by the bootstrap policy.  That step is traced, but it is outside
-    the count, the budget and the step test; the residual test judges it.
+    ``newton``, ``euler_flow``, ``wu`` and ``zheng`` share the one-point
+    loop.  Two-point schemes take their second starting point, by the
+    bootstrap policy, as step 0 of the two-point loop.  That step is
+    traced, but it is outside the count, the budget and the step test; the
+    residual test judges it.
     """
     a, b = p.domain
     if not (a <= x0 <= b):
@@ -317,16 +337,23 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     points = [(x, fx)]
     append = points.append
     reason = REASON_MAX_ITERS
-    # One loop per rule: x - num / den with the kernels' expressions, then the same guards in
-    # the same order.  A zero den at an exact root (the quotients are 0/0) is convergence.
+    # Two loops, one per point count: x - num / den with the kernels' expressions, then one
+    # guard sequence.  A zero den at an exact root (the quotients are 0/0) is convergence.  A
+    # zero step always takes the step test's branch, so an overflowed den, which makes the step
+    # exactly 0, is caught there, off the per-step path.
     try:
-        if rule is _FLOW:
+        if rule is not _SECANT:
+            flow = rule is _FLOW
             for _ in range(max_iters):
-                g = df(x)
-                if not isfinite(g):
+                if flow:
+                    g = df(x)
+                    num, den = h * fx, mu * fx + g
+                else:
+                    g = f(x + fx)  # the probe, off-domain or not
+                    num, den = fx * fx, mu * fx * fx + (g - fx)
+                if not isfinite(g):  # (num, den) call nothing; a bad g ends nonfinite either way
                     reason = REASON_NONFINITE
                     break
-                num, den = h * fx, mu * fx + g
                 if den == 0.0:
                     reason = REASON_UNDERFLOW if fx != 0.0 else at_root
                     break
@@ -341,41 +368,24 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 append((candidate, f_cand))
                 if stop_on_step and abs(candidate - x) <= epsilon:
                     reason = REASON_STEP
-                    break
-                if stop_on_residual and abs(f_cand) <= epsilon:
-                    reason = REASON_RESIDUAL
-                    break
-                x, fx = candidate, f_cand
-        elif rule is _ZHENG:
-            for _ in range(max_iters):
-                g = f(x + fx)  # the probe, off-domain or not
-                if not isfinite(g):
-                    reason = REASON_NONFINITE
-                    break
-                num, den = fx * fx, mu * fx * fx + (g - fx)
-                if den == 0.0:
-                    reason = REASON_UNDERFLOW if fx != 0.0 else at_root
-                    break
-                candidate = x - num / den
-                if not (lo <= candidate <= hi):
-                    reason = _rejected(candidate, a, b)
-                    break
-                f_cand = f(candidate)
-                if not isfinite(f_cand):
-                    reason = REASON_NONFINITE
-                    break
-                append((candidate, f_cand))
-                if stop_on_step and abs(candidate - x) <= epsilon:
-                    reason = REASON_STEP
+                    if not isfinite(den):  # overflowed: the step is 0, and none was taken
+                        reason = REASON_NONFINITE
+                        del points[-1]
                     break
                 if stop_on_residual and abs(f_cand) <= epsilon:
                     reason = REASON_RESIDUAL
                     break
                 x, fx = candidate, f_cand
         else:
-            # The bootstrap, one pass (a break skips the loop): only the residual test judges it.
-            for _ in range(1):
-                if cfg.bootstrap == "offset_x0":  # den = 1 is exact
+            # Step 0 is the bootstrap, outside the count and the budget: a tiny bootstrap step
+            # is no sign of a root, so only the residual test judges it.
+            for step in range(max_iters + 1):
+                if step:
+                    x_prev, f_prev = x, fx
+                    x, fx = candidate, f_cand
+                    dx = x - x_prev
+                    num, den = fx * dx, mu * dx * fx + fx - f_prev
+                elif cfg.bootstrap == "offset_x0":  # den = 1 is exact
                     num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
                 else:  # a zheng step
                     g = f(x + fx)
@@ -395,33 +405,15 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                     reason = REASON_NONFINITE
                     break
                 append((candidate, f_cand))
+                if stop_on_step and abs(candidate - x) <= epsilon and step:
+                    reason = REASON_STEP
+                    if not isfinite(den):  # overflowed: the step is 0, and none was taken
+                        reason = REASON_NONFINITE
+                        del points[-1]
+                    break
                 if stop_on_residual and abs(f_cand) <= epsilon:
                     reason = REASON_RESIDUAL
                     break
-            else:
-                for _ in range(max_iters):
-                    x_prev, f_prev = x, fx
-                    x, fx = candidate, f_cand
-                    dx = x - x_prev
-                    num, den = fx * dx, mu * dx * fx + fx - f_prev
-                    if den == 0.0:
-                        reason = REASON_UNDERFLOW if fx != 0.0 else at_root
-                        break
-                    candidate = x - num / den
-                    if not (lo <= candidate <= hi):
-                        reason = _rejected(candidate, a, b)
-                        break
-                    f_cand = f(candidate)
-                    if not isfinite(f_cand):
-                        reason = REASON_NONFINITE
-                        break
-                    append((candidate, f_cand))
-                    if stop_on_step and abs(candidate - x) <= epsilon:
-                        reason = REASON_STEP
-                        break
-                    if stop_on_residual and abs(f_cand) <= epsilon:
-                        reason = REASON_RESIDUAL
-                        break
     except NONFINITE_ERRORS:
         reason = REASON_NONFINITE
 

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import random
 import struct
 import zlib
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from rootflow import (
     BOOTSTRAPS,
@@ -193,6 +195,22 @@ def test_kernels_fix_exact_roots(sq4):
     with pytest.raises(DenominatorUnderflow,
                        match=r"^mu\*f\^2 \+ f\(x\+f\) - f is 0 at x = 2\.0$"):
         zheng_step(sq4, 2.0, 0.5)
+
+
+def test_kernels_refuse_an_overflowed_denominator(sq):
+    # x^2 - 1 at 200: f = 39999, and mu f^2, mu f or mu dx f overflows.  x - num/inf would
+    # return x, a step of exactly 0.
+    with pytest.raises(NonFiniteValue,
+                       match=r"^\(mu\*f\^2 \+ f\(x\+f\) - f\)\(200\.0\) is not a finite real$"):
+        zheng_step(sq, 200.0, 1e300)
+    flow = r"^\(mu\*f \+ f'\)\(200\.0\) is not a finite real$"
+    with pytest.raises(NonFiniteValue, match=flow):
+        wu_step(sq, 200.0, 1e306)
+    with pytest.raises(NonFiniteValue, match=flow):
+        euler_flow_step(sq, 200.0, 1e306, 0.5)
+    with pytest.raises(NonFiniteValue, match=r"^\(mu\*\(x - x_prev\)\*f \+ f - f\(x_prev\)\)"
+                                             r"\(199\.998\) is not a finite real$"):
+        secant_dyn_step(sq, 200.0, 199.998, 1e307)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +407,37 @@ def test_run_nonfinite_candidate_diverges():
     assert out.reason == "nonfinite"
     assert out.iterations == 0
     assert out.final_x == 2.0
+
+
+# On x^2 - 1 from 200, where f = 39999, each denominator overflows: mu f^2 for zheng, mu f for
+# the flow rule, and mu dx f for the two-point step from the offset bootstrap's 199.998.  The
+# step is then exactly 0: (scheme, mu, bootstrap, pairs kept).
+OVERFLOWS = [("zheng", 1e300, "zheng_first_step", 1), ("wu", 1e306, "zheng_first_step", 1),
+             ("euler_flow", 1e306, "zheng_first_step", 1), ("secant_dyn", 1e307, "offset_x0", 2)]
+
+
+@pytest.mark.parametrize("stop_rule", ["step_size", "either"])
+@pytest.mark.parametrize("scheme, mu, bootstrap, kept", OVERFLOWS)
+def test_run_overflowed_denominator_is_nonfinite(sq, scheme, mu, bootstrap, kept, stop_rule):
+    cfg = SolverConfig(scheme=scheme, mu=mu, bootstrap=bootstrap, stop_rule=stop_rule)
+    out = run(sq, cfg, 200.0)
+    assert (out.reason, out.iterations) == ("nonfinite", 0)
+    assert out.pairs == [(200.0, 39999.0), (199.998, sq.f(199.998))][:kept]
+
+
+@pytest.mark.parametrize("scheme, mu, bootstrap, kept", OVERFLOWS)
+def test_run_overflowed_denominator_under_the_residual_rule(sq, scheme, mu, bootstrap, kept):
+    # No test reads the step: the one-point run repeats its point until the budget is spent,
+    # and the two-point run's next pair coincides.
+    cfg = SolverConfig(scheme=scheme, mu=mu, bootstrap=bootstrap, stop_rule="residual",
+                       max_iters=5)
+    out = run(sq, cfg, 200.0)
+    if kept == 1:
+        assert (out.reason, out.iterations) == ("max_iters_reached", 5)
+        assert out.pairs == [(200.0, 39999.0)] * 6
+    else:
+        assert (out.reason, out.iterations) == ("denominator_underflow", 1)
+        assert [x for x, _ in out.pairs] == [200.0, 199.998, 199.998]
 
 
 @pytest.mark.parametrize("bootstrap, mu, epsilon, stop_rule, reason", [
@@ -948,6 +997,163 @@ def test_run_equals_the_single_loop_reference(name, scheme, bootstrap, stop_rule
     assert type(out) is RunOutcome
     assert (out.reason, out.iterations, repr(out.pairs)) == (
         ref.reason, ref.iterations, repr(ref.pairs))
+
+
+# ---------------------------------------------------------------------------
+# draws that reach every exit of run's two loops
+
+# The reference property's draws (mu in [-10, 10], x0 anywhere up to 10) seldom converge, and
+# never fire both stop tests on one step or end a two-point run in its bootstrap step.  So
+# _exit_case draws four kinds, with these problems:
+# - "far": x0 and mu as the reference property draws them;
+# - "near": x0 a few steps from the root, or on it, and mu near the curated BENCH_MU values or
+#   where a one-point rule's error constant cancels.  Half of those runs take the epsilon at
+#   which one of their steps fires both stop tests;
+# - "huge": |mu| in [1e250, 1e308] on the cubic, where |f| reaches 1e36 inside ESCAPE_BOUND, so
+#   that a denominator can overflow;
+# - "tail": starts from which a run walks away: exp's flat tail, where zheng's probe x + f(x)
+#   rounds to x, and atan beyond |x| = 1.39, where each Newton step lands farther out.
+EXIT_PROBLEMS = {**REPLAY_PROBLEMS, "atan": ProblemSpec(
+    name="atan", f=math.atan, df=lambda x: 1.0 / (1.0 + x * x), domain=(-1e15, 1e15),
+    known_root=0.0, default_x0=0.5)}
+
+
+def _near(root, c, big_f, *bench_mu):
+    """The root, and the mu a near draw centres on, with c = f''/(2f') and F = f' at the root:
+    the two-point scheme's BENCH_MU value, -c, which cancels the flow rule's constant c + mu,
+    and -c(1+F), which cancels zheng's c(1+F) + mu (BENCH_MU's zheng values on the built-in
+    problems)."""
+    return root, (*bench_mu, -c, -c * (1.0 + big_f))
+
+
+CUBIC_ROOT = 2.0945514815423265
+NEAR = {
+    "atan": _near(0.0, 0.0, 1.0),
+    "log": _near(1.0, -0.5, 1.0, 0.135),
+    "exp": _near(1.0, -1.0, 1.0 / math.e, 1.18),
+    "trig": _near(math.pi / 6.0, -math.sqrt(3.0) / 6.0, math.sqrt(3.0), 2.65),
+    "cubic": _near(CUBIC_ROOT, 3.0 * CUBIC_ROOT / (3.0 * CUBIC_ROOT ** 2 - 2.0),
+                   3.0 * CUBIC_ROOT ** 2 - 2.0),
+}
+
+
+def _exit_case(r):
+    """(problem, config, x0) drawn through the random.Random ``r``: a reference-property draw, a
+    near-root, huge-mu or tail one, and a third of them with a faulty evaluator."""
+    kind = r.choice(("far", "near", "near", "near", "huge", "tail"))
+    name = (r.choice(sorted(EXIT_PROBLEMS)) if kind in ("far", "near") else
+            "cubic" if kind == "huge" else r.choice(("exp", "atan")))
+    p = EXIT_PROBLEMS[name]
+    a, b = p.domain
+    if kind == "far":
+        x0 = min(b, a + r.random() * (min(b, 10.0) - a))
+        mu = r.uniform(-10.0, 10.0)
+    elif kind == "huge":
+        x0 = r.choice((-1, 1)) * 10.0 ** r.uniform(6.0, 12.0)
+        mu = r.choice((-1, 1)) * 10.0 ** r.uniform(250.0, 308.0)
+    else:
+        root, centres = NEAR[name]
+        mu = r.choice((0.0, *centres)) + r.choice((0.0, r.uniform(-0.25, 0.25)))
+        if kind == "near":
+            d = r.choice((0.0, -1.0, 1.0, -1.0, 1.0)) * 2.0 ** r.uniform(-55.0, 2.0)
+            x0 = min(b, max(a, root + d))
+        else:
+            x0 = (r.uniform(30.0, 50.0) if name == "exp" else
+                  r.choice((-1, 1)) * r.uniform(1.4, 8.0))
+    cfg = SolverConfig(scheme=r.choice(SCHEMES), mu=mu, h=r.uniform(0.05, 2.0),
+                       epsilon=r.choice((1e-5, 1e-13)), max_iters=r.choice((1, 2, 3, 60, 60, 60)),
+                       bootstrap=r.choice(BOOTSTRAPS), stop_rule=r.choice(STOP_RULES))
+    pairs = _reference_run(p, cfg, x0).pairs
+    if kind == "near" and len(pairs) > 1 and r.random() < 0.5:
+        # Under "either", the epsilon at which some step of this run fires both stop tests.  A
+        # two-point run's offset bootstrap moves with epsilon, so there it is only roughly that.
+        k = r.randrange(1, len(pairs))
+        (x, _), (x_next, f_next) = pairs[k - 1], pairs[k]
+        epsilon = max(abs(x_next - x), abs(f_next))
+        if 0.0 < epsilon < math.inf:
+            cfg = dataclasses.replace(cfg, epsilon=epsilon, stop_rule="either")
+    if r.random() < 1.0 / 3.0:
+        site, bad = r.choice(("f", "df", "probe")), r.choice((*MISBEHAVIOURS, "decimal"))
+        x, fx = pairs[min(r.randrange(7), len(pairs) - 1)]
+        f, df = p.f, p.df
+        if site == "df":
+            df = _faulty(df, x, bad)
+        else:
+            f = _faulty(f, x + fx if site == "probe" else x, bad)
+        p = ProblemSpec(name="faulty", f=f, df=df, domain=p.domain, default_x0=x0)
+    return p, cfg, x0
+
+
+def _expected_run(p, cfg, x0):
+    """The reference's outcome under the overflow rule, and whether that rule applied.
+
+    The reference steps to x - num/inf = x, and its step test then reports convergence.  run
+    ends such a step nonfinite instead, with the step neither traced nor counted.  The public
+    kernel recognises the step: it raises NonFiniteValue for a denominator that is not finite.
+    """
+    ref = _reference_run(p, cfg, x0)
+    xs = [x for x, _ in ref.pairs]
+    if ref.reason == REASON_STEP and len(xs) > 1 and xs[-1] == xs[-2]:
+        try:
+            _kernel_next(p, cfg, xs[:-1])
+        except NonFiniteValue:
+            return RunOutcome(REASON_NONFINITE, ref.iterations - 1, ref.pairs[:-1],
+                              ref.known_root), True
+    return ref, False
+
+
+def _exit_label(cfg, out, overflowed):
+    """Which exit a run took: its loop and reason, and what set the exit apart."""
+    two_point = _SCHEME_TABLE[cfg.scheme][0] is _SECANT
+    label = f"{'two' if two_point else 'one'}-point loop: {out.reason}"
+    if overflowed:
+        label += ", overflowed denominator"
+    elif out.converged and out.final_fx == 0.0:
+        label += ", at an exact root"
+    elif (out.reason == REASON_STEP and cfg.stop_rule == "either"
+          and abs(out.final_fx) <= cfg.epsilon):
+        label += ", both stop tests fired"
+    # Step 0 ends with the bootstrap point untraced, or traced and passing the residual test.
+    if two_point and (len(out.pairs) == 1
+                      or len(out.pairs) == 2 and out.reason == REASON_RESIDUAL):
+        label += ", in the bootstrap step"
+    return label
+
+
+# Every exit of run, as _exit_label names it.  The step test never judges a bootstrap step, a
+# run cannot spend its budget there, and an overflowed step can end only a later step.
+_EXITS = ["step_below_epsilon", "step_below_epsilon, at an exact root",
+          "step_below_epsilon, both stop tests fired", "residual_below_epsilon",
+          "residual_below_epsilon, at an exact root", "nonfinite",
+          "nonfinite, overflowed denominator", "domain_violation", "escape_bound_exceeded",
+          "denominator_underflow", "max_iters_reached"]
+_BOOTSTRAP_EXITS = ["step_below_epsilon, at an exact root", "residual_below_epsilon",
+                    "residual_below_epsilon, at an exact root", "nonfinite", "domain_violation",
+                    "escape_bound_exceeded", "denominator_underflow"]
+EXITS = {*(f"one-point loop: {e}" for e in _EXITS), *(f"two-point loop: {e}" for e in _EXITS),
+         *(f"two-point loop: {e}, in the bootstrap step" for e in _BOOTSTRAP_EXITS)}
+
+
+def test_exit_draws_reach_every_exit():
+    # A fixed seed, so that the count is the same on every run.
+    r = random.Random(1)
+    counts = Counter()
+    for _ in range(10_000):
+        p, cfg, x0 = _exit_case(r)
+        counts[_exit_label(cfg, *_expected_run(p, cfg, x0))] += 1
+    assert set(counts) == EXITS
+    assert {label: n for label, n in counts.items() if n < 10} == {}
+
+
+@settings(max_examples=400)
+@given(r=st.randoms(use_true_random=True))
+def test_run_takes_the_reference_exit(r):
+    p, cfg, x0 = _exit_case(r)
+    expected, overflowed = _expected_run(p, cfg, x0)
+    event(_exit_label(cfg, expected, overflowed))
+    out = run(p, cfg, x0)
+    assert (out.reason, out.iterations, repr(out.pairs)) == (
+        expected.reason, expected.iterations, repr(expected.pairs))
 
 
 def _cubic(k):
