@@ -276,23 +276,21 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     Convergence is declared by the configured stop rule: ``step_size`` tests
     |x_{n+1} - x_n| <= epsilon, ``residual`` tests |f(x_{n+1})| <= epsilon,
     ``either`` accepts whichever fires first (step reported when both fire
-    at once).  A step that cannot be taken, because its denominator is
-    exactly zero, ends the run converged when the current point is an exact
-    root (f(x) == 0; reported as the stop rule's own reason), and
-    ``denominator_underflow`` anywhere else.  A domain exit, an escape
-    beyond ``ESCAPE_BOUND`` or a ``nonfinite`` step (a value that is not a
+    at once).  A step cannot be taken when its denominator is 0 or not a
+    finite real, and ``run`` then applies the kernels' rule before it
+    evaluates the candidate, under every stop rule and in the bootstrap: a
+    denominator of 0 ends the run converged when the current point is an
+    exact root (f(x) == 0; reported as the stop rule's own reason) and
+    ``denominator_underflow`` anywhere else, and one that is not a finite
+    real (a bad f' or probe, or an overflow, which would make the step
+    exactly 0) ends it ``nonfinite``.  A domain exit, an escape beyond
+    ``ESCAPE_BOUND`` or any other ``nonfinite`` step (a value that is not a
     finite real, or a raise in the step, as from a ``Decimal`` meeting a
     float) yields ``divergence``; an exhausted budget, ``exhausted``.  The
     trace records every accepted iterate, starting with x0.  ``iterations``
     counts accepted steps, and ``max_iters`` bounds it: a rejected
     candidate, or a step that cannot be taken, is not counted.
 
-    A denominator that overflows to infinity makes the step exactly 0.
-    Under ``step_size`` and ``either`` the step test sees it, and the run
-    ends ``nonfinite`` with that step neither traced nor counted.  Under
-    ``residual`` no test reads the step: a one-point run repeats its point
-    until its budget is spent, and a two-point run ends
-    ``denominator_underflow`` at the next step, where its pair coincides.
     A huge but finite denominator is the step rule's own weakness and ends
     nothing: on x^2 - 1 from 200, ``secant_dyn`` at mu = 1e300 with the
     ``offset_x0`` bootstrap takes a step below epsilon and "converges" at
@@ -338,9 +336,9 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     append = points.append
     reason = REASON_MAX_ITERS
     # Two loops, one per point count: x - num / den with the kernels' expressions, then one
-    # guard sequence.  A zero den at an exact root (the quotients are 0/0) is convergence.  A
-    # zero step always takes the step test's branch, so an overflowed den, which makes the step
-    # exactly 0, is caught there, off the per-step path.
+    # guard sequence.  Its den tests are _step's, before f(candidate): a den that is not finite
+    # (a bad g, or an overflow) is nonfinite, and a zero den is underflow, or convergence at an
+    # exact root (the quotients are 0/0).
     try:
         if rule is not _SECANT:
             flow = rule is _FLOW
@@ -351,7 +349,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 else:
                     g = f(x + fx)  # the probe, off-domain or not
                     num, den = fx * fx, mu * fx * fx + (g - fx)
-                if not isfinite(g):  # (num, den) call nothing; a bad g ends nonfinite either way
+                if not isfinite(den):
                     reason = REASON_NONFINITE
                     break
                 if den == 0.0:
@@ -368,9 +366,6 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 append((candidate, f_cand))
                 if stop_on_step and abs(candidate - x) <= epsilon:
                     reason = REASON_STEP
-                    if not isfinite(den):  # overflowed: the step is 0, and none was taken
-                        reason = REASON_NONFINITE
-                        del points[-1]
                     break
                 if stop_on_residual and abs(f_cand) <= epsilon:
                     reason = REASON_RESIDUAL
@@ -389,10 +384,10 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                     num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
                 else:  # a zheng step
                     g = f(x + fx)
-                    if not isfinite(g):
-                        reason = REASON_NONFINITE
-                        break
                     num, den = fx * fx, mu * fx * fx + (g - fx)
+                if not isfinite(den):
+                    reason = REASON_NONFINITE
+                    break
                 if den == 0.0:
                     reason = REASON_UNDERFLOW if fx != 0.0 else at_root
                     break
@@ -407,9 +402,6 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 append((candidate, f_cand))
                 if stop_on_step and abs(candidate - x) <= epsilon and step:
                     reason = REASON_STEP
-                    if not isfinite(den):  # overflowed: the step is 0, and none was taken
-                        reason = REASON_NONFINITE
-                        del points[-1]
                     break
                 if stop_on_residual and abs(f_cand) <= epsilon:
                     reason = REASON_RESIDUAL

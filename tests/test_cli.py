@@ -83,6 +83,22 @@ def test_solve_prints_the_accepted_steps(capsys, argv, verdict, reason, iteratio
     assert f"verdict    : {verdict} ({reason})\niterations : {iterations}\n" in out
 
 
+@pytest.mark.parametrize("argv, rows, reason", [
+    # an overflowed denominator ends the run before its step, under the residual rule too,
+    (["--problem", "log", "--scheme", "zheng", "--mu", "1e308", "--stop-rule", "residual"],
+     1, "nonfinite"),
+    # and in the zheng_first_step bootstrap;
+    (["--problem", "log", "--scheme", "secant-dyn", "--mu", "1e308"], 1, "nonfinite"),
+    # a huge but finite one rounds the bootstrap step to 0, and the next pair coincides
+    (["--problem", "log", "--scheme", "secant-dyn", "--mu", "1e300"], 2, "denominator_underflow"),
+], ids=["zheng-residual", "secant-dyn-bootstrap", "secant-dyn-finite"])
+def test_solve_huge_mu(capsys, argv, rows, reason):
+    code, out, _ = run_cli(capsys, ["solve", *argv, "--expect-converge"])
+    assert code == 1
+    assert len(re.findall(r"^ +\d+  ", out, re.MULTILINE)) == rows
+    assert f"verdict    : divergence ({reason})\niterations : 0\n" in out
+
+
 def test_solve_expect_converge_exit_code(capsys):
     code, _, _ = run_cli(capsys, [
         "solve", "--problem", "log", "--scheme", "newton", "--expect-converge"])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import struct
 import zlib
 from collections import Counter
@@ -409,35 +410,43 @@ def test_run_nonfinite_candidate_diverges():
     assert out.final_x == 2.0
 
 
-# On x^2 - 1 from 200, where f = 39999, each denominator overflows: mu f^2 for zheng, mu f for
-# the flow rule, and mu dx f for the two-point step from the offset bootstrap's 199.998.  The
-# step is then exactly 0: (scheme, mu, bootstrap, pairs kept).
+# On x^2 - 1 from 200, where f = 39999, each denominator overflows: mu f^2 for zheng and for the
+# zheng_first_step bootstrap, mu f for the flow rule, and mu dx f for the two-point step from the
+# offset bootstrap's 199.998.  The step would be exactly 0: (scheme, mu, bootstrap, pairs kept).
 OVERFLOWS = [("zheng", 1e300, "zheng_first_step", 1), ("wu", 1e306, "zheng_first_step", 1),
-             ("euler_flow", 1e306, "zheng_first_step", 1), ("secant_dyn", 1e307, "offset_x0", 2)]
+             ("euler_flow", 1e306, "zheng_first_step", 1), ("secant_dyn", 1e307, "offset_x0", 2),
+             ("secant_dyn", 1e300, "zheng_first_step", 1)]
 
 
-@pytest.mark.parametrize("stop_rule", ["step_size", "either"])
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
 @pytest.mark.parametrize("scheme, mu, bootstrap, kept", OVERFLOWS)
 def test_run_overflowed_denominator_is_nonfinite(sq, scheme, mu, bootstrap, kept, stop_rule):
+    calls = []
+    p = dataclasses.replace(sq, f=lambda x: calls.append(x) or sq.f(x))
+    calls.clear()  # construction checks f at the known root
     cfg = SolverConfig(scheme=scheme, mu=mu, bootstrap=bootstrap, stop_rule=stop_rule)
-    out = run(sq, cfg, 200.0)
+    out = run(p, cfg, 200.0)
     assert (out.reason, out.iterations) == ("nonfinite", 0)
     assert out.pairs == [(200.0, 39999.0), (199.998, sq.f(199.998))][:kept]
+    xs = [x for x, _ in out.pairs]
+    # f is asked once at each kept point, besides zheng's probe 200 + 39999, and never at the
+    # candidate x - num/inf, which would be the last point again.
+    assert [x for x in calls if x != 40199.0] == xs
+    # The public kernel refuses the same step, naming its denominator.
+    with pytest.raises(NonFiniteValue,
+                       match=rf"^\(mu\*.*\)\({re.escape(repr(xs[-1]))}\) is not a finite real$"):
+        _kernel_next(sq, cfg, xs)
 
 
 @pytest.mark.parametrize("scheme, mu, bootstrap, kept", OVERFLOWS)
 def test_run_overflowed_denominator_under_the_residual_rule(sq, scheme, mu, bootstrap, kept):
-    # No test reads the step: the one-point run repeats its point until the budget is spent,
-    # and the two-point run's next pair coincides.
+    # No test reads the step under this rule, so the overflow alone must end the run: it neither
+    # repeats its point until the budget is spent nor meets a coincident pair.
     cfg = SolverConfig(scheme=scheme, mu=mu, bootstrap=bootstrap, stop_rule="residual",
                        max_iters=5)
     out = run(sq, cfg, 200.0)
-    if kept == 1:
-        assert (out.reason, out.iterations) == ("max_iters_reached", 5)
-        assert out.pairs == [(200.0, 39999.0)] * 6
-    else:
-        assert (out.reason, out.iterations) == ("denominator_underflow", 1)
-        assert [x for x, _ in out.pairs] == [200.0, 199.998, 199.998]
+    assert (out.verdict, out.reason, out.iterations) == ("divergence", "nonfinite", 0)
+    assert [x for x, _ in out.pairs] == [200.0, 199.998][:kept]
 
 
 @pytest.mark.parametrize("bootstrap, mu, epsilon, stop_rule, reason", [
@@ -1087,17 +1096,22 @@ def _exit_case(r):
 def _expected_run(p, cfg, x0):
     """The reference's outcome under the overflow rule, and whether that rule applied.
 
-    The reference steps to x - num/inf = x, and its step test then reports convergence.  run
-    ends such a step nonfinite instead, with the step neither traced nor counted.  The public
-    kernel recognises the step: it raises NonFiniteValue for a denominator that is not finite.
+    At an overflowed denominator the reference steps to x - num/inf = x and traces that step of
+    exactly 0, under every stop rule and in the bootstrap; its step test may call it
+    convergence, or the run goes on from there.  run ends the run nonfinite at the first such
+    step instead, before it evaluates the candidate, so that step is neither traced nor counted.  The public kernel recognises the step: it raises NonFiniteValue
+    for a denominator that is not finite.
     """
     ref = _reference_run(p, cfg, x0)
     xs = [x for x, _ in ref.pairs]
-    if ref.reason == REASON_STEP and len(xs) > 1 and xs[-1] == xs[-2]:
+    for k in range(1, len(xs)):
+        if xs[k] != xs[k - 1]:
+            continue
         try:
-            _kernel_next(p, cfg, xs[:-1])
+            _kernel_next(p, cfg, xs[:k])
         except NonFiniteValue:
-            return RunOutcome(REASON_NONFINITE, ref.iterations - 1, ref.pairs[:-1],
+            bootstrap_pair = _SCHEME_TABLE[cfg.scheme][0] is _SECANT and k > 1
+            return RunOutcome(REASON_NONFINITE, k - 1 - bootstrap_pair, ref.pairs[:k],
                               ref.known_root), True
     return ref, False
 
@@ -1120,15 +1134,16 @@ def _exit_label(cfg, out, overflowed):
     return label
 
 
-# Every exit of run, as _exit_label names it.  The step test never judges a bootstrap step, a
-# run cannot spend its budget there, and an overflowed step can end only a later step.
+# Every exit of run, as _exit_label names it.  The step test never judges a bootstrap step, and a
+# run cannot spend its budget there.
 _EXITS = ["step_below_epsilon", "step_below_epsilon, at an exact root",
           "step_below_epsilon, both stop tests fired", "residual_below_epsilon",
           "residual_below_epsilon, at an exact root", "nonfinite",
           "nonfinite, overflowed denominator", "domain_violation", "escape_bound_exceeded",
           "denominator_underflow", "max_iters_reached"]
 _BOOTSTRAP_EXITS = ["step_below_epsilon, at an exact root", "residual_below_epsilon",
-                    "residual_below_epsilon, at an exact root", "nonfinite", "domain_violation",
+                    "residual_below_epsilon, at an exact root", "nonfinite",
+                    "nonfinite, overflowed denominator", "domain_violation",
                     "escape_bound_exceeded", "denominator_underflow"]
 EXITS = {*(f"one-point loop: {e}" for e in _EXITS), *(f"two-point loop: {e}" for e in _EXITS),
          *(f"two-point loop: {e}, in the bootstrap step" for e in _BOOTSTRAP_EXITS)}
