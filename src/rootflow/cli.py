@@ -82,6 +82,10 @@ _FLAGS = {
     "--grid-output": dict(help="also write the dense C<iters>/D matrix to this file"),
 }
 
+# The flags whose value is a number, or a comma-separated list of numbers.
+_NUMERIC_FLAGS = {"--mu", "--h", "--x0", "--epsilon", "--max-iters", "--mu-values", "--h-values",
+                  "--x0-count"}
+
 
 def _emit(text: str, output: str) -> None:
     try:
@@ -205,6 +209,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    """Whether token is a negative number, or a list whose first item is one."""
+    try:
+        float(token.split(",", 1)[0])
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each numeric flag joined to a negative value after it, as ``--mu=-1e-3``.
+    argparse takes a token that starts with "-" for a flag unless it is a plain decimal such as
+    -1 or -.5, so it would refuse ``--mu -1e-3`` or ``--mu-values -0.5,1``."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _NUMERIC_FLAGS and _is_negative_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out, err = io.StringIO(), io.StringIO()  # held until the loop at the end writes them
@@ -215,7 +241,7 @@ def main(argv=None) -> int:
             # flag is set aside and its value is read as the subcommand.
             if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
                 parser.error(f"unrecognized arguments: {argv[0]}")
-            args, unread = parser.parse_known_args(argv)
+            args, unread = parser.parse_known_args(_join_negative_values(argv))
             if unread:
                 # parse_args would report them with the top-level usage, not the subcommand's.
                 args.subparser.error("unrecognized arguments: " + " ".join(unread))

@@ -261,6 +261,36 @@ def test_bad_flag_values_are_usage_errors(capsys, flag):
     assert err.count("\n") == 1
 
 
+# A negative value of each numeric flag that is not a plain decimal such as -1 or -.5, which
+# argparse alone reads as a flag; the exit code and the start of stdout, or stderr on exit 2.
+NEGATIVE_VALUES = {
+    "--mu": (["solve", "--problem", "exp", "--scheme", "wu", "--mu", "-1e-3", "--x0", "3"],
+             0, "   n  x_n"),
+    "--h": (["solve", "--problem", "log", "--scheme", "euler", "--h", "-1e-3"],
+            2, "rootflow: h must be positive and finite\n"),
+    "--x0": (["solve", "--problem", "exp", "--scheme", "zheng", "--x0", "-5e-1"], 0, "   n  x_n"),
+    "--epsilon": (["bench", "--epsilon", "-1e-3"], 2, "rootflow: epsilon must"),
+    "--max-iters": (["order", "--problem", "log", "--max-iters", "-1_0"],
+                    2, "rootflow: max iters must be at least 1\n"),
+    "--mu-values": (["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "-0.5,1"],
+                    0, CSV_HEADER + "\nlog,zheng,-0.5,"),
+    "--h-values": (["sweep-h", "--problem", "log", "--h-values", "-1e-1,1"], 2, "rootflow: h must"),
+    "--x0-count": (["basin", "--problem", "log", "--scheme", "newton", "--mu-values", "0",
+                    "--x0-count", "-1_0"], 2, "rootflow: x0 count must be at least 1\n"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NEGATIVE_VALUES))
+def test_numeric_flags_take_negative_values(capsys, flag):
+    argv, code, start = NEGATIVE_VALUES[flag]
+    result = run_cli(capsys, argv)
+    assert result[0] == code
+    assert result[1 if code == 0 else 2].startswith(start)
+    # the same as the flag=value form, which argparse reads whatever the value
+    i = argv.index(flag)
+    assert run_cli(capsys, [*argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2:]]) == result
+
+
 UNWRITABLE_OUTPUTS = {
     "bench --output": ["bench", "--output"],
     "solve --output": ["solve", "--problem", "log", "--scheme", "newton", "--output"],

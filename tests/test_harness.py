@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -23,6 +24,7 @@ from rootflow import (
     sweep_h,
     sweep_mu,
 )
+from rootflow import harness
 from rootflow.harness import BENCH_EXPECTED_VERDICTS, CSV_HEADER
 from rootflow.solvers import CONVERGED_REASONS, REASON_MAX_ITERS, REASON_NONFINITE
 
@@ -204,6 +206,30 @@ def test_basin_cells_are_the_rows_a_sweep_makes(problems):
     [line] = basin_to_csv(grid).strip().split("\n")[1:]
     assert line.split(",")[3] == "0.5"
     assert line == rows_to_csv(sweep_h(problems["log"], 0.135, [0.5], 5.0)).strip().split("\n")[1]
+
+
+def test_each_cell_and_row_is_one_call_of_harness_run(monkeypatch, problems):
+    # perfbench wraps harness.run to count and check each outcome, so a cell
+    # or row made without calling that name would skip its checks.
+    calls = Counter()
+    real_run = harness.run
+
+    def counting_run(p, cfg, x0):
+        calls[cfg.mu, cfg.h, x0] += 1
+        return real_run(p, cfg, x0)
+
+    monkeypatch.setattr("rootflow.harness.run", counting_run)
+    log = problems["log"]
+    grid = map_basin(log, "zheng", [0.5, 1.0, 2.0], default_x0_axis(log, 7))
+    assert calls == Counter((mu, 1.0, x0) for mu in grid.mu_axis for x0 in grid.x0_axis)
+    calls.clear()
+    mu_values = [0.1, 0.135, 0.5, 1.0]
+    sweep_mu(log, "secant_dyn", mu_values, 5.0)
+    assert calls == Counter((mu, 1.0, 5.0) for mu in mu_values)
+    calls.clear()
+    h_values = [0.05, 0.5, 1.0]
+    sweep_h(log, 0.135, h_values, 5.0)
+    assert calls == Counter((0.135, h, 5.0) for h in h_values)
 
 
 def test_rows_name_the_mu_and_h_the_run_used(problems):
