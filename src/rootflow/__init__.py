@@ -53,45 +53,9 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOOTSTRAPS",
-    "BasinGrid",
-    "BenchmarkRow",
-    "ConvergenceReport",
-    "DenominatorUnderflow",
-    "DerivativeZero",
-    "DomainViolation",
-    "InsufficientData",
-    "IterationTrace",
-    "MissingDerivative",
-    "NonFiniteValue",
-    "OrderEstimate",
-    "ProblemSpec",
-    "RunOutcome",
-    "SCHEMES",
-    "STOP_RULES",
-    "SolverConfig",
-    "TracePoint",
-    "basin_to_csv",
-    "basin_to_grid_text",
-    "benchmark_verdicts_match",
-    "builtin_problems",
-    "default_x0_axis",
-    "estimate_order",
-    "eval_f",
-    "eval_f_unchecked",
-    "euler_flow_step",
-    "map_basin",
-    "newton_step",
-    "predicted_constant",
-    "rows_to_csv",
-    "run",
-    "run_benchmark",
-    "secant_dyn_step",
-    "secant_step",
-    "sweep_h",
-    "sweep_mu",
-    "verify_quadratic_convergence",
-    "wu_step",
-    "zheng_step",
-]
+# Every public name the imports above bind, submodules aside, so each is stated once.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(problems))
+)
