@@ -67,10 +67,13 @@ class ProblemSpec:
             and by the error-constant oracle.
         known_root: a solution x* with f(x*) = 0, used for error tracking.
 
-    Construction checks the spec: a ``default_x0`` or ``known_root``
-    outside the domain raises DomainViolation named after the field, an
-    f(known_root) that is not a finite real raises NonFiniteValue, and a
-    residual that is too large raises ValueError.  An exact f(x*) == 0
+    Construction checks the spec: a ``domain`` that is not a pair with
+    a < b, or a ``default_x0`` or ``known_root`` that does not compare with
+    it (None, a complex, a str), raises ValueError naming the field; a
+    ``default_x0`` or ``known_root`` outside the domain raises
+    DomainViolation named after the field, an f(known_root) that is not a
+    finite real raises NonFiniteValue, and a residual that is too large
+    raises ValueError.  An exact f(x*) == 0
     always passes.  With ``df`` the bound is |f(x*)| <= ROOT_RESIDUAL_TOL *
     max(1, |x*|) * |f'(x*)|, a Newton correction at x* of at most 1e-12
     relative, and f'(x*) passes the same guard as f; without ``df`` it is
@@ -91,14 +94,19 @@ class ProblemSpec:
         if any(c in self.name for c in ',"\n\r'):  # it is an unquoted CSV field
             raise ValueError("name must not contain a comma, a quote or a line break, "
                              f"got {self.name!r}")
-        a, b = self.domain
-        if not (a < b):
+        try:
+            a, b = self.domain
+            ordered = a < b
+        except (TypeError, ValueError):
+            raise ValueError("domain must be a pair (a, b) with a < b, "
+                             f"got {self.domain!r}") from None
+        if not ordered:
             raise ValueError(f"domain must satisfy a < b, got [{a!r}, {b!r}]")
-        if not (a <= self.default_x0 <= b):
+        if not _within(self.default_x0, a, b, "default_x0"):
             raise DomainViolation(self.default_x0, self.domain, "default_x0")
         root = self.known_root
         if root is not None:
-            if not (a <= root <= b):
+            if not _within(root, a, b, "known_root"):
                 raise DomainViolation(root, self.domain, "known_root")
             # The one guard judges f(known_root) as it does every f value.
             residual = _finite(self.f, root, "f")
@@ -112,6 +120,15 @@ class ProblemSpec:
                     scale = "" if self.df is None else f" * max(1, |x*|) * |f'(x*)| = {bound:.3e}"
                     raise ValueError(f"|f(known_root)| = {abs(residual):.3e} exceeds "
                                      f"{ROOT_RESIDUAL_TOL:.0e}{scale}")
+
+
+def _within(x, a, b, name: str) -> bool:
+    """a <= x <= b, or a ValueError naming ``name`` if x and the domain do not compare."""
+    try:
+        return a <= x <= b
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} = {x!r} cannot be compared with the domain "
+                         f"[{a!r}, {b!r}]") from None
 
 
 def eval_f(p: ProblemSpec, x: float) -> float:

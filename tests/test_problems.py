@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 from dataclasses import replace
 
 import pytest
@@ -128,6 +130,24 @@ def test_spec_validation():
     f = lambda x: x
     with pytest.raises(ValueError, match=r"domain must satisfy a < b"):
         ProblemSpec(name="bad", f=f, domain=(2.0, 1.0), default_x0=1.5)
+    # a field of the wrong shape or type is a ValueError naming that field, not a raw unpacking
+    # or comparison error
+    for domain in ((0.0, 1.0, 2.0), (0.0,), None, 1.0, (None, 1.0), (0.0, 1j)):
+        with pytest.raises(ValueError, match=r"^domain must be a pair \(a, b\) with a < b, got "):
+            ProblemSpec(name="bad", f=f, domain=domain, default_x0=0.5)
+    for x0 in (None, 0.5j, "0.5"):
+        with pytest.raises(ValueError, match=rf"^default_x0 = {re.escape(repr(x0))} cannot be "
+                                             r"compared with the domain \[0\.0, 1\.0\]$"):
+            ProblemSpec(name="bad", f=f, domain=(0.0, 1.0), default_x0=x0)
+    for root in ("1", 1j, [1.0]):
+        with pytest.raises(ValueError, match=rf"^known_root = {re.escape(repr(root))} cannot be "
+                                             r"compared with the domain \[0\.0, 2\.0\]$"):
+            ProblemSpec(name="bad", f=f, domain=(0.0, 2.0), default_x0=0.5, known_root=root)
+    # what compares as a real still builds: ints, a Fraction, a list or an infinite domain
+    for domain, x0, root in (((0, 2), 1, 0), ([0.0, 2.0], Fraction(1, 2), 0.0),
+                             ((-math.inf, math.inf), 0.5, Fraction(0))):
+        spec = ProblemSpec(name="ok", f=f, domain=domain, default_x0=x0, known_root=root)
+        assert (spec.domain, spec.default_x0, spec.known_root) == (domain, x0, root)
     # the name is an unquoted CSV field: a comma, a quote or a line break
     # would corrupt its row
     for name in ("a,b", "a\nb", "a\rb", ",", '"q', 'a"b'):

@@ -47,7 +47,6 @@ from rootflow import solvers
 from rootflow.harness import _row
 from rootflow.problems import NONFINITE_ERRORS
 from rootflow.solvers import (
-    _FLOW,
     _SCHEME_TABLE,
     _SECANT,
     CONVERGED_REASONS,
@@ -554,11 +553,8 @@ def test_run_is_deterministic(problems):
     assert a == b
 
 
-# run's loop repeats the kernels' arithmetic inline; the public kernels are
-# the reference it must match bit for bit.
-REPLAY_PROBLEMS = {**builtin_problems(), "cubic": ProblemSpec(
-    name="cubic", f=lambda x: x ** 3 - 2.0 * x - 5.0, df=lambda x: 3.0 * x * x - 2.0,
-    domain=(-1e15, 1e15), default_x0=2.0)}
+# run's loops repeat the kernels' arithmetic inline.  _kernel_run, below, takes every step with
+# the public kernels instead, and run must equal it bit for bit.
 KERNELS = {
     "newton": lambda p, xs, mu, h: newton_step(p, xs[-1]),
     "euler_flow": lambda p, xs, mu, h: euler_flow_step(p, xs[-1], mu, h),
@@ -577,38 +573,6 @@ def _kernel_next(p, cfg, xs):
             return zheng_step(p, xs[0], mu)
         return xs[0] - math.copysign(1.0, eval_f(p, xs[0])) * cfg.epsilon * max(1.0, abs(xs[0]))
     return KERNELS[cfg.scheme](p, xs, mu, h)
-
-
-@given(
-    name=st.sampled_from(sorted(REPLAY_PROBLEMS)),
-    scheme=st.sampled_from(SCHEMES),
-    bootstrap=st.sampled_from(BOOTSTRAPS),
-    stop_rule=st.sampled_from(STOP_RULES),
-    mu=st.floats(min_value=-10.0, max_value=10.0),
-    h=st.floats(min_value=0.05, max_value=2.0),
-    t=st.floats(min_value=0.0, max_value=1.0),
-    epsilon=st.sampled_from([1e-5, 1e-13]),
-)
-def test_trace_replays_bit_for_bit(name, scheme, bootstrap, stop_rule, mu, h, t, epsilon):
-    p = REPLAY_PROBLEMS[name]
-    a, b = p.domain
-    x0 = min(b, a + t * (min(b, 10.0) - a))
-    cfg = SolverConfig(scheme=scheme, mu=mu, h=h, epsilon=epsilon, bootstrap=bootstrap,
-                       stop_rule=stop_rule)
-    out = run(p, cfg, x0)
-    xs = [x for x, _ in out.pairs]
-    assert [fx for _, fx in out.pairs] == [p.f(x) for x in xs]
-    for k in range(1, len(xs)):
-        assert _kernel_next(p, cfg, xs[:k]) == xs[k]
-    # The step that ended the run agrees too: a zero denominator, or a
-    # candidate the driver rejected for the reason it gave.
-    if out.reason == "denominator_underflow":
-        with pytest.raises(DenominatorUnderflow):
-            _kernel_next(p, cfg, xs)
-    elif out.reason in ("domain_violation", "escape_bound_exceeded"):
-        candidate = _kernel_next(p, cfg, xs)
-        assert (a <= candidate <= b) == (out.reason == "escape_bound_exceeded")
-        assert not (a <= candidate <= b and abs(candidate) <= ESCAPE_BOUND)
 
 
 def test_trace_indices_are_consecutive(problems):
@@ -854,100 +818,58 @@ def test_run_names_the_first_failed_candidate_check(df, domain, reason):
 
 
 # ---------------------------------------------------------------------------
-# run's per-rule loops against the single loop they replaced
+# run against a reference that takes every step with the public kernels
 
-def _reference_run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
-    """run as a single loop that chooses its rule on every step, kept verbatim as the reference."""
+def _kernel_run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> tuple[RunOutcome, bool]:
+    """run's outcome with every step taken by the public kernels, and whether the run ended on
+    _step's refusal of a denominator that is not finite.
+
+    A kernel raises where run breaks off a step before its candidate: DenominatorUnderflow for a
+    denominator of 0, which at an exact root is the stop rule's convergence, and NONFINITE_ERRORS
+    for an evaluation that fails or a denominator that is not finite.  Then come run's own checks
+    of the candidate, in run's order.
+    """
+    two_point = _SCHEME_TABLE[cfg.scheme][0] is _SECANT
+    stop_on_step, stop_on_residual = cfg.stop_rule != "residual", cfg.stop_rule != "step_size"
     a, b = p.domain
-    if not (a <= x0 <= b):
-        raise DomainViolation(x0, p.domain, "x0")
-    rule, mu, h = _SCHEME_TABLE[cfg.scheme]
-    if rule is _FLOW and p.df is None:
-        raise MissingDerivative(
-            f"scheme {cfg.scheme!r} needs a derivative, problem {p.name!r} has none")
-    # The hot loop calls nothing but f and f'.  One guard covers each step,
-    # from f' or the probe to f(candidate): NONFINITE_ERRORS, raised by an
-    # evaluator or the arithmetic on its values, ends the run nonfinite, as
-    # isfinite's refusal does.  f(x0) passes the same guard.
-    f, df, isfinite = p.f, p.df, math.isfinite
     try:
-        fx = f(x0)
-        finite = isfinite(fx)
+        xs, pairs = [x0], [(x0, eval_f(p, x0))]
     except NONFINITE_ERRORS:
-        finite = False
-    if not finite:  # f(x0) itself is not a finite real
-        return RunOutcome(REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root)
-    mu, h = cfg.mu if mu is None else mu, cfg.h if h is None else h  # as cfg.resolved()
-    flow, two_point = rule is _FLOW, rule is _SECANT
-    offset_bootstrap = two_point and cfg.bootstrap == "offset_x0"
-    stop_on_step = cfg.stop_rule != "residual"
-    stop_on_residual = cfg.stop_rule != "step_size"
-    epsilon, max_iters = cfg.epsilon, cfg.max_iters
-    # One test admits a candidate: inside the domain and ESCAPE_BOUND.
-    lo = -ESCAPE_BOUND if -ESCAPE_BOUND > a else a  # max(a, -ESCAPE_BOUND)
-    hi = ESCAPE_BOUND if ESCAPE_BOUND < b else b  # min(b, ESCAPE_BOUND)
-
-    x = x0
-    points = [(x, fx)]
-    append = points.append
-    # Step 0 is a two-point scheme's bootstrap, outside the budget.
-    for step in range(0 if two_point else 1, max_iters + 1):
+        return RunOutcome(REASON_NONFINITE, 0, [(x0, math.nan)], p.known_root), False
+    reason, refused = REASON_MAX_ITERS, False
+    # Step 0 is a two-point scheme's bootstrap, outside the budget and the step test.
+    for step in range(0 if two_point else 1, cfg.max_iters + 1):
+        x, fx = pairs[-1]
         try:
-            # Every rule steps to x - num / den, with the kernels' expressions
-            # (the offset bootstrap with den = 1, which is exact).
-            if flow:
-                g = df(x)
-                if not isfinite(g):
-                    reason = REASON_NONFINITE
-                    break
-                num, den = h * fx, mu * fx + g
-            elif two_point and step:
-                dx = x - x_prev
-                num, den = fx * dx, mu * dx * fx + fx - f_prev
-            elif offset_bootstrap:
-                num, den = math.copysign(1.0, fx) * epsilon * max(1.0, abs(x)), 1.0
-            else:  # zheng, or its bootstrap step: probe f(x + f(x)), off-domain or not
-                g = f(x + fx)
-                if not isfinite(g):
-                    reason = REASON_NONFINITE
-                    break
-                num, den = fx * fx, mu * fx * fx + (g - fx)
-            if den == 0.0:
-                # The step cannot be taken, but at an exact root (where the
-                # difference quotients are 0/0) the run has converged.
-                reason = (REASON_UNDERFLOW if fx != 0.0 else
-                          REASON_STEP if stop_on_step else REASON_RESIDUAL)
-                break
-            candidate = x - num / den
-
-            if not (lo <= candidate <= hi):
-                reason = (REASON_NONFINITE if not isfinite(candidate) else
-                          REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
-                break
-            f_cand = f(candidate)
-            if not isfinite(f_cand):
-                reason = REASON_NONFINITE
-                break
+            candidate = _kernel_next(p, cfg, xs)
+        except DenominatorUnderflow:
+            reason = (REASON_UNDERFLOW if fx != 0.0 else
+                      REASON_STEP if stop_on_step else REASON_RESIDUAL)
+            break
+        except NONFINITE_ERRORS as exc:
+            # _step's NonFiniteValue names the denominator, as in (mu*f + f')(2.0); an
+            # evaluator's names f or f'.
+            reason, refused = REASON_NONFINITE, str(exc).startswith("(")
+            break
+        if not (a <= candidate <= b and abs(candidate) <= ESCAPE_BOUND):
+            reason = (REASON_NONFINITE if not math.isfinite(candidate) else
+                      REASON_DOMAIN if not (a <= candidate <= b) else REASON_ESCAPE)
+            break
+        try:
+            f_cand = eval_f(p, candidate)
         except NONFINITE_ERRORS:
             reason = REASON_NONFINITE
             break
-        append((candidate, f_cand))
-        x_prev, f_prev = x, fx
-        x, fx = candidate, f_cand
-
-        # Step 0 is the bootstrap, not a step of the scheme: a tiny one is
-        # no sign of a root, so only the residual test judges it.
-        if step and stop_on_step and abs(x - x_prev) <= epsilon:
+        xs.append(candidate)
+        pairs.append((candidate, f_cand))
+        if stop_on_step and step and abs(candidate - x) <= cfg.epsilon:
             reason = REASON_STEP
             break
-        if stop_on_residual and abs(fx) <= epsilon:
+        if stop_on_residual and abs(f_cand) <= cfg.epsilon:
             reason = REASON_RESIDUAL
             break
-    else:
-        reason = REASON_MAX_ITERS
-
-    iterations = len(points) - 1 - (two_point and len(points) > 1)
-    return RunOutcome(reason, iterations, points, p.known_root)
+    iterations = len(pairs) - 1 - (two_point and len(pairs) > 1)
+    return RunOutcome(reason, iterations, pairs, p.known_root), refused
 
 
 def _faulty(g, bad_x, bad):
@@ -972,9 +894,13 @@ def _faulty(g, bad_x, bad):
 #   that a denominator can overflow;
 # - "tail": starts from which a run walks away: exp's flat tail, where zheng's probe x + f(x)
 #   rounds to x, and atan beyond |x| = 1.39, where each Newton step lands farther out.
-EXIT_PROBLEMS = {**REPLAY_PROBLEMS, "atan": ProblemSpec(
-    name="atan", f=math.atan, df=lambda x: 1.0 / (1.0 + x * x), domain=(-1e15, 1e15),
-    known_root=0.0, default_x0=0.5)}
+EXIT_PROBLEMS = {
+    **builtin_problems(),
+    "cubic": ProblemSpec(name="cubic", f=lambda x: x ** 3 - 2.0 * x - 5.0,
+                         df=lambda x: 3.0 * x * x - 2.0, domain=(-1e15, 1e15), default_x0=2.0),
+    "atan": ProblemSpec(name="atan", f=math.atan, df=lambda x: 1.0 / (1.0 + x * x),
+                        domain=(-1e15, 1e15), known_root=0.0, default_x0=0.5),
+}
 
 
 def _near(root, c, big_f, *bench_mu):
@@ -1024,7 +950,7 @@ def _exit_case(r):
     cfg = SolverConfig(scheme=r.choice(SCHEMES), mu=mu, h=r.uniform(0.05, 2.0),
                        epsilon=r.choice((1e-5, 1e-13)), max_iters=r.choice(budgets),
                        bootstrap=r.choice(BOOTSTRAPS), stop_rule=r.choice(STOP_RULES))
-    pairs = _reference_run(p, cfg, x0).pairs
+    pairs = _kernel_run(p, cfg, x0)[0].pairs
     if kind == "near" and len(pairs) > 1 and r.random() < 0.5:
         # Under "either", the epsilon at which some step of this run fires both stop tests.  A
         # two-point run's offset bootstrap moves with epsilon, so there it is only roughly that.
@@ -1045,34 +971,15 @@ def _exit_case(r):
     return p, cfg, x0
 
 
-def _expected_run(p, cfg, x0):
-    """The reference's outcome under the overflow rule, and whether that rule applied.
+def _exit_label(cfg, out, refused):
+    """Which exit a run took: its loop and reason, and what set the exit apart.
 
-    At an overflowed denominator the reference steps to x - num/inf = x and traces that step of
-    exactly 0, under every stop rule and in the bootstrap; its step test may call it
-    convergence, or the run goes on from there.  run ends the run nonfinite at the first such
-    step instead, before it evaluates the candidate, so that step is neither traced nor counted.  The public kernel recognises the step: it raises NonFiniteValue
-    for a denominator that is not finite.
+    ``refused`` is _kernel_run's word that _step refused the denominator.  Every value that goes
+    into one is finite, so a denominator that is not finite has overflowed.
     """
-    ref = _reference_run(p, cfg, x0)
-    xs = [x for x, _ in ref.pairs]
-    for k in range(1, len(xs)):
-        if xs[k] != xs[k - 1]:
-            continue
-        try:
-            _kernel_next(p, cfg, xs[:k])
-        except NonFiniteValue:
-            bootstrap_pair = _SCHEME_TABLE[cfg.scheme][0] is _SECANT and k > 1
-            return RunOutcome(REASON_NONFINITE, k - 1 - bootstrap_pair, ref.pairs[:k],
-                              ref.known_root), True
-    return ref, False
-
-
-def _exit_label(cfg, out, overflowed):
-    """Which exit a run took: its loop and reason, and what set the exit apart."""
     two_point = _SCHEME_TABLE[cfg.scheme][0] is _SECANT
     label = f"{'two' if two_point else 'one'}-point loop: {out.reason}"
-    if overflowed:
+    if refused:
         label += ", overflowed denominator"
     elif out.converged and out.final_fx == 0.0:
         label += ", at an exact root"
@@ -1101,13 +1008,23 @@ EXITS = {*(f"one-point loop: {e}" for e in _EXITS), *(f"two-point loop: {e}" for
          *(f"two-point loop: {e}, in the bootstrap step" for e in _BOOTSTRAP_EXITS)}
 
 
+def _same_run(out, expected):
+    """run's outcome equals the reference's in reason, count and pairs, bit for bit."""
+    return (out.reason, out.iterations, repr(out.pairs)) == (
+        expected.reason, expected.iterations, repr(expected.pairs))
+
+
 def test_exit_draws_reach_every_exit():
-    # A fixed seed, so that the count is the same on every run.
+    # A fixed seed, so that the count is the same on every run.  run must take the reference's
+    # exit on each draw too: the rarest exits come up about twice in 1,000 draws, and so may not
+    # come up at all in the property's 400.
     r = random.Random(1)
     counts = Counter()
     for _ in range(10_000):
         p, cfg, x0 = _exit_case(r)
-        counts[_exit_label(cfg, *_expected_run(p, cfg, x0))] += 1
+        expected, refused = _kernel_run(p, cfg, x0)
+        counts[_exit_label(cfg, expected, refused)] += 1
+        assert _same_run(run(p, cfg, x0), expected), (p.name, cfg, x0)
     assert set(counts) == EXITS
     assert {label: n for label, n in counts.items() if n < 10} == {}
 
@@ -1116,12 +1033,11 @@ def test_exit_draws_reach_every_exit():
 @given(r=st.randoms(use_true_random=True))
 def test_run_takes_the_reference_exit(r):
     p, cfg, x0 = _exit_case(r)
-    expected, overflowed = _expected_run(p, cfg, x0)
-    event(_exit_label(cfg, expected, overflowed))
+    expected, refused = _kernel_run(p, cfg, x0)
+    event(_exit_label(cfg, expected, refused))
     out = run(p, cfg, x0)
     assert type(out) is RunOutcome
-    assert (out.reason, out.iterations, repr(out.pairs)) == (
-        expected.reason, expected.iterations, repr(expected.pairs))
+    assert _same_run(out, expected)
 
 
 # Runs that the draws seldom reach.  Under "either", a step that fires both stop tests at once
@@ -1148,14 +1064,12 @@ RARE_RUNS = [
                          RARE_RUNS, ids=[f"{r[1]}-{r[2]}-{r[3]}" for r in RARE_RUNS])
 def test_run_takes_the_reference_exit_on_rare_runs(name, scheme, bootstrap, stop_rule, mu, x0,
                                                    epsilon, exit_label):
-    p = REPLAY_PROBLEMS[name]
+    p = EXIT_PROBLEMS[name]
     cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, bootstrap=bootstrap,
                        stop_rule=stop_rule)
-    expected, overflowed = _expected_run(p, cfg, x0)
-    assert _exit_label(cfg, expected, overflowed) == exit_label
-    out = run(p, cfg, x0)
-    assert (out.reason, out.iterations, repr(out.pairs)) == (
-        expected.reason, expected.iterations, repr(expected.pairs))
+    expected, refused = _kernel_run(p, cfg, x0)
+    assert _exit_label(cfg, expected, refused) == exit_label
+    assert _same_run(run(p, cfg, x0), expected)
 
 
 def _cubic(k):
