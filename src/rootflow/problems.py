@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Number
 from typing import Callable
 
 ROOT_RESIDUAL_TOL = 1e-12
@@ -67,9 +68,10 @@ class ProblemSpec:
             and by the error-constant oracle.
         known_root: a solution x* with f(x*) = 0, used for error tracking.
 
-    Construction checks the spec: a ``domain`` that is not a pair with
-    a < b, or a ``default_x0`` or ``known_root`` that does not compare with
-    it (None, a complex, a str), raises ValueError naming the field; a
+    Construction checks the spec: a ``domain`` that is not a pair of
+    numbers with a < b, or a ``default_x0`` or ``known_root`` that is not a
+    ``numbers.Number`` or does not compare with it (None, a complex, a
+    str), raises ValueError naming the field; a
     ``default_x0`` or ``known_root`` outside the domain raises
     DomainViolation named after the field, an f(known_root) that is not a
     finite real raises NonFiniteValue, and a residual that is too large
@@ -98,8 +100,9 @@ class ProblemSpec:
             a, b = self.domain
             ordered = a < b
         except (TypeError, ValueError):
-            raise ValueError("domain must be a pair (a, b) with a < b, "
-                             f"got {self.domain!r}") from None
+            a = b = None  # not a pair, or ends that do not compare
+        if not (isinstance(a, Number) and isinstance(b, Number)):
+            raise ValueError(f"domain must be a pair (a, b) with a < b, got {self.domain!r}")
         if not ordered:
             raise ValueError(f"domain must satisfy a < b, got [{a!r}, {b!r}]")
         if not _within(self.default_x0, a, b, "default_x0"):
@@ -123,12 +126,13 @@ class ProblemSpec:
 
 
 def _within(x, a, b, name: str) -> bool:
-    """a <= x <= b, or a ValueError naming ``name`` if x and the domain do not compare."""
-    try:
-        return a <= x <= b
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} = {x!r} cannot be compared with the domain "
-                         f"[{a!r}, {b!r}]") from None
+    """a <= x <= b, or a ValueError naming ``name`` if x is not a number that compares."""
+    if isinstance(x, Number):
+        try:
+            return a <= x <= b
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} = {x!r} cannot be compared with the domain [{a!r}, {b!r}]")
 
 
 def eval_f(p: ProblemSpec, x: float) -> float:

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from rootflow import ProblemSpec, builtin_problems
 
+# derandomize fixes each property's draws by its test's source: the same draws on every run.
 settings.register_profile(
     "det", derandomize=True, suppress_health_check=[HealthCheck.filter_too_much]
 )

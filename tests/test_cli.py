@@ -24,23 +24,6 @@ def run_cli(capsys, argv):
 # ---------------------------------------------------------------------------
 # bench
 
-def test_bench_exits_zero_and_prints_nine_rows(capsys):
-    code, out, _ = run_cli(capsys, ["bench"])
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 10  # header + 9 rows
-    assert out.count("divergence") == 5
-    assert out.count("converged") == 4
-    assert "0.523599" in out
-    assert "1.000000" in out
-
-
-def test_bench_output_is_byte_identical_between_runs(capsys):
-    _, first, _ = run_cli(capsys, ["bench"])
-    _, second, _ = run_cli(capsys, ["bench"])
-    assert first == second
-
-
 def test_bench_csv_to_file(tmp_path, capsys):
     target = tmp_path / "bench.csv"
     code, out, _ = run_cli(capsys, ["bench", "--format", "csv", "--output", str(target)])
@@ -157,13 +140,6 @@ def test_order_names_a_failed_run_divergence(capsys):
     assert code == 0
     assert "verdict      : divergence (denominator_underflow)\n" in out
     assert "order        : not estimable (not converged or too short)" in out
-
-
-def test_order_is_deterministic(capsys):
-    argv = ["order", "--problem", "log", "--mu", "1", "--x0", "1.5", "--epsilon", "1e-13"]
-    _, first, _ = run_cli(capsys, argv)
-    _, second, _ = run_cli(capsys, argv)
-    assert first == second
 
 
 # ---------------------------------------------------------------------------

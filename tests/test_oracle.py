@@ -12,6 +12,8 @@ from rootflow import (
     run,
     verify_quadratic_convergence,
 )
+from rootflow.harness import BENCH_EXPECTED_VERDICTS, BENCH_MU
+from rootflow.solvers import VERDICT_CONVERGED, VERDICT_DIVERGED
 
 # The built-in problems' left-hand sides, evaluated in mp arithmetic.
 MP_F = {
@@ -19,7 +21,8 @@ MP_F = {
     "exp": lambda x: (x - 1) * mp.exp(-x),
     "trig": lambda x: 2 * mp.sin(x) - 1,
 }
-MP_DF = {"log": lambda x: 1 / x, "trig": lambda x: 2 * mp.cos(x)}
+MP_DF = {"log": lambda x: 1 / x, "exp": lambda x: (2 - x) * mp.exp(-x),
+         "trig": lambda x: 2 * mp.cos(x)}
 
 # f and f' scaled by k: mu + f''/f' does not change, however small k is.
 SCALES = {"": 1.0, "-2^-60": 2.0 ** -60, "-1e-13": 1e-13}
@@ -49,6 +52,35 @@ def mp_problem(problems, quart, name, x0):
                        default_x0=mp.mpf(x0))
     return replace(problems[name], f=MP_F[name], df=MP_DF.get(name),
                    known_root=MP_ROOT[name](), default_x0=mp.mpf(x0))
+
+
+# The benchmark's exp/zheng run from 50 at mu = 1 + 1/e, on mp values, by working precision:
+# (reason, iterations).  Its float verdict, divergence, flips within a few ulps of mu or x0
+# (tests/test_harness.py); the scheme itself converges from 50 once the digits suffice.
+EXP_ZHENG_BY_DIGITS = {15: ("domain_violation", 22), 17: ("step_below_epsilon", 33),
+                       20: ("domain_violation", 2), 30: ("step_below_epsilon", 25),
+                       50: ("step_below_epsilon", 25)}
+
+
+def test_exp_zheng_benchmark_verdict_is_decided_by_rounding(problems, quart):
+    runs = {}
+    for dps in EXP_ZHENG_BY_DIGITS:
+        with mp.workdps(dps):
+            p = mp_problem(problems, quart, "exp", "50")
+            out = run(p, SolverConfig(scheme="zheng", mu=1 + 1 / mp.e), p.default_x0)
+        runs[dps] = (out.reason, out.iterations)
+    assert runs == EXP_ZHENG_BY_DIGITS
+    # At 30 digits the other eight cells keep their benchmark verdicts.
+    verdicts = {}
+    with mp.workdps(30):
+        for name, scheme in BENCH_EXPECTED_VERDICTS:
+            if (name, scheme) != ("exp", "zheng"):
+                p = mp_problem(problems, quart, name, problems[name].default_x0)
+                out = run(p, SolverConfig(scheme=scheme, mu=BENCH_MU.get((name, scheme), 0.0)),
+                          p.default_x0)
+                verdicts[name, scheme] = VERDICT_CONVERGED if out.converged else VERDICT_DIVERGED
+    assert verdicts == {cell: verdict for cell, verdict in BENCH_EXPECTED_VERDICTS.items()
+                        if cell != ("exp", "zheng")}
 
 
 # Runs of the unmodified driver on mp problems at 400 digits, against the

@@ -1,9 +1,11 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,10 +14,12 @@ from rootflow import (
     MissingDerivative,
     NonFiniteValue,
     ProblemSpec,
+    SolverConfig,
     builtin_problems,
     euler_flow_step,
     eval_f,
     eval_f_unchecked,
+    run,
 )
 from rootflow.problems import eval_df
 
@@ -131,8 +135,9 @@ def test_spec_validation():
     with pytest.raises(ValueError, match=r"domain must satisfy a < b"):
         ProblemSpec(name="bad", f=f, domain=(2.0, 1.0), default_x0=1.5)
     # a field of the wrong shape or type is a ValueError naming that field, not a raw unpacking
-    # or comparison error
-    for domain in ((0.0, 1.0, 2.0), (0.0,), None, 1.0, (None, 1.0), (0.0, 1j)):
+    # or comparison error; ends that compare but are not numbers, such as strs, are refused too
+    for domain in ((0.0, 1.0, 2.0), (0.0,), None, 1.0, (None, 1.0), (0.0, 1j), ("0", "1"),
+                   ((0.0,), (1.0,))):
         with pytest.raises(ValueError, match=r"^domain must be a pair \(a, b\) with a < b, got "):
             ProblemSpec(name="bad", f=f, domain=domain, default_x0=0.5)
     for x0 in (None, 0.5j, "0.5"):
@@ -143,11 +148,18 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=rf"^known_root = {re.escape(repr(root))} cannot be "
                                              r"compared with the domain \[0\.0, 2\.0\]$"):
             ProblemSpec(name="bad", f=f, domain=(0.0, 2.0), default_x0=0.5, known_root=root)
-    # what compares as a real still builds: ints, a Fraction, a list or an infinite domain
+    # every number that compares as a real still builds: ints, a Fraction, a Decimal, an mpmath
+    # real, a list or an infinite domain
     for domain, x0, root in (((0, 2), 1, 0), ([0.0, 2.0], Fraction(1, 2), 0.0),
-                             ((-math.inf, math.inf), 0.5, Fraction(0))):
+                             ((-math.inf, math.inf), 0.5, Fraction(0)),
+                             ((Decimal(0), Decimal(2)), Decimal("0.5"), Decimal(0)),
+                             ((mpmath.mpf(0), mpmath.mpf(2)), mpmath.mpf("0.5"), mpmath.mpf(0))):
         spec = ProblemSpec(name="ok", f=f, domain=domain, default_x0=x0, known_root=root)
         assert (spec.domain, spec.default_x0, spec.known_root) == (domain, x0, root)
+    # and runs: x^2 - 1 on a Decimal domain from a float start
+    sq = ProblemSpec(name="sq", f=lambda x: x * x - 1.0, domain=(Decimal(-2), Decimal(2)),
+                     default_x0=1.5, known_root=1.0)
+    assert run(sq, SolverConfig(scheme="zheng", mu=0.5), 1.5).reason == "step_below_epsilon"
     # the name is an unquoted CSV field: a comma, a quote or a line break
     # would corrupt its row
     for name in ("a,b", "a\nb", "a\rb", ",", '"q', 'a"b'):
@@ -172,6 +184,10 @@ def test_spec_validation():
     for bad in (lambda x: complex(x - 1.0, 1e-13), lambda x: 1.0 / (x - 1.0)):
         with pytest.raises(NonFiniteValue, match=r"^f\(1\.0\) is not a finite real$"):
             ProblemSpec(name="bad", f=bad, domain=(0.0, 2.0), default_x0=1.5, known_root=1.0)
+    np = pytest.importorskip("numpy")
+    spec = ProblemSpec(name="ok", f=f, domain=(np.float64(0), np.float32(2)),
+                       default_x0=np.int64(1), known_root=np.float64(0))
+    assert spec.default_x0 == 1
 
 
 def scaled(p, k, **changes):

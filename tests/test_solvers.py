@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from rootflow import (
     BOOTSTRAPS,
@@ -357,33 +357,6 @@ def test_run_exhausts_budget_with_tiny_euler_step(problems):
     assert out.iterations == 500
 
 
-COUNT_PROBLEMS = {**builtin_problems(), "sq": ProblemSpec(
-    name="sq", f=lambda x: x * x - 1.0, df=lambda x: 2.0 * x, domain=WIDE, known_root=1.0,
-    default_x0=1.5)}
-
-
-# [0.5, 5] lies inside the domain of each problem drawn.
-@given(
-    name=st.sampled_from(["log", "exp", "sq"]),
-    scheme=st.sampled_from(SCHEMES),
-    bootstrap=st.sampled_from(BOOTSTRAPS),
-    stop_rule=st.sampled_from(STOP_RULES),
-    mu=st.floats(min_value=-10.0, max_value=10.0),
-    x0=st.floats(min_value=0.5, max_value=5.0),
-    max_iters=st.integers(min_value=1, max_value=5),
-)
-def test_iterations_are_the_accepted_steps(name, scheme, bootstrap, stop_rule, mu, x0, max_iters):
-    cfg = SolverConfig(scheme=scheme, mu=mu, max_iters=max_iters, bootstrap=bootstrap,
-                       stop_rule=stop_rule)
-    out = run(COUNT_PROBLEMS[name], cfg, x0)
-    # Every pair after x0 is an accepted step, except a two-point scheme's bootstrap pair.
-    two_point = scheme in ("secant", "secant_dyn")
-    assert out.iterations == len(out.pairs) - 1 - (two_point and len(out.pairs) > 1)
-    assert out.iterations <= max_iters
-    if out.reason == "max_iters_reached":
-        assert out.iterations == max_iters
-
-
 def test_run_escape_bound():
     # Newton on the cube root maps x to -2x, so |x| doubles every step and
     # passes ESCAPE_BOUND = 1e12 long before the domain's edge at 1e15: 39
@@ -396,17 +369,6 @@ def test_run_escape_bound():
     assert out.reason == "escape_bound_exceeded"
     assert out.iterations == 39
     assert abs(out.final_x) <= ESCAPE_BOUND < 2.0 * abs(out.final_x)
-
-
-def test_run_nonfinite_candidate_diverges():
-    # f(2) / f'(2) = 1e200 / 1e-290 overflows, so the first candidate is -inf
-    p = ProblemSpec(name="steep", f=lambda x: 1e200 * (x - 1.0), df=lambda x: 1e-290,
-                    domain=WIDE, default_x0=2.0)
-    out = run(p, SolverConfig(scheme="newton"), 2.0)
-    assert out.verdict == "divergence"
-    assert out.reason == "nonfinite"
-    assert out.iterations == 0
-    assert out.final_x == 2.0
 
 
 # On x^2 - 1 from 200, where f = 39999, each denominator overflows: mu f^2 for zheng and for the
@@ -435,17 +397,6 @@ def test_run_overflowed_denominator_is_nonfinite(sq, scheme, mu, bootstrap, kept
     with pytest.raises(NonFiniteValue,
                        match=rf"^\(mu\*.*\)\({re.escape(repr(xs[-1]))}\) is not a finite real$"):
         _kernel_next(sq, cfg, xs)
-
-
-@pytest.mark.parametrize("scheme, mu, bootstrap, kept", OVERFLOWS)
-def test_run_overflowed_denominator_under_the_residual_rule(sq, scheme, mu, bootstrap, kept):
-    # No test reads the step under this rule, so the overflow alone must end the run: it neither
-    # repeats its point until the budget is spent nor meets a coincident pair.
-    cfg = SolverConfig(scheme=scheme, mu=mu, bootstrap=bootstrap, stop_rule="residual",
-                       max_iters=5)
-    out = run(sq, cfg, 200.0)
-    assert (out.verdict, out.reason, out.iterations) == ("divergence", "nonfinite", 0)
-    assert [x for x, _ in out.pairs] == [200.0, 199.998][:kept]
 
 
 @pytest.mark.parametrize("bootstrap, mu, epsilon, stop_rule, reason", [
@@ -537,22 +488,6 @@ def test_verdict_of_each_reason():
         assert (out.verdict, out.converged) == (verdict, verdict == "converged")
 
 
-def test_run_nonfinite_at_start():
-    p = ProblemSpec(name="blows", f=lambda x: math.exp(x), df=math.exp,
-                    domain=(-1e6, 1e6), default_x0=1000.0)
-    out = run(p, SolverConfig(scheme="newton"), 1000.0)
-    assert out.verdict == "divergence"
-    assert out.reason == "nonfinite"
-    assert out.iterations == 0
-
-
-def test_run_is_deterministic(problems):
-    cfg = SolverConfig(scheme="secant_dyn", mu=1.18)
-    a = run(problems["exp"], cfg, 50.0)
-    b = run(problems["exp"], cfg, 50.0)
-    assert a == b
-
-
 # run's loops repeat the kernels' arithmetic inline.  _kernel_run, below, takes every step with
 # the public kernels instead, and run must equal it bit for bit.
 KERNELS = {
@@ -573,33 +508,6 @@ def _kernel_next(p, cfg, xs):
             return zheng_step(p, xs[0], mu)
         return xs[0] - math.copysign(1.0, eval_f(p, xs[0])) * cfg.epsilon * max(1.0, abs(xs[0]))
     return KERNELS[cfg.scheme](p, xs, mu, h)
-
-
-def test_trace_indices_are_consecutive(problems):
-    out = run(problems["trig"], SolverConfig(scheme="secant_dyn", mu=2.65),
-              problems["trig"].default_x0)
-    assert [pt.n for pt in out.trace.points] == list(range(len(out.trace.points)))
-
-
-@pytest.mark.parametrize("kappa", [0.5, 2.0, 4.0])
-@pytest.mark.parametrize("name", ["log", "exp", "trig"])
-def test_rescaling_f_leaves_iterates_unchanged(problems, name, kappa):
-    # The two-point update is invariant under f -> kappa f with the same mu:
-    # numerator and denominator are both linear in f.  With the offset
-    # bootstrap (also scale-free) and power-of-two kappa the whole trace is
-    # bit-identical.
-    p = problems[name]
-    mu = {"log": 0.135, "exp": 1.18, "trig": 2.65}[name]
-    scaled = ProblemSpec(name=p.name + "_scaled",
-                         f=lambda x, _f=p.f: kappa * _f(x),
-                         domain=p.domain, known_root=p.known_root,
-                         default_x0=p.default_x0)
-    cfg = SolverConfig(scheme="secant_dyn", mu=mu, bootstrap="offset_x0")
-    base = run(p, cfg, p.default_x0)
-    other = run(scaled, cfg, p.default_x0)
-    assert [pt.x for pt in base.trace.points] == [pt.x for pt in other.trace.points]
-    assert base.verdict == other.verdict
-    assert base.iterations == other.iterations
 
 
 def test_config_validation():
@@ -665,16 +573,6 @@ def test_run_complex_valued_f_diverges():
             out = run(p, SolverConfig(scheme=scheme, mu=0.5), -4.0)
             assert out.verdict == "divergence"
             assert out.reason == "nonfinite"
-
-
-def test_run_raising_derivative_diverges():
-    p = ProblemSpec(name="baddf", f=lambda x: x * x - 1.0, df=lambda x: 1.0 / (x - x),
-                    domain=WIDE, default_x0=1.5)
-    for scheme in ("newton", "euler_flow", "wu"):
-        out = run(p, SolverConfig(scheme=scheme, mu=0.5), 1.5)
-        assert out.verdict == "divergence"
-        assert out.reason == "nonfinite"
-        assert out.final_x == 1.5
 
 
 class NestedNonFiniteValue(NonFiniteValue):
@@ -808,6 +706,8 @@ def test_run_guards_f_at_x0(sq4, scheme, bad):
     # Here it is 2 + 1e213: outside the domain is a domain exit first.
     (-1e-13, (-1e15, 1e15), "domain_violation"),
     (-1e-13, (-math.inf, math.inf), "escape_bound_exceeded"),
+    # With f' = 1e-290 the candidate is -inf, on a domain that it also leaves.
+    (1e-290, WIDE, "nonfinite"),
 ])
 def test_run_names_the_first_failed_candidate_check(df, domain, reason):
     p = ProblemSpec(name="steep", f=lambda x: 1e200 * (x - 1.0), df=lambda x: df,
@@ -1015,29 +915,19 @@ def _same_run(out, expected):
 
 
 def test_exit_draws_reach_every_exit():
-    # A fixed seed, so that the count is the same on every run.  run must take the reference's
-    # exit on each draw too: the rarest exits come up about twice in 1,000 draws, and so may not
-    # come up at all in the property's 400.
+    # A fixed seed, so that the draws and the count are the same on every run.  run must take the
+    # reference's exit on each draw; the rarest exits come up about twice in 1,000 draws.
     r = random.Random(1)
     counts = Counter()
     for _ in range(10_000):
         p, cfg, x0 = _exit_case(r)
         expected, refused = _kernel_run(p, cfg, x0)
         counts[_exit_label(cfg, expected, refused)] += 1
-        assert _same_run(run(p, cfg, x0), expected), (p.name, cfg, x0)
+        out = run(p, cfg, x0)
+        assert type(out) is RunOutcome
+        assert _same_run(out, expected), (p.name, cfg, x0)
     assert set(counts) == EXITS
     assert {label: n for label, n in counts.items() if n < 10} == {}
-
-
-@settings(max_examples=400)
-@given(r=st.randoms(use_true_random=True))
-def test_run_takes_the_reference_exit(r):
-    p, cfg, x0 = _exit_case(r)
-    expected, refused = _kernel_run(p, cfg, x0)
-    event(_exit_label(cfg, expected, refused))
-    out = run(p, cfg, x0)
-    assert type(out) is RunOutcome
-    assert _same_run(out, expected)
 
 
 # Runs that the draws seldom reach.  Under "either", a step that fires both stop tests at once
@@ -1127,16 +1017,6 @@ def test_lazy_trace_contract(problems, scheme, bootstrap, stop_rule):
             assert fresh == out
             assert out == run(p, cfg, x0)
             assert hash(fresh) == hash(out)
-
-
-def test_lazy_trace_contract_on_nonfinite_start():
-    p = ProblemSpec(name="blows", f=lambda x: math.exp(x), domain=(-1e6, 1e6),
-                    default_x0=1000.0)
-    out = run(p, SolverConfig(scheme="secant_dyn"), 1000.0)
-    assert out.reason == "nonfinite"
-    assert math.isnan(out.final_fx)
-    _check_lazy_trace(out)
-    assert run(p, SolverConfig(scheme="secant_dyn"), 1000.0) == out
 
 
 @pytest.mark.parametrize("case", ["converged", "diverged", "nonfinite"])
