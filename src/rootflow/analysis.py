@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 from .problems import MissingDerivative, NonFiniteValue, ProblemSpec, eval_df
@@ -213,8 +212,8 @@ def verify_quadratic_convergence(
     """
     if cfg is None:
         cfg = SolverConfig(scheme="secant_dyn", mu=mu, epsilon=1e-13)
-    elif cfg.scheme != "secant_dyn" or cfg.mu is not mu:  # else replace would rebuild an equal cfg
-        cfg = replace(cfg, scheme="secant_dyn", mu=mu)
+    elif cfg.scheme != "secant_dyn" or cfg.mu is not mu:  # else _replace would rebuild an equal cfg
+        cfg = cfg._replace(scheme="secant_dyn", mu=mu)
     outcome = run(p, cfg, x0)
     estimate = predicted = None
     if outcome.converged:

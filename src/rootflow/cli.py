@@ -17,7 +17,6 @@ import contextlib
 import io
 import os
 import sys
-from dataclasses import fields
 
 from .analysis import verify_quadratic_convergence
 from .harness import (
@@ -33,7 +32,7 @@ from .harness import (
     sweep_mu,
 )
 from .problems import builtin_problems
-from .solvers import BOOTSTRAPS, STOP_RULES, SolverConfig, run
+from .solvers import _DEFAULTS, BOOTSTRAPS, STOP_RULES, SolverConfig, run
 
 CLI_SCHEMES = {
     "newton": "newton",
@@ -62,12 +61,12 @@ _FLAGS = {
     "--problem": dict(required=True, choices=sorted(builtin_problems()),
                       help="registry problem name"),
     "--scheme": dict(required=True, choices=sorted(CLI_SCHEMES), help=SCHEME_HELP),
-    "--mu": dict(type=float, help=f"flow parameter mu (default {SolverConfig.mu:g})"),
+    "--mu": dict(type=float, help=f"flow parameter mu (default {_DEFAULTS.mu:g})"),
     "--h": dict(type=float, help="Euler step length (euler only)"),
     "--x0": dict(type=float, help="initial value (default: the problem's)"),
     "--epsilon": dict(type=float,
-                      help=f"convergence precision (default {SolverConfig.epsilon:g})"),
-    "--max-iters": dict(type=int, help=f"iteration budget (default {SolverConfig.max_iters})"),
+                      help=f"convergence precision (default {_DEFAULTS.epsilon:g})"),
+    "--max-iters": dict(type=int, help=f"iteration budget (default {_DEFAULTS.max_iters})"),
     "--bootstrap": dict(choices=sorted(b.replace("_", "-") for b in BOOTSTRAPS),
                         help="second starting point policy for two-point schemes"),
     "--stop-rule": dict(choices=sorted(r.replace("_", "-") for r in STOP_RULES),
@@ -104,8 +103,8 @@ def _parse_values(raw: str, flag: str) -> list[float]:
 
 def _config(args: argparse.Namespace) -> SolverConfig:
     """SolverConfig's defaults, overridden by the flags that were typed."""
-    typed = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
-             if getattr(args, f.name, None) is not None}
+    typed = {name: getattr(args, name) for name in SolverConfig.__slots__
+             if getattr(args, name, None) is not None}
     if "scheme" in typed:
         typed["scheme"] = CLI_SCHEMES[typed["scheme"]]
     for name in ("bootstrap", "stop_rule"):

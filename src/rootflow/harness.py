@@ -16,13 +16,12 @@ verdict words, and the reason column keeps the two endings apart.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .problems import ProblemSpec, builtin_problems
-from .solvers import (CONVERGED_REASONS, VERDICT_CONVERGED, VERDICT_DIVERGED, SolverConfig,
-                      _count, run)
+from .solvers import (_DEFAULTS, CONVERGED_REASONS, VERDICT_CONVERGED, VERDICT_DIVERGED,
+                      SolverConfig, _count, run)
 
 CSV_HEADER = "problem,scheme,mu,h,x0,verdict,reason,iterations,final_x,residual"
 
@@ -107,8 +106,8 @@ def _row(p: ProblemSpec, cfg: SolverConfig, x0: float, mu: float, h: float) -> B
                                         iterations, final_x, fx if fx != fx else abs(fx)))
 
 
-def run_benchmark(epsilon: float = SolverConfig.epsilon,
-                  max_iters: int = SolverConfig.max_iters) -> list[BenchmarkRow]:
+def run_benchmark(epsilon: float = _DEFAULTS.epsilon,
+                  max_iters: int = _DEFAULTS.max_iters) -> list[BenchmarkRow]:
     """Run the 3 problems x 3 methods reference benchmark.
 
     Returns nine rows in problem-major order (newton, zheng, secant_dyn
@@ -119,7 +118,7 @@ def run_benchmark(epsilon: float = SolverConfig.epsilon,
     rows = []
     for pname, scheme in BENCH_EXPECTED_VERDICTS:
         p = problems[pname]
-        mu = BENCH_MU.get((pname, scheme), SolverConfig.mu)
+        mu = BENCH_MU.get((pname, scheme), _DEFAULTS.mu)
         cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, max_iters=max_iters)
         rows.append(_row(p, cfg, p.default_x0, *cfg.resolved()))
     return rows
@@ -143,8 +142,8 @@ def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Iterable[float], x0: float,
              cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One benchmark row per mu, in input order."""
     mu_values = _axis(mu_values, "mu values")
-    base = cfg if cfg is not None else SolverConfig()
-    cfgs = (replace(base, scheme=scheme, mu=mu) for mu in mu_values)
+    base = cfg if cfg is not None else _DEFAULTS
+    cfgs = (base._replace(scheme=scheme, mu=mu) for mu in mu_values)
     return [_row(p, c, x0, *c.resolved()) for c in cfgs]
 
 
@@ -152,8 +151,8 @@ def sweep_h(p: ProblemSpec, mu: float, h_values: Iterable[float], x0: float,
             cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
     """One row per Euler step length h, for the euler_flow scheme."""
     h_values = _axis(h_values, "h values")
-    base = cfg if cfg is not None else SolverConfig()
-    cfgs = (replace(base, scheme="euler_flow", mu=mu, h=h) for h in h_values)
+    base = cfg if cfg is not None else _DEFAULTS
+    cfgs = (base._replace(scheme="euler_flow", mu=mu, h=h) for h in h_values)
     return [_row(p, c, x0, *c.resolved()) for c in cfgs]
 
 
@@ -165,10 +164,10 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
     order-independent; the grid is evaluated row by row.
     """
     mu_axis, x0_axis = _axis(mu_axis, "mu axis"), _axis(x0_axis, "x0 axis")
-    base = cfg if cfg is not None else SolverConfig()
+    base = cfg if cfg is not None else _DEFAULTS
     cells = []
     for mu in mu_axis:
-        c = replace(base, scheme=scheme, mu=mu)
+        c = base._replace(scheme=scheme, mu=mu)
         run_mu, run_h = c.resolved()
         cells.append(tuple([_row(p, c, x0, run_mu, run_h) for x0 in x0_axis]))
     return BasinGrid(mu_axis=mu_axis, x0_axis=x0_axis, cells=tuple(cells))

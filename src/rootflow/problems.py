@@ -16,7 +16,6 @@ passes one guard, and one that is not a finite real is NonFiniteValue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Number
 from typing import Callable
 
@@ -55,8 +54,70 @@ class MissingDerivative(ValueError):
     """The operation needs the problem's exact derivative, which is absent."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class _DataclassFields:
+    """``__dataclass_fields__``, built from the class's ``__init__`` on first read.
+
+    ``dataclasses`` takes some 10 ms to import, and only code that asks for
+    the fields (``dataclasses.replace``, ``fields``, ``asdict``) pays it.
+    """
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        init = cls.__init__
+        defaults = dict(zip(cls.__slots__[::-1], (init.__defaults__ or ())[::-1]))
+        spec = [(name, init.__annotations__[name], dataclasses.field(default=defaults[name]))
+                if name in defaults else (name, init.__annotations__[name])
+                for name in cls.__slots__]
+        fields = dataclasses.make_dataclass(cls.__name__, spec).__dataclass_fields__
+        setattr(cls, "__dataclass_fields__", fields)  # read from the class from now on
+        return fields
+
+
+class _Record:
+    """An immutable record of the fields named by a subclass's ``__slots__``.
+
+    It behaves as a frozen dataclass does: equality and hash over the field
+    values, a field-by-field repr, and AttributeError on assignment.  The
+    subclass's ``__init__`` sets each field with ``object.__setattr__`` and
+    checks them; a copy, a pickle or ``_replace`` goes through it again.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, checked as a new instance is."""
+        return self.__class__(**{**dict(zip(self.__slots__, self._values())), **changes})
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
+
+
+class ProblemSpec(_Record):
     """One scalar equation f(x) = 0.
 
     Fields:
@@ -83,14 +144,18 @@ class ProblemSpec:
     between concurrent runs; evaluators must be pure.
     """
 
-    name: str
-    f: Callable[[float], float]
-    domain: tuple[float, float]
-    default_x0: float
-    df: Callable[[float], float] | None = None
-    known_root: float | None = None
+    __slots__ = ("name", "f", "domain", "default_x0", "df", "known_root")
 
-    def __post_init__(self):
+    def __init__(self, name: str, f: Callable[[float], float], domain: tuple[float, float],
+                 default_x0: float, df: Callable[[float], float] | None = None,
+                 known_root: float | None = None):
+        setattr_ = object.__setattr__
+        setattr_(self, "name", name)
+        setattr_(self, "f", f)
+        setattr_(self, "domain", domain)
+        setattr_(self, "default_x0", default_x0)
+        setattr_(self, "df", df)
+        setattr_(self, "known_root", known_root)
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         if any(c in self.name for c in ',"\n\r'):  # it is an unquoted CSV field

@@ -10,7 +10,6 @@ exhausted budget) into a :class:`RunOutcome` instead of an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -20,6 +19,7 @@ from .problems import (
     MissingDerivative,
     NonFiniteValue,
     ProblemSpec,
+    _Record,
     eval_df,
     eval_f,
     eval_f_unchecked,
@@ -84,8 +84,7 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Scheme selection and the iteration protocol.
 
     ``mu`` is the flow parameter of the parameterized denominators; ``newton``
@@ -97,15 +96,19 @@ class SolverConfig:
     and a bad value raises ``ValueError``.
     """
 
-    scheme: str = "secant_dyn"
-    mu: float = 0.0
-    h: float = 1.0
-    epsilon: float = 1e-5
-    max_iters: int = 500
-    bootstrap: str = "zheng_first_step"
-    stop_rule: str = "step_size"
+    __slots__ = ("scheme", "mu", "h", "epsilon", "max_iters", "bootstrap", "stop_rule")
 
-    def __post_init__(self):
+    def __init__(self, scheme: str = "secant_dyn", mu: float = 0.0, h: float = 1.0,
+                 epsilon: float = 1e-5, max_iters: int = 500, bootstrap: str = "zheng_first_step",
+                 stop_rule: str = "step_size"):
+        setattr_ = object.__setattr__
+        setattr_(self, "scheme", scheme)
+        setattr_(self, "mu", mu)
+        setattr_(self, "h", h)
+        setattr_(self, "epsilon", epsilon)
+        setattr_(self, "max_iters", max_iters)
+        setattr_(self, "bootstrap", bootstrap)
+        setattr_(self, "stop_rule", stop_rule)
         for name, allowed in _CHOICE_FIELDS:
             if (value := getattr(self, name)) not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
@@ -121,6 +124,10 @@ class SolverConfig:
         """The (mu, h) the scheme runs with: the scheme's fixed values, else the config's."""
         _, mu, h = _SCHEME_TABLE[self.scheme]
         return (self.mu if mu is None else mu, self.h if h is None else h)
+
+
+# The defaults, read through one instance: the slots hide them on the class.
+_DEFAULTS = SolverConfig()
 
 
 class TracePoint(NamedTuple):

@@ -369,7 +369,7 @@ def test_report_reuses_a_matching_cfg_without_replace(monkeypatch, problems):
     def no_replace(*args, **kwargs):
         raise AssertionError("replace called")
 
-    monkeypatch.setattr("rootflow.analysis.replace", no_replace)
+    monkeypatch.setattr(SolverConfig, "_replace", no_replace)
     cfg = SolverConfig(mu=1.0, epsilon=1e-13)
     assert verify_quadratic_convergence(problems["log"], cfg.mu, 1.5, cfg).outcome.converged
     # another mu, or another scheme, still rebuilds the cfg

@@ -5,9 +5,11 @@ pair order (the i-th parent run and the i-th change run share a seed), and
 figures derived from them.  Each derived figure is recomputed here from the
 runs: the medians and quartiles (``statistics.quantiles``, inclusive), the
 parent's IQR, the relative change, the pairs won and lost, each metric's
-verdict, and the claim's ``met``.
+verdict, and the claim's ``met``.  ``tools/bench_record.py`` writes the
+records; its builder must reproduce every committed record's figures exactly.
 """
 
+import importlib.util
 import json
 import statistics
 from pathlib import Path
@@ -95,3 +97,24 @@ def test_record_claim_is_met_by_its_stated_rule(path):
     assert claim["rule"] == ("the change wins at least 9 of 10 pairs and its median exceeds "
                              "the parent's by more than the parent's IQR")
     assert claim["met"] == _rule_met(metric)
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_script_rebuilds_the_figures_exactly(path):
+    bench_record = _bench_record()
+    declared = {m["name"]: m for m in _load(ROOT / "BENCHMARK.json")["end_to_end"]}
+    record = _load(path)
+    for workload, name, metric in _metrics(path):
+        runs = metric["runs"]
+        rebuilt = bench_record.metric_figures(declared[name], runs["parent"], runs["change"])
+        assert rebuilt == metric, (workload, name)
+    claim = record["claim"]
+    assert bench_record.claim_figures(record["workloads"], claim["workload"],
+                                      claim["metric"]) == claim

@@ -41,8 +41,11 @@ def test_star_import_binds_exactly_all():
 
 # Standard-library and third-party modules that would each add a few
 # milliseconds to every CLI command if importing rootflow.cli loaded them.
+# dataclasses loads inspect, ast, dis and tokenize, some 10 ms together; the
+# inputs build their dataclass fields only when something asks for them.
 SLOW_IMPORTS = ("numpy", "mpmath", "decimal", "fractions", "statistics", "json", "csv",
-                "logging", "subprocess", "tempfile")
+                "logging", "subprocess", "tempfile", "dataclasses", "inspect", "ast", "dis",
+                "tokenize")
 
 
 def loaded_modules(code):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import re
 import struct
@@ -1052,7 +1054,8 @@ def test_from_points_copies_its_input():
 
 
 # ---------------------------------------------------------------------------
-# result types are immutable named tuples; the validated inputs stay dataclasses
+# result types are immutable named tuples; the validated inputs are immutable
+# records that dataclasses' replace, fields and asdict accept
 
 def _converged(problems):
     return run(problems["log"], SolverConfig(scheme="secant_dyn", mu=0.135, epsilon=1e-13), 5.0)
@@ -1120,5 +1123,38 @@ def test_inputs_stay_validated_frozen_dataclasses(problems):
     with pytest.raises(DomainViolation):
         dataclasses.replace(p, default_x0=9.0)
     for obj, name in ((cfg, "mu"), (p, "name")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(obj, name, getattr(obj, name))
+
+
+# an input whose evaluators pickle by name
+SIN = ProblemSpec(name="sin", f=math.sin, df=math.cos, domain=(-1.0, 1.0), default_x0=0.5,
+                  known_root=0.0)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_inputs_copy_and_pickle(duplicate):
+    for obj in (SolverConfig(scheme="zheng", mu=0.5), SIN):
+        dup = duplicate(obj)
+        assert type(dup) is type(obj)
+        assert dup == obj and hash(dup) == hash(obj) and repr(dup) == repr(obj)
+
+
+def test_inputs_read_as_dataclasses():
+    cfg = SolverConfig(scheme="zheng", mu=0.5)
+    assert repr(cfg) == ("SolverConfig(scheme='zheng', mu=0.5, h=1.0, epsilon=1e-05, "
+                         "max_iters=500, bootstrap='zheng_first_step', stop_rule='step_size')")
+    assert dataclasses.is_dataclass(cfg) and dataclasses.is_dataclass(SIN)
+    assert dataclasses.asdict(cfg) == {
+        "scheme": "zheng", "mu": 0.5, "h": 1.0, "epsilon": 1e-5, "max_iters": 500,
+        "bootstrap": "zheng_first_step", "stop_rule": "step_size"}
+    assert dataclasses.asdict(SIN) == {"name": "sin", "f": math.sin, "domain": (-1.0, 1.0),
+                                       "default_x0": 0.5, "df": math.cos, "known_root": 0.0}
+    # each field's default is the constructor's
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    assert defaults == dataclasses.asdict(SolverConfig())
+    assert [f.default for f in dataclasses.fields(ProblemSpec)][-2:] == [None, None]
+    if hasattr(copy, "replace"):  # Python 3.13 on
+        assert copy.replace(cfg, mu=1.0) == SolverConfig(scheme="zheng", mu=1.0)
