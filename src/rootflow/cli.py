@@ -5,18 +5,20 @@ a run by its own (converged, divergence or exhausted), and table and CSV rows
 fold exhausted into divergence, keeping the reason.  ``main(argv)`` holds all
 output until its end and returns the exit code: 1 for a ``bench`` verdict
 mismatch or a ``solve --expect-converge`` run that does not converge, 2 for a
-usage error.  argparse reports its own; an option value the library rejects,
-or an output file, stdout or stderr that cannot be written (help included),
-prints one ``rootflow: ...`` line on stderr.  Output is deterministic.
+usage error.  A well-formed command line is read from the flag table;
+argparse is loaded only for any other, and it alone prints help and usage
+errors.  An option value the library rejects, or an output file, stdout or
+stderr that cannot be written (help included), prints one ``rootflow: ...``
+line on stderr.  Output is deterministic.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
 import sys
+import types
 
 from .analysis import verify_quadratic_convergence
 from .harness import (
@@ -73,7 +75,8 @@ _FLAGS = {
                         help="smallness test declaring convergence"),
     "--output": dict(help="write to this file instead of stdout"),
     "--format": dict(choices=("table", "csv"), default="table"),
-    "--expect-converge": dict(action="store_true", help="exit 1 unless the run converges"),
+    "--expect-converge": dict(action="store_true", default=False,
+                              help="exit 1 unless the run converges"),
     "--mu-values": dict(required=True, help="comma-separated mu list, e.g. 0.1,0.5,1"),
     "--h-values": dict(required=True, help="comma-separated h list, e.g. 0.1,0.5,1"),
     "--x0-count": dict(type=int, default=DEFAULT_X0_COUNT,
@@ -101,7 +104,7 @@ def _parse_values(raw: str, flag: str) -> list[float]:
         raise ValueError(f"invalid {flag} list: {raw!r}") from None
 
 
-def _config(args: argparse.Namespace) -> SolverConfig:
+def _config(args) -> SolverConfig:
     """SolverConfig's defaults, overridden by the flags that were typed."""
     typed = {name: getattr(args, name) for name in SolverConfig.__slots__
              if getattr(args, name, None) is not None}
@@ -191,7 +194,9 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # 3 ms, and the parser 4 ms more: only help and usage errors need them
+
     parser = argparse.ArgumentParser(
         prog="rootflow",
         description="Scalar nonlinear-equation solvers with an adjustable flow parameter.",
@@ -230,21 +235,64 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _well_formed(argv):
+    """The flags argparse would parse from argv, read from _FLAGS, when argv is a subcommand and
+    each of its flags exactly, with a value the flag accepts and every required flag present.
+    None for any other line, --help or an abbreviation among them, which argparse then reads."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, handler, own = _SUBCOMMANDS[argv[0]]
+    own = own.split()
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in own:
+            return None
+        spec = _FLAGS[flag]
+        if "action" in spec:  # --expect-converge, which takes no value
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        # as _join_negative_values would join it; argparse reads any other such value its own way
+        if value.startswith("-") and not (flag in _NUMERIC_FLAGS and _is_negative_number(value)):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(_FLAGS[flag].get("required") and flag not in given for flag in own):
+        return None
+    return types.SimpleNamespace(
+        subcommand=argv[0], handler=handler,
+        **{flag[2:].replace("-", "_"): given.get(flag, _FLAGS[flag].get("default")) for flag in own})
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out, err = io.StringIO(), io.StringIO()  # held until the loop at the end writes them
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            parser = build_parser()
-            # The top-level parser takes only -h.  Left to argparse, a leading
-            # flag is set aside and its value is read as the subcommand.
-            if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-                parser.error(f"unrecognized arguments: {argv[0]}")
-            args, unread = parser.parse_known_args(_join_negative_values(argv))
-            if unread:
-                # parse_args would report them with the top-level usage, not the subcommand's.
-                args.subparser.error("unrecognized arguments: " + " ".join(unread))
-            p = builtin_problems()[args.problem] if "problem" in args else None
+            args = _well_formed(argv)
+            if args is None:
+                parser = build_parser()
+                # The top-level parser takes only -h.  Left to argparse, a leading
+                # flag is set aside and its value is read as the subcommand.
+                if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+                    parser.error(f"unrecognized arguments: {argv[0]}")
+                args, unread = parser.parse_known_args(_join_negative_values(argv))
+                if unread:
+                    # parse_args would report them with the top-level usage, not the subcommand's.
+                    args.subparser.error("unrecognized arguments: " + " ".join(unread))
+            p = builtin_problems()[args.problem] if "problem" in vars(args) else None
             cfg = _config(args)
             x0 = getattr(args, "x0", None)
             if x0 is None and p is not None:

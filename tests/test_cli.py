@@ -6,12 +6,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootflow import SolverConfig, builtin_problems, run, verify_quadratic_convergence
-from rootflow.cli import _FLAGS, _SUBCOMMANDS, main
+from rootflow.cli import (_FLAGS, _SUBCOMMANDS, _join_negative_values, _well_formed,
+                          build_parser, main)
 from rootflow.harness import CSV_HEADER, rows_to_csv, run_benchmark, sweep_h, sweep_mu
 
 
@@ -403,6 +405,78 @@ def test_main_returns_an_exit_code_whatever_its_streams(argv, stdout_works, stde
     assert type(code) is int and code in (0, 1, 2)
     if stdout_works and stderr_works:  # a usage error prints on stderr only, and only it does
         assert (stdout if code == 2 else stderr).getvalue() == ""
+
+
+def argparse_flags(argv):
+    """vars() of the namespace main's argparse path reads from argv, without the subparser, or
+    None where argparse prints help or a usage error instead."""
+    parser = build_parser()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+                return None  # main reports a leading flag itself
+            args, unread = parser.parse_known_args(_join_negative_values(argv))
+        except SystemExit:
+            return None
+    if unread:
+        return None
+    flags = vars(args)
+    del flags["subparser"]
+    return flags
+
+
+def assert_read_as_argparse_reads(argv):
+    ours, theirs = _well_formed(argv), argparse_flags(argv)
+    if theirs is None:
+        assert ours is None
+    if ours is not None:  # repr, so that nan equals nan and -0.0 differs from 0.0
+        assert repr(sorted(vars(ours).items())) == repr(sorted(theirs.items()))
+    return ours
+
+
+@settings(deadline=None)
+@given(argv=command_lines())
+def test_well_formed_lines_read_as_argparse_reads_them(argv):
+    assert_read_as_argparse_reads(argv)
+
+
+SOLVE_LOG = ["solve", "--problem", "log", "--scheme", "zheng"]
+# Each form the flag table reads or leaves to argparse, and whether it reads it.
+FORMS = {
+    "--mu=-1e-3": ([*SOLVE_LOG, "--mu=-1e-3"], True),
+    "--mu -1e-3": ([*SOLVE_LOG, "--mu", "-1e-3"], True),
+    "--output -": ([*SOLVE_LOG, "--output", "-"], False),
+    "--output=--": ([*SOLVE_LOG, "--output=--"], False),
+    "--expect-converge=1": ([*SOLVE_LOG, "--expect-converge=1"], False),
+    "--mu twice": ([*SOLVE_LOG, "--mu", "1", "--mu=0.5"], True),
+    "--format=csv": ([*SOLVE_LOG, "--format=csv"], True),
+    "a space": ([*SOLVE_LOG, "--output", "a b"], True),
+    "bare --": ([*SOLVE_LOG, "--", "--mu", "1"], False),
+    "--help": ([*SOLVE_LOG, "--help"], False),
+    "no value": ([*SOLVE_LOG, "--output"], False),
+    "--problem=": (["solve", "--problem=", "--scheme", "zheng"], False),
+}
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_flag_forms_read_as_argparse_reads_them(form):
+    argv, read = FORMS[form]
+    assert (assert_read_as_argparse_reads(argv) is not None) == read
+
+
+def main_result(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(argv=command_lines())
+def test_main_prints_the_same_when_argparse_reads_every_line(argv):
+    result = main_result(argv)
+    with mock.patch("rootflow.cli._well_formed", return_value=None):
+        assert main_result(argv) == result
 
 
 # Flags a subcommand does not read, an abbreviation of one it does, and a

@@ -43,9 +43,10 @@ def test_star_import_binds_exactly_all():
 # milliseconds to every CLI command if importing rootflow.cli loaded them.
 # dataclasses loads inspect, ast, dis and tokenize, some 10 ms together; the
 # inputs build their dataclass fields only when something asks for them.
+# argparse loads gettext and locale, and it is needed only for help and usage errors.
 SLOW_IMPORTS = ("numpy", "mpmath", "decimal", "fractions", "statistics", "json", "csv",
                 "logging", "subprocess", "tempfile", "dataclasses", "inspect", "ast", "dis",
-                "tokenize")
+                "tokenize", "argparse", "gettext", "locale")
 
 
 def loaded_modules(code):
@@ -63,3 +64,28 @@ def test_cli_import_loads_no_slow_module():
     added = loaded_modules("import rootflow.cli") - loaded_modules("")
     assert "rootflow.cli" in added
     assert sorted(added & set(SLOW_IMPORTS)) == []
+
+
+# One well-formed command per subcommand.
+COMMANDS = [
+    ["solve", "--problem", "log", "--scheme", "zheng", "--mu", "1"],
+    ["bench", "--format", "csv"],
+    ["order", "--problem", "log", "--mu", "1"],
+    ["sweep-mu", "--problem", "log", "--scheme", "zheng", "--mu-values", "0.5,1"],
+    ["sweep-h", "--problem", "log", "--h-values", "0.5,1"],
+    ["basin", "--problem", "log", "--scheme", "zheng", "--mu-values", "1", "--x0-count", "5"],
+]
+
+
+def test_well_formed_commands_load_no_slow_module():
+    added = loaded_modules(
+        f"import os\nfrom rootflow.cli import main\nfor argv in {COMMANDS!r}:\n"
+        "    assert main([*argv, '--output', os.devnull]) == 0") - loaded_modules("")
+    assert sorted(added & set(SLOW_IMPORTS)) == []
+    # help still comes from argparse, which the same check sees load
+    added = loaded_modules(
+        "import contextlib, io\nfrom rootflow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert main(['solve', '--help']) == 0\n"
+        "assert out.getvalue().startswith('usage: rootflow solve [-h] --problem ')")
+    assert {"argparse", "gettext", "locale"} <= added
