@@ -292,6 +292,12 @@ def main(argv=None) -> int:
                 if unread:
                     # parse_args would report them with the top-level usage, not the subcommand's.
                     args.subparser.error("unrecognized arguments: " + " ".join(unread))
+                # An explicit "--" as a value, as in --output=--, is no value: argparse before
+                # 3.13 strips it and stores [], and 3.13 stores "--".
+                for name, value in vars(args).items():
+                    if value == [] or value == "--":
+                        args.subparser.error(f"argument --{name.replace('_', '-')}: "
+                                             "expected one argument")
             p = builtin_problems()[args.problem] if "problem" in vars(args) else None
             cfg = _config(args)
             x0 = getattr(args, "x0", None)

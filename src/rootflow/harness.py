@@ -209,7 +209,7 @@ def _csv(rows: Iterable[BenchmarkRow]) -> str:
             x0_text = x0_texts[id(x0)] = x0, _real(x0)
         lines.append(f"{head}{x0_text[1]},{verdict},{reason},"
                      f"{'' if iterations is None else iterations},"
-                     f"{'' if final_x is None else '%.6f' % final_x},{_real(residual)}")
+                     f"{'' if final_x is None else '%.6f' % final_x},{'%.17g' % residual}")
     return "\n".join(lines) + "\n"
 
 

@@ -333,14 +333,17 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     stop_on_step = cfg.stop_rule != "residual"
     stop_on_residual = cfg.stop_rule != "step_size"
     at_root = REASON_STEP if stop_on_step else REASON_RESIDUAL
+    # The stop tests read -epsilon <= d <= epsilon, which is abs(d) <= epsilon for every real d
+    # (NaN and +-inf fail both, +-0 and +-epsilon pass both) without a call to abs.  The loops
+    # call points.append, not a bound-method local, so CPython 3.11+ inlines the list append.
     epsilon, max_iters = cfg.epsilon, cfg.max_iters
+    neg_epsilon = -epsilon
     # One test admits a candidate: inside the domain and ESCAPE_BOUND.
     lo = -ESCAPE_BOUND if -ESCAPE_BOUND > a else a  # max(a, -ESCAPE_BOUND)
     hi = ESCAPE_BOUND if ESCAPE_BOUND < b else b  # min(b, ESCAPE_BOUND)
 
     x = x0
     points = [(x, fx)]
-    append = points.append
     reason = REASON_MAX_ITERS
     # Two loops, one per point count: x - num / den with the kernels' expressions, then one
     # guard sequence.  Its den tests are _step's, before f(candidate): a den that is not finite
@@ -370,11 +373,11 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 if not isfinite(f_cand):
                     reason = REASON_NONFINITE
                     break
-                append((candidate, f_cand))
-                if stop_on_step and abs(candidate - x) <= epsilon:
+                points.append((candidate, f_cand))
+                if stop_on_step and neg_epsilon <= candidate - x <= epsilon:
                     reason = REASON_STEP
                     break
-                if stop_on_residual and abs(f_cand) <= epsilon:
+                if stop_on_residual and neg_epsilon <= f_cand <= epsilon:
                     reason = REASON_RESIDUAL
                     break
                 x, fx = candidate, f_cand
@@ -406,11 +409,11 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 if not isfinite(f_cand):
                     reason = REASON_NONFINITE
                     break
-                append((candidate, f_cand))
-                if stop_on_step and abs(candidate - x) <= epsilon and step:
+                points.append((candidate, f_cand))
+                if stop_on_step and neg_epsilon <= candidate - x <= epsilon and step:
                     reason = REASON_STEP
                     break
-                if stop_on_residual and abs(f_cand) <= epsilon:
+                if stop_on_residual and neg_epsilon <= f_cand <= epsilon:
                     reason = REASON_RESIDUAL
                     break
     except NONFINITE_ERRORS:

@@ -507,6 +507,30 @@ def test_unread_and_abbreviated_flags_are_usage_errors(capsys, command):
     assert "unrecognized arguments: " + command.split()[-1] in err
 
 
+# An explicit "--" as a flag's value, which argparse before Python 3.13 stores as [] and 3.13
+# as "--".
+DASH_DASH_VALUES = {
+    "solve --output": [*SOLVE_LOG, "--output=--"],
+    "basin --grid-output": ["basin", "--problem", "log", "--scheme", "zheng", "--mu-values", "1",
+                            "--x0-count", "3", "--grid-output=--"],
+    "sweep-mu --mu-values": ["sweep-mu", "--problem", "log", "--scheme", "zheng",
+                             "--mu-values=--"],
+    "sweep-h --h-values": ["sweep-h", "--problem", "log", "--h-values=--"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DASH_DASH_VALUES))
+def test_a_dash_dash_value_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    subcommand, flag = command.split()
+    code, out, err = run_cli(capsys, DASH_DASH_VALUES[command])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: rootflow {subcommand} ")
+    assert err.count("usage:") == 1
+    assert err.endswith(f"rootflow {subcommand}: error: argument {flag}: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trig_basin_at_the_default_count(capsys):
     code, out, _ = run_cli(capsys, [
         "basin", "--problem", "trig", "--scheme", "secant-dyn", "--mu-values", "2.65"])

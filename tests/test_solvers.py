@@ -11,6 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -961,6 +962,52 @@ def test_run_takes_the_reference_exit_on_rare_runs(name, scheme, bootstrap, stop
                        stop_rule=stop_rule)
     expected, refused = _kernel_run(p, cfg, x0)
     assert _exit_label(cfg, expected, refused) == exit_label
+    assert _same_run(run(p, cfg, x0), expected)
+
+
+# Runs whose step, or f value, lands exactly on +epsilon or -epsilon, in numbers other than
+# float.  On f(x) = x - 1/2, from x0 = 1/2 + 2s epsilon with s = +-1:
+# - euler_flow at mu 0 and h 1/2 steps by -s epsilon to a point where f is s epsilon;
+# - secant's offset_x0 bootstrap takes the point 1/2 + s epsilon, where f is s epsilon, and its
+#   next step is -s epsilon, to the root.
+# So the test of the stop rule passes on its boundary, at the first step that is tested.
+# EXACT_KINDS: the numbers x0, f, mu and h are made of, and epsilon.
+EXACT_KINDS = {
+    "Fraction": (Fraction, Fraction(1, 3)),
+    "mpf": (mpmath.mpf, mpmath.mpf(2) ** -10),  # at mpmath's current precision
+    "float64": (numpy.float64, numpy.float64(2 ** -10)),
+    "int epsilon": (float, 1),
+    "Fraction epsilon": (float, Fraction(1, 1024)),
+}
+# Each row: kind, scheme, stop rule, and the run's reason and count.  The offset_x0 bootstrap
+# computes in float, so a Fraction epsilon of 1/3 leaves no exact boundary there; at an epsilon
+# of 1, |x0| is above 1, so the bootstrap step is |x0| epsilon, not epsilon.
+EXACT_RUNS = [
+    *((kind, "euler_flow", "step_size", REASON_STEP, 1) for kind in EXACT_KINDS),
+    *((kind, "euler_flow", "residual", REASON_RESIDUAL, 1) for kind in EXACT_KINDS),
+    *((kind, "secant", "step_size", REASON_STEP, 1)
+      for kind in ("mpf", "float64", "Fraction epsilon")),
+    *((kind, "secant", "residual", REASON_RESIDUAL, 0)
+      for kind in ("mpf", "float64", "Fraction epsilon")),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+epsilon", "-epsilon"])
+@pytest.mark.parametrize("kind, scheme, stop_rule, reason, iterations", EXACT_RUNS,
+                         ids=[f"{r[0]}-{r[1]}-{r[2]}" for r in EXACT_RUNS])
+def test_stop_tests_pass_on_their_boundary(kind, scheme, stop_rule, reason, iterations, sign):
+    number, epsilon = EXACT_KINDS[kind]
+    half, one = number(1) / 2, number(1)
+    x0 = half + 2 * sign * epsilon
+    p = ProblemSpec(name=kind, f=lambda x: x - half, df=lambda x: one, domain=(-10, 10),
+                    known_root=half, default_x0=x0)
+    cfg = SolverConfig(scheme=scheme, mu=number(0), h=half, epsilon=epsilon,
+                       bootstrap="offset_x0", stop_rule=stop_rule)
+    expected, _ = _kernel_run(p, cfg, x0)
+    (x, _), (x_last, f_last) = expected.pairs[-2:]
+    landed = x_last - x if stop_rule == "step_size" else f_last
+    assert landed == (-sign if stop_rule == "step_size" else sign) * epsilon
+    assert (expected.reason, expected.iterations) == (reason, iterations)
     assert _same_run(run(p, cfg, x0), expected)
 
 
