@@ -194,25 +194,6 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser():
-    import argparse  # 3 ms, and the parser 4 ms more: only help and usage errors need them
-
-    parser = argparse.ArgumentParser(
-        prog="rootflow",
-        description="Scalar nonlinear-equation solvers with an adjustable flow parameter.",
-        epilog="Schemes: " + SCHEME_HELP,
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
-        # Without allow_abbrev=False, a removed or misspelt flag such as
-        # --x0 or --max would be read as a longer flag it prefixes.
-        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        sub.set_defaults(subparser=sub, handler=handler)
-        for flag in flags.split():
-            sub.add_argument(flag, **_FLAGS[flag])
-    return parser
-
-
 def _is_negative_number(token: str) -> bool:
     """Whether token is a negative number, or a list whose first item is one."""
     try:
@@ -220,19 +201,6 @@ def _is_negative_number(token: str) -> bool:
     except ValueError:
         return False
     return token.startswith("-")
-
-
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with each numeric flag joined to a negative value after it, as ``--mu=-1e-3``.
-    argparse takes a token that starts with "-" for a flag unless it is a plain decimal such as
-    -1 or -.5, so it would refuse ``--mu -1e-3`` or ``--mu-values -0.5,1``."""
-    joined = []
-    for token in argv:
-        if joined and joined[-1] in _NUMERIC_FLAGS and _is_negative_number(token):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
 
 
 def _well_formed(argv):
@@ -259,7 +227,7 @@ def _well_formed(argv):
             value = next(tokens, None)
             if value is None:
                 return None
-        # as _join_negative_values would join it; argparse reads any other such value its own way
+        # as _read_with_argparse would join it; argparse reads any other such value its own way
         if value.startswith("-") and not (flag in _NUMERIC_FLAGS and _is_negative_number(value)):
             return None
         try:
@@ -276,28 +244,55 @@ def _well_formed(argv):
         **{flag[2:].replace("-", "_"): given.get(flag, _FLAGS[flag].get("default")) for flag in own})
 
 
+def _read_with_argparse(argv):
+    """The flags argparse parses from argv, for any line _well_formed does not read.  argparse
+    prints help or a usage error instead, and raises SystemExit."""
+    import argparse  # 3 ms, and the parser 4 ms more: only help and usage errors need them
+
+    parser = argparse.ArgumentParser(
+        prog="rootflow",
+        description="Scalar nonlinear-equation solvers with an adjustable flow parameter.",
+        epilog="Schemes: " + SCHEME_HELP,
+    )
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
+        # Without allow_abbrev=False, a removed or misspelt flag such as
+        # --x0 or --max would be read as a longer flag it prefixes.
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.set_defaults(handler=handler)
+        for flag in flags.split():
+            sub.add_argument(flag, **_FLAGS[flag])
+    # The top-level parser takes only -h.  Left to argparse, a leading
+    # flag is set aside and its value is read as the subcommand.
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error(f"unrecognized arguments: {argv[0]}")
+    # argparse takes a token that starts with "-" for a flag unless it is a plain decimal such as
+    # -1 or -.5, so each negative value after a numeric flag is joined to it, as --mu=-1e-3.
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _NUMERIC_FLAGS and _is_negative_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    args, unread = parser.parse_known_args(joined)
+    sub = subs.choices[args.subcommand]
+    if unread:
+        # parse_args would report them with the top-level usage, not the subcommand's.
+        sub.error("unrecognized arguments: " + " ".join(unread))
+    # An explicit "--" as a value, as in --output=--, is no value: argparse before
+    # 3.13 strips it and stores [], and 3.13 stores "--".
+    for name, value in vars(args).items():
+        if value == [] or value == "--":
+            sub.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out, err = io.StringIO(), io.StringIO()  # held until the loop at the end writes them
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _well_formed(argv)
-            if args is None:
-                parser = build_parser()
-                # The top-level parser takes only -h.  Left to argparse, a leading
-                # flag is set aside and its value is read as the subcommand.
-                if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-                    parser.error(f"unrecognized arguments: {argv[0]}")
-                args, unread = parser.parse_known_args(_join_negative_values(argv))
-                if unread:
-                    # parse_args would report them with the top-level usage, not the subcommand's.
-                    args.subparser.error("unrecognized arguments: " + " ".join(unread))
-                # An explicit "--" as a value, as in --output=--, is no value: argparse before
-                # 3.13 strips it and stores [], and 3.13 stores "--".
-                for name, value in vars(args).items():
-                    if value == [] or value == "--":
-                        args.subparser.error(f"argument --{name.replace('_', '-')}: "
-                                             "expected one argument")
+            args = _well_formed(argv) or _read_with_argparse(argv)
             p = builtin_problems()[args.problem] if "problem" in vars(args) else None
             cfg = _config(args)
             x0 = getattr(args, "x0", None)

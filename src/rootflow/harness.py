@@ -192,7 +192,13 @@ def _real(v: float) -> str:
     return "%.17g" % v  # through float(), and cheaper than f"{v:.17g}"
 
 
-def _csv(rows: Iterable[BenchmarkRow]) -> str:
+def rows_to_csv(rows: Iterable[BenchmarkRow]) -> str:
+    """Render rows as CSV, one header row first.
+
+    Reals carry 17 significant digits except final_x, which uses the
+    6-decimal table rendering.  Each goes through float() first, so mpmath,
+    Fraction and Decimal values render as the float nearest them.
+    """
     # Each thing is formatted once per call: the problem,scheme,mu,h head once
     # for each run of rows holding the same four objects, and each x0 object
     # once.  Objects, not values, are the keys, as 0.0 == -0.0 renders "0"
@@ -213,20 +219,13 @@ def _csv(rows: Iterable[BenchmarkRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_csv(rows: Iterable[BenchmarkRow]) -> str:
-    """Render rows as CSV, one header row first.
-
-    Reals carry 17 significant digits except final_x, which uses the
-    6-decimal table rendering.  Each goes through float() first, so mpmath,
-    Fraction and Decimal values render as the float nearest them.
-    """
-    return _csv(rows)
+# basin_to_csv renders through this second name, so that wrapping one public
+# renderer never sees the other's calls.
+_csv = rows_to_csv
 
 
 def basin_to_csv(grid: BasinGrid) -> str:
     """Render every basin cell as one CSV row, mu-major, as rows_to_csv does."""
-    # Through _csv rather than rows_to_csv, so that wrapping one public
-    # renderer never sees the other's calls.
     return _csv(chain.from_iterable(grid.cells))
 
 

@@ -79,12 +79,18 @@ class _Record:
 
     It behaves as a frozen dataclass does: equality and hash over the field
     values, a field-by-field repr, and AttributeError on assignment.  The
-    subclass's ``__init__`` sets each field with ``object.__setattr__`` and
-    checks them; a copy, a pickle or ``_replace`` goes through it again.
+    subclass's ``__init__`` hands its arguments to ``_set_fields`` and checks
+    them; a copy, a pickle or ``_replace`` goes through it again.
     """
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
+
+    def _set_fields(self, values: tuple) -> None:
+        """Set the fields to ``values``, given in ``__slots__`` order."""
+        setattr_ = object.__setattr__  # past __setattr__, which refuses
+        for name, value in zip(self.__slots__, values):
+            setattr_(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -149,13 +155,7 @@ class ProblemSpec(_Record):
     def __init__(self, name: str, f: Callable[[float], float], domain: tuple[float, float],
                  default_x0: float, df: Callable[[float], float] | None = None,
                  known_root: float | None = None):
-        setattr_ = object.__setattr__
-        setattr_(self, "name", name)
-        setattr_(self, "f", f)
-        setattr_(self, "domain", domain)
-        setattr_(self, "default_x0", default_x0)
-        setattr_(self, "df", df)
-        setattr_(self, "known_root", known_root)
+        self._set_fields((name, f, domain, default_x0, df, known_root))
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         if any(c in self.name for c in ',"\n\r'):  # it is an unquoted CSV field

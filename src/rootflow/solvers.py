@@ -101,14 +101,7 @@ class SolverConfig(_Record):
     def __init__(self, scheme: str = "secant_dyn", mu: float = 0.0, h: float = 1.0,
                  epsilon: float = 1e-5, max_iters: int = 500, bootstrap: str = "zheng_first_step",
                  stop_rule: str = "step_size"):
-        setattr_ = object.__setattr__
-        setattr_(self, "scheme", scheme)
-        setattr_(self, "mu", mu)
-        setattr_(self, "h", h)
-        setattr_(self, "epsilon", epsilon)
-        setattr_(self, "max_iters", max_iters)
-        setattr_(self, "bootstrap", bootstrap)
-        setattr_(self, "stop_rule", stop_rule)
+        self._set_fields((scheme, mu, h, epsilon, max_iters, bootstrap, stop_rule))
         for name, allowed in _CHOICE_FIELDS:
             if (value := getattr(self, name)) not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")

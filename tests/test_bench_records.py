@@ -31,8 +31,8 @@ def _gain(metric, parent, change):
 
 
 def _rule_met(metric):
-    """At least 9 of 10 pairs won, and a median gain beyond the parent's IQR."""
-    return (metric["change_won"] >= 9
+    """Nine tenths of the pairs won, 9 of 10, and a median gain beyond the parent's IQR."""
+    return (metric["change_won"] * 10 >= 9 * len(metric["runs"]["parent"])
             and _gain(metric, metric["parent"]["median"], metric["change"]["median"])
             > metric["parent_iqr"])
 
@@ -118,3 +118,29 @@ def test_record_script_rebuilds_the_figures_exactly(path):
     claim = record["claim"]
     assert bench_record.claim_figures(record["workloads"], claim["workload"],
                                       claim["metric"]) == claim
+
+
+def test_the_pass_rule_takes_nine_tenths_of_the_pairs():
+    declared = {"unit": "1/s", "better": "higher", "bound": 0.25}
+    parent = [100.0 + i for i in range(20)]
+
+    def verdict(won):  # the change gains 50 on its first ``won`` pairs and loses 1 on the rest
+        change = [p + 50.0 if i < won else p - 1.0 for i, p in enumerate(parent)]
+        return _bench_record().metric_figures(declared, parent, change)["verdict"]
+
+    assert [verdict(won) == BETTER for won in (9, 17, 18, 20)] == [False, False, True, True]
+
+
+@pytest.mark.parametrize("seeds", ["5", "3610-3601", "7-7"])
+def test_the_script_refuses_fewer_than_two_seeds_before_a_run(monkeypatch, capsys, seeds):
+    bench_record = _bench_record()
+
+    def export(source, dest):
+        raise AssertionError("exported a tree")
+
+    monkeypatch.setattr(bench_record, "export", export)
+    with pytest.raises(SystemExit) as exit_:
+        bench_record.main(["--parent", "HEAD", "--change", ".", "--seeds", seeds,
+                           "--claim", "cli:ops_per_s", "--out", "unwritten.json"])
+    assert exit_.value.code == 2
+    assert f"'{seeds}' is fewer than two seeds" in capsys.readouterr().err

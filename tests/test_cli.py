@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootflow import SolverConfig, builtin_problems, run, verify_quadratic_convergence
-from rootflow.cli import (_FLAGS, _SUBCOMMANDS, _join_negative_values, _well_formed,
-                          build_parser, main)
+from rootflow.cli import _FLAGS, _SUBCOMMANDS, _read_with_argparse, _well_formed, main
 from rootflow.harness import CSV_HEADER, rows_to_csv, run_benchmark, sweep_h, sweep_mu
 
 
@@ -61,7 +60,10 @@ def test_solve_divergence_exits_zero_without_expectation(capsys):
      "exhausted", "max_iters_reached", 3),
     # the first candidate leaves the domain, so no step is taken
     (["--problem", "log", "--scheme", "newton"], "divergence", "domain_violation", 0),
-], ids=["exp-secant-dyn", "log-newton"])
+    # a start on the root converges before any step, so --expect-converge exits 0
+    (["--problem", "log", "--scheme", "zheng", "--mu", "1", "--x0", "1", "--expect-converge"],
+     "converged", "step_below_epsilon", 0),
+], ids=["exp-secant-dyn", "log-newton", "log-zheng-at-the-root"])
 def test_solve_prints_the_accepted_steps(capsys, argv, verdict, reason, iterations):
     code, out, _ = run_cli(capsys, ["solve", *argv])
     assert code == 0
@@ -76,7 +78,8 @@ def test_solve_prints_the_accepted_steps(capsys, argv, verdict, reason, iteratio
     (["--problem", "log", "--scheme", "secant-dyn", "--mu", "1e308"], 1, "nonfinite"),
     # a huge but finite one rounds the bootstrap step to 0, and the next pair coincides
     (["--problem", "log", "--scheme", "secant-dyn", "--mu", "1e300"], 2, "denominator_underflow"),
-], ids=["zheng-residual", "secant-dyn-bootstrap", "secant-dyn-finite"])
+    (["--problem", "log", "--scheme", "secant-dyn", "--mu", "1e20"], 2, "denominator_underflow"),
+], ids=["zheng-residual", "secant-dyn-bootstrap", "secant-dyn-finite", "secant-dyn-1e20"])
 def test_solve_huge_mu(capsys, argv, rows, reason):
     code, out, _ = run_cli(capsys, ["solve", *argv, "--expect-converge"])
     assert code == 1
@@ -408,21 +411,13 @@ def test_main_returns_an_exit_code_whatever_its_streams(argv, stdout_works, stde
 
 
 def argparse_flags(argv):
-    """vars() of the namespace main's argparse path reads from argv, without the subparser, or
-    None where argparse prints help or a usage error instead."""
-    parser = build_parser()
+    """vars() of the namespace main's argparse path reads from argv, or None where argparse
+    prints help or a usage error instead."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-                return None  # main reports a leading flag itself
-            args, unread = parser.parse_known_args(_join_negative_values(argv))
+            return vars(_read_with_argparse(argv))
         except SystemExit:
             return None
-    if unread:
-        return None
-    flags = vars(args)
-    del flags["subparser"]
-    return flags
 
 
 def assert_read_as_argparse_reads(argv):
@@ -450,6 +445,8 @@ FORMS = {
     "--expect-converge=1": ([*SOLVE_LOG, "--expect-converge=1"], False),
     "--mu twice": ([*SOLVE_LOG, "--mu", "1", "--mu=0.5"], True),
     "--format=csv": ([*SOLVE_LOG, "--format=csv"], True),
+    "basin --x0-count=5": (["basin", "--problem", "trig", "--scheme", "secant-dyn",
+                            "--mu-values=2.65", "--x0-count=5"], True),
     "a space": ([*SOLVE_LOG, "--output", "a b"], True),
     "bare --": ([*SOLVE_LOG, "--", "--mu", "1"], False),
     "--help": ([*SOLVE_LOG, "--help"], False),
@@ -459,9 +456,13 @@ FORMS = {
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
-def test_flag_forms_read_as_argparse_reads_them(form):
+def test_flag_forms_read_as_argparse_reads_them(tmp_path, monkeypatch, form):
     argv, read = FORMS[form]
     assert (assert_read_as_argparse_reads(argv) is not None) == read
+    if read:  # and main runs the line it reads
+        monkeypatch.chdir(tmp_path)
+        code, _, err = main_result(argv)
+        assert (code, err) == (0, "")
 
 
 def main_result(argv):
@@ -505,6 +506,13 @@ def test_unread_and_abbreviated_flags_are_usage_errors(capsys, command):
     first = UNKNOWN_FLAGS[command][0]
     assert err.startswith("usage: rootflow " + ("[-h]" if first.startswith("-") else first) + " ")
     assert "unrecognized arguments: " + command.split()[-1] in err
+
+
+def test_a_value_for_a_flag_that_takes_none_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, [*SOLVE_LOG, "--expect-converge=1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: rootflow solve ")
+    assert "error: argument --expect-converge: ignored explicit argument '1'" in err
 
 
 # An explicit "--" as a flag's value, which argparse before Python 3.13 stores as [] and 3.13

@@ -257,6 +257,23 @@ def test_each_cell_and_row_is_one_call_of_harness_run(monkeypatch, problems):
     assert calls == Counter((0.135, h, 5.0) for h in h_values)
 
 
+def test_basin_csv_renders_without_calling_harness_rows_to_csv(monkeypatch, problems):
+    # perfbench wraps harness.rows_to_csv and harness.basin_to_csv to count the
+    # bytes each renders, so a basin render through the first would count twice.
+    calls = []
+    real_render = harness.rows_to_csv
+
+    def counting_render(rows):
+        calls.append(rows)
+        return real_render(rows)
+
+    monkeypatch.setattr("rootflow.harness.rows_to_csv", counting_render)
+    log = problems["log"]
+    text = basin_to_csv(map_basin(log, "zheng", [0.5, 1.0], default_x0_axis(log, 3)))
+    assert calls == []
+    assert text.startswith(CSV_HEADER + "\n")
+
+
 def test_rows_name_the_mu_and_h_the_run_used(problems):
     # newton fixes mu = 0 and h = 1, secant mu = 0, and every scheme but
     # euler_flow h = 1; a row shows those, not the config's values

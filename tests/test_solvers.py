@@ -1174,6 +1174,17 @@ def test_inputs_stay_validated_frozen_dataclasses(problems):
             setattr(obj, name, getattr(obj, name))
 
 
+def test_inputs_equal_no_other_type_and_keep_their_fields(problems):
+    cfg, p = SolverConfig(), problems["log"]
+    for obj, other in ((cfg, p), (p, cfg)):
+        for unlike in (other, tuple(getattr(obj, name) for name in obj.__slots__)):
+            assert (obj == unlike, obj != unlike) == (False, True)
+    with pytest.raises(AttributeError, match="cannot delete field 'mu'"):
+        del cfg.mu
+    with pytest.raises(AttributeError, match="cannot delete field 'name'"):
+        del p.name
+
+
 # an input whose evaluators pickle by name
 SIN = ProblemSpec(name="sin", f=math.sin, df=math.cos, domain=(-1.0, 1.0), default_x0=0.5,
                   known_root=0.0)

@@ -40,11 +40,17 @@ IDENTICAL = ("digest", "op_digests", "counts_per_round", "evaluations_per_round"
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``3601-3610`` or ``1,5,9`` as a list of ints."""
+    """``3601-3610`` or ``1,5,9`` as a list of ints, at least two: a side's quartiles need two
+    runs."""
     if "-" in text:
         first, last = map(int, text.split("-"))
-        return list(range(first, last + 1))
-    return [int(seed) for seed in text.split(",")]
+        seeds = list(range(first, last + 1))
+    else:
+        seeds = [int(seed) for seed in text.split(",")]
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is fewer than two seeds, and a record needs "
+                                         "at least two; a range runs from low to high")
+    return seeds
 
 
 def _git(*args, cwd=None) -> bytes:
@@ -114,7 +120,8 @@ def metric_figures(declared: dict, parent: list[float], change: list[float]) -> 
     relative = c["median"] / p["median"] - 1.0
     gains = [_gain(better, a, b) for a, b in zip(parent, change)]
     won = sum(g > 0 for g in gains)
-    if won >= 9 and _gain(better, p["median"], c["median"]) > iqr:
+    # won in nine tenths of the pairs: 9 of the usual 10, as BETTER words it
+    if won * 10 >= 9 * len(gains) and _gain(better, p["median"], c["median"]) > iqr:
         verdict = BETTER
     elif -_gain(better, 1.0, 1.0 + relative) <= declared["bound"]:
         verdict = "within its bound"
