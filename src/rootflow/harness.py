@@ -23,8 +23,6 @@ from .problems import ProblemSpec, builtin_problems
 from .solvers import (_DEFAULTS, CONVERGED_REASONS, VERDICT_CONVERGED, VERDICT_DIVERGED,
                       SolverConfig, _count, run)
 
-CSV_HEADER = "problem,scheme,mu,h,x0,verdict,reason,iterations,final_x,residual"
-
 # How many initial values a basin map takes across the domain by default.
 DEFAULT_X0_COUNT = 201
 
@@ -74,6 +72,9 @@ class BenchmarkRow(NamedTuple):
     iterations: int | None
     final_x: float | None
     residual: float
+
+
+CSV_HEADER = ",".join(BenchmarkRow._fields)
 
 
 class BasinGrid(NamedTuple):

@@ -12,6 +12,7 @@ records; its builder must reproduce every committed record's figures exactly.
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -144,3 +145,95 @@ def test_the_script_refuses_fewer_than_two_seeds_before_a_run(monkeypatch, capsy
                            "--claim", "cli:ops_per_s", "--out", "unwritten.json"])
     assert exit_.value.code == 2
     assert f"'{seeds}' is fewer than two seeds" in capsys.readouterr().err
+
+
+def _repository(root):
+    """A repository at ``root`` with one commit, and a ``git`` that runs there and commits as a
+    fixed user."""
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=Record Test", "-c", "user.email=t@example",
+                               "-c", "commit.gpgsign=false", *args], cwd=root, check=True,
+                              capture_output=True).stdout.decode()
+
+    (root / "src" / "rootflow").mkdir(parents=True)
+    (root / ".gitignore").write_text("*.log\n")
+    (root / "src" / "rootflow" / "kept.py").write_text("kept = 1\n")
+    (root / "src" / "rootflow" / "gone.py").write_text("gone = 1\n")
+    (root / "run.sh").write_text("echo run\n")
+    (root / "tool.sh").write_text("echo tool\n")
+    (root / "tool.sh").chmod(0o755)
+    (root / "tracked.log").write_text("tracked, though ignored\n")
+    git("init", "-q")
+    git("add", "--all")
+    git("add", "--force", "tracked.log")
+    git("commit", "-q", "-m", "base")
+    return git
+
+
+def _files(root):
+    """Each file under ``root`` outside ``.git``: its bytes and whether its owner may run it."""
+    return {path.relative_to(root).as_posix(): (path.read_bytes(), bool(path.stat().st_mode & 0o100))
+            for path in root.rglob("*") if path.is_file() and ".git" not in path.parts}
+
+
+def test_export_extracts_a_revision_as_committed(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    git = _repository(repo)
+    committed = _files(repo)
+    (repo / "src" / "rootflow" / "kept.py").write_text("kept = 2\n")
+    monkeypatch.chdir(repo)
+    commit, tree = _bench_record().export("HEAD", tmp_path / "out")
+    assert commit == git("rev-parse", "HEAD").strip()
+    assert tree == git("rev-parse", "HEAD:src/rootflow").strip()
+    assert _files(tmp_path / "out") == committed
+    assert committed["tool.sh"] == (b"echo tool\n", True)
+
+
+def test_export_extracts_a_working_tree_as_git_add_all_stages_it(tmp_path):
+    repo = tmp_path / "repo"
+    git = _repository(repo)
+    (repo / "src" / "rootflow" / "kept.py").write_text("kept = 2\n")  # modified
+    (repo / "src" / "rootflow" / "new.py").write_text("new = 1\n")  # untracked
+    (repo / "src" / "rootflow" / "gone.py").unlink()  # deleted, still in the caller's index
+    (repo / "src" / "rootflow" / "run.log").write_text("ignored\n")
+    (repo / "run.sh").chmod(0o755)  # now executable
+    (repo / "staged.txt").write_text("staged\n")
+    git("add", "staged.txt")
+    before = git("status", "--porcelain"), git("diff", "--cached")
+    expected = _files(repo)
+    del expected["src/rootflow/run.log"]
+    commit, tree = _bench_record().export(str(repo), tmp_path / "out")
+    assert (git("status", "--porcelain"), git("diff", "--cached")) == before
+    assert _files(tmp_path / "out") == expected
+    assert {"src/rootflow/new.py", "tracked.log", "tool.sh"} <= expected.keys()
+    assert "src/rootflow/gone.py" not in expected
+    assert expected["run.sh"] == (b"echo run\n", True)
+    assert commit is None
+    git("add", "--all")
+    git("commit", "-q", "-m", "the working tree")
+    assert tree == git("rev-parse", "HEAD:src/rootflow").strip()
+
+
+def _perfbench_printing(tree, value):
+    """A ``perfbench/run.py`` in ``tree`` that prints a record line and a result line whose one
+    metric value is ``value``, as written."""
+    result = ('{"correct": true, "attempted": 1, "failed": 0, '
+              '"metrics": {"ops_per_s": {"value": %s}}}' % value)
+    (tree / "perfbench").mkdir()
+    (tree / "perfbench" / "run.py").write_text(f"print('record: {{}}')\nprint({result!r})\n")
+
+
+def test_a_result_line_is_read_as_json(tmp_path):
+    _perfbench_printing(tmp_path, "1.5")
+    done = _bench_record().run_once(tmp_path, "basin", 1)
+    assert done == {"result": {"correct": True, "attempted": 1, "failed": 0,
+                               "metrics": {"ops_per_s": {"value": 1.5}}},
+                    "record": {}, "cached": False}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_a_result_line_with_a_non_number_is_refused(tmp_path, value):
+    _perfbench_printing(tmp_path, value)
+    with pytest.raises(ValueError, match=f"{value} is not a JSON number"):
+        _bench_record().run_once(tmp_path, "basin", 1)

@@ -3,10 +3,10 @@
     python3 tools/bench_record.py --parent REV --change REV|PATH --seeds 3601-3610 \\
         --claim cli:ops_per_s --out BENCH_35.json
 
-Run it from a git checkout.  Each side runs from its own copy: ``git
-archive`` of a revision, or, for a working-tree PATH, the files git would
-commit from it (tracked, and untracked but not ignored).  Every run is
-unmodified ``perfbench/run.py --workload W --seed N --seconds 5 --trace 0``
+Run it from a git checkout.  Each side runs from its own ``git archive`` of a
+tree: a revision's, or, for a working-tree PATH, the one ``git add --all``
+would stage from it (tracked files, and untracked ones not ignored).  Every
+run is unmodified ``perfbench/run.py --workload W --seed N --seconds 5 --trace 0``
 under ``PYTHONDONTWRITEBYTECODE=1 PYTHONUNBUFFERED=1``, one at a time: per
 seed basin, then precision, then cli, the parent first on odd seeds and the
 change first on even ones.  The record gives, per workload and end-to-end
@@ -17,12 +17,10 @@ derived from them; ``tests/test_bench_records.py`` checks that format.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -53,40 +51,26 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _git(*args, cwd=None) -> bytes:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
+def _git(*args, cwd=None, env=None) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True, capture_output=True).stdout
 
 
-def export(source: str, dest: Path) -> str | None:
-    """Copy ``source`` to ``dest``; return its commit, or None for a working tree."""
-    dest.mkdir(parents=True)
+def export(source: str, dest: Path) -> tuple[str | None, str]:
+    """Extract ``source``, a revision or a working tree as ``git add --all`` would stage it,
+    into ``dest``; return its commit (None for a working tree) and ``src/rootflow``'s tree id."""
     if Path(source).is_dir():
-        names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=source)
-        for name in filter(None, names.decode().split("\0")):
-            if (Path(source) / name).is_file():  # a tracked file deleted in the tree is gone
-                (dest / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(Path(source) / name, dest / name)
-        return None
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", source))) as tar:
+        cwd, commit = source, None
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.abspath(f"{dest}.index")}
+        _git("read-tree", "HEAD", cwd=cwd, env=env)
+        _git("add", "--all", cwd=cwd, env=env)
+        tree = _git("write-tree", cwd=cwd, env=env).decode().strip()
+    else:
+        cwd = None
+        tree = commit = _git("rev-parse", source + "^{commit}").decode().strip()
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", tree, cwd=cwd))) as tar:
         tar.extractall(dest, filter="data")
-    return _git("rev-parse", source + "^{commit}").decode().strip()
-
-
-def tree_hash(path: Path) -> str:
-    """The git tree id of the directory ``path``, as ``git rev-parse REV:path`` gives it."""
-    entries = []
-    for child in path.iterdir():
-        if child.is_dir():
-            mode, oid = b"40000", tree_hash(child)
-        else:
-            mode = b"100755" if os.access(child, os.X_OK) else b"100644"
-            data = child.read_bytes()
-            oid = hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
-        # git orders a tree's entries by name, a directory's name read with a trailing "/"
-        key = child.name.encode() + (b"/" if child.is_dir() else b"")
-        entries.append((key, mode + b" " + child.name.encode() + b"\0" + bytes.fromhex(oid)))
-    body = b"".join(entry for _, entry in sorted(entries))
-    return hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
+    return commit, _git("rev-parse", tree + ":src/rootflow", cwd=cwd).decode().strip()
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -99,7 +83,12 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     out = subprocess.run(argv, cwd=tree, env=env, check=True, stdout=subprocess.PIPE,
                          text=True).stdout.splitlines()
     record = next(json.loads(line[len("record: "):]) for line in out if line.startswith("record: "))
-    return {"result": json.loads(out[-1]), "record": record, "cached": cached}
+    result = json.loads(out[-1], parse_constant=_refuse)  # no NaN or Infinity, as in CI
+    return {"result": result, "record": record, "cached": cached}
+
+
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
 
 
 def _quartiles(runs: list[float]) -> dict:
@@ -179,18 +168,16 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim}: expected WORKLOAD:METRIC from BENCHMARK.json")
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
-        parent_commit = export(args.parent, trees["parent"])
-        change_commit = export(args.change, trees["change"])
+        parent_commit, parent_tree = export(args.parent, trees["parent"])
+        change_commit, change_tree = export(args.change, trees["change"])
         runs = {w: {side: [] for side in SIDES} for w in workloads}
         for seed in args.seeds:
             for workload in workloads:
                 for side in SIDES if seed % 2 else SIDES[::-1]:
                     done = run_once(trees[side], workload, seed)
                     runs[workload][side].append(done)
-                    print(f"seed {seed} {workload} {side}: "
-                          f"ops_per_s {done['result']['metrics']['ops_per_s']['value']:.6g}",
-                          file=sys.stderr)
-        source_trees = {side: tree_hash(trees[side] / "src" / "rootflow") for side in trees}
+                    value = done["result"]["metrics"]["ops_per_s"]["value"]
+                    print(f"seed {seed} {workload} {side}: ops_per_s {value:.6g}", file=sys.stderr)
     figures = {w: workload_figures(declared["end_to_end"], runs[w]) for w in workloads}
     record = {
         "what": ("End-to-end metrics of perfbench/run.py for this change and its parent, over "
@@ -203,20 +190,19 @@ def main(argv=None) -> int:
         "order": ("odd seeds run the parent first, even seeds the change first; one run at a "
                   "time, seed by seed, basin then precision then cli"),
         "parent_commit": parent_commit,
-        "parent_src_rootflow_tree": source_trees["parent"],
-        "change_src_rootflow_tree": source_trees["change"],
+        "parent_src_rootflow_tree": parent_tree,
+        "change_src_rootflow_tree": change_tree,
         "change_commit": change_commit or ("the commit that adds this file; its "
                                            "src/rootflow tree is change_src_rootflow_tree"),
-        "copies": ("each side ran from its own copy (git archive, or a working tree's "
-                   "committable files); the environment set PYTHONDONTWRITEBYTECODE=1 and "
-                   "PYTHONUNBUFFERED=1, so no run found a __pycache__ under src/rootflow and "
-                   "every interpreter compiled src/ afresh"),
+        "copies": ("each side ran from its own git archive of a tree; the environment set "
+                   "PYTHONDONTWRITEBYTECODE=1 and PYTHONUNBUFFERED=1, so no run found a "
+                   "__pycache__ under src/rootflow and every interpreter compiled src/ afresh"),
         "claim": claim_figures(figures, *claim),
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "nproc": os.cpu_count()},
         "workloads": figures,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(record, indent=1, allow_nan=False) + "\n")
     return 0
 
 
