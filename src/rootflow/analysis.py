@@ -212,8 +212,10 @@ def verify_quadratic_convergence(
     """
     if cfg is None:
         cfg = SolverConfig(scheme="secant_dyn", mu=mu, epsilon=1e-13)
-    elif cfg.scheme != "secant_dyn" or cfg.mu is not mu:  # else _replace would rebuild an equal cfg
-        cfg = cfg._replace(scheme="secant_dyn", mu=mu)
+    elif cfg.scheme != "secant_dyn" or cfg.mu is not mu or not cfg.trace:
+        # The estimate reads every pair, so the run is traced.  A cfg that already matches is
+        # used as given, where _replace would only rebuild an equal one.
+        cfg = cfg._replace(scheme="secant_dyn", mu=mu, trace=True)
     outcome = run(p, cfg, x0)
     estimate = predicted = None
     if outcome.converged:

@@ -94,7 +94,10 @@ class BasinGrid(NamedTuple):
 
 
 def _row(p: ProblemSpec, cfg: SolverConfig, x0: float, mu: float, h: float) -> BenchmarkRow:
-    """The row of one run; ``(mu, h)`` is ``cfg.resolved()``, which a caller resolves once."""
+    """The row of one run; ``(mu, h)`` is ``cfg.resolved()``, which a caller resolves once.
+
+    A row reads only the last pair, so every table builder runs untraced (``trace=False``).
+    """
     reason, iterations, pairs, _ = run(p, cfg, x0)
     final_x, fx = pairs[-1]
     if reason in CONVERGED_REASONS:
@@ -120,7 +123,7 @@ def run_benchmark(epsilon: float = _DEFAULTS.epsilon,
     for pname, scheme in BENCH_EXPECTED_VERDICTS:
         p = problems[pname]
         mu = BENCH_MU.get((pname, scheme), _DEFAULTS.mu)
-        cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, max_iters=max_iters)
+        cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, max_iters=max_iters, trace=False)
         rows.append(_row(p, cfg, p.default_x0, *cfg.resolved()))
     return rows
 
@@ -144,7 +147,7 @@ def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Iterable[float], x0: float,
     """One benchmark row per mu, in input order."""
     mu_values = _axis(mu_values, "mu values")
     base = cfg if cfg is not None else _DEFAULTS
-    cfgs = (base._replace(scheme=scheme, mu=mu) for mu in mu_values)
+    cfgs = (base._replace(scheme=scheme, mu=mu, trace=False) for mu in mu_values)
     return [_row(p, c, x0, *c.resolved()) for c in cfgs]
 
 
@@ -153,7 +156,7 @@ def sweep_h(p: ProblemSpec, mu: float, h_values: Iterable[float], x0: float,
     """One row per Euler step length h, for the euler_flow scheme."""
     h_values = _axis(h_values, "h values")
     base = cfg if cfg is not None else _DEFAULTS
-    cfgs = (base._replace(scheme="euler_flow", mu=mu, h=h) for h in h_values)
+    cfgs = (base._replace(scheme="euler_flow", mu=mu, h=h, trace=False) for h in h_values)
     return [_row(p, c, x0, *c.resolved()) for c in cfgs]
 
 
@@ -168,7 +171,7 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
     base = cfg if cfg is not None else _DEFAULTS
     cells = []
     for mu in mu_axis:
-        c = base._replace(scheme=scheme, mu=mu)
+        c = base._replace(scheme=scheme, mu=mu, trace=False)
         run_mu, run_h = c.resolved()
         cells.append(tuple([_row(p, c, x0, run_mu, run_h) for x0 in x0_axis]))
     return BasinGrid(mu_axis=mu_axis, x0_axis=x0_axis, cells=tuple(cells))

@@ -92,16 +92,18 @@ class SolverConfig(_Record):
     every scheme but ``euler_flow`` runs with ``h = 1``.  :meth:`resolved`
     gives the pair a run uses.  ``bootstrap`` picks how the two-point schemes
     obtain their second starting point, and ``stop_rule`` picks the
-    smallness test that declares convergence.  Every field is checked here,
-    and a bad value raises ``ValueError``.
+    smallness test that declares convergence.  ``trace`` keeps every accepted
+    pair in the run's outcome; ``False`` keeps only x0's pair and the last
+    accepted one, for callers that read only the final point.  Every field
+    is checked here, and a bad value raises ``ValueError``.
     """
 
-    __slots__ = ("scheme", "mu", "h", "epsilon", "max_iters", "bootstrap", "stop_rule")
+    __slots__ = ("scheme", "mu", "h", "epsilon", "max_iters", "bootstrap", "stop_rule", "trace")
 
     def __init__(self, scheme: str = "secant_dyn", mu: float = 0.0, h: float = 1.0,
                  epsilon: float = 1e-5, max_iters: int = 500, bootstrap: str = "zheng_first_step",
-                 stop_rule: str = "step_size"):
-        self._set_fields((scheme, mu, h, epsilon, max_iters, bootstrap, stop_rule))
+                 stop_rule: str = "step_size", trace: bool = True):
+        self._set_fields((scheme, mu, h, epsilon, max_iters, bootstrap, stop_rule, trace))
         for name, allowed in _CHOICE_FIELDS:
             if (value := getattr(self, name)) not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
@@ -112,6 +114,8 @@ class SolverConfig(_Record):
         if not (_finite_real(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be positive and finite")
         _count(self.max_iters, "max iters")
+        if type(self.trace) is not bool:
+            raise ValueError("trace must be a bool")
 
     def resolved(self) -> tuple[float, float]:
         """The (mu, h) the scheme runs with: the scheme's fixed values, else the config's."""
@@ -155,11 +159,13 @@ class RunOutcome(NamedTuple):
 
     ``iterations`` counts accepted steps: a rejected candidate, or a step
     that cannot be taken, is not one, and neither is the bootstrap pair of a
-    two-point scheme.  The rest is derived: ``final_fx`` is the last
-    pair's f(x), NaN when f(x0) itself is not a finite real, and ``trace``
-    is built from the pairs on each read, so callers that need only the
-    final point never pay for one.  Equal runs hash equal: the hash leaves
-    out the pairs, a list, as the repr does.
+    two-point scheme.  An untraced run (``SolverConfig.trace`` False) keeps
+    only x0's pair and the last pair it accepted, so ``len(pairs)`` counts the
+    accepted points only when traced.  The rest is derived: ``final_fx`` is
+    the last pair's f(x), NaN when f(x0) itself is not a finite real, and
+    ``trace`` is built from the pairs on each read, so callers that need
+    only the final point never pay for one.  Equal runs hash equal: the hash
+    leaves out the pairs, a list, as the repr does.
     """
 
     reason: str
@@ -287,7 +293,9 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     ``ESCAPE_BOUND`` or any other ``nonfinite`` step (a value that is not a
     finite real, or a raise in the step, as from a ``Decimal`` meeting a
     float) yields ``divergence``; an exhausted budget, ``exhausted``.  The
-    trace records every accepted iterate, starting with x0.  ``iterations``
+    trace records every accepted iterate, starting with x0; with
+    ``cfg.trace`` False it records x0 and the last accepted iterate only, and
+    the reason, the count and those pairs are the traced run's.  ``iterations``
     counts accepted steps, and ``max_iters`` bounds it: a rejected
     candidate, or a step that cannot be taken, is not counted.
 
@@ -329,7 +337,8 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     # The stop tests read -epsilon <= d <= epsilon, which is abs(d) <= epsilon for every real d
     # (NaN and +-inf fail both, +-0 and +-epsilon pass both) without a call to abs.  The loops
     # call points.append, not a bound-method local, so CPython 3.11+ inlines the list append.
-    epsilon, max_iters = cfg.epsilon, cfg.max_iters
+    # Untraced, they count the accepted pairs instead, and the last one is appended on exit.
+    epsilon, max_iters, trace = cfg.epsilon, cfg.max_iters, cfg.trace
     neg_epsilon = -epsilon
     # One test admits a candidate: inside the domain and ESCAPE_BOUND.
     lo = -ESCAPE_BOUND if -ESCAPE_BOUND > a else a  # max(a, -ESCAPE_BOUND)
@@ -337,6 +346,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
 
     x = x0
     points = [(x, fx)]
+    accepted = 0
     reason = REASON_MAX_ITERS
     # Two loops, one per point count: x - num / den with the kernels' expressions, then one
     # guard sequence.  Its den tests are _step's, before f(candidate): a den that is not finite
@@ -345,7 +355,7 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     try:
         if rule is not _SECANT:
             flow = rule is _FLOW
-            for _ in range(max_iters):
+            for step in range(max_iters):
                 if flow:
                     g = df(x)
                     num, den = h * fx, mu * fx + g
@@ -366,7 +376,10 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 if not isfinite(f_cand):
                     reason = REASON_NONFINITE
                     break
-                points.append((candidate, f_cand))
+                if trace:
+                    points.append((candidate, f_cand))
+                else:
+                    accepted += 1
                 if stop_on_step and neg_epsilon <= candidate - x <= epsilon:
                     reason = REASON_STEP
                     break
@@ -402,7 +415,10 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 if not isfinite(f_cand):
                     reason = REASON_NONFINITE
                     break
-                points.append((candidate, f_cand))
+                if trace:
+                    points.append((candidate, f_cand))
+                else:
+                    accepted += 1
                 if stop_on_step and neg_epsilon <= candidate - x <= epsilon and step:
                     reason = REASON_STEP
                     break
@@ -412,5 +428,12 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     except NONFINITE_ERRORS:
         reason = REASON_NONFINITE
 
-    iterations = len(points) - 1 - (rule is _SECANT and len(points) > 1)
+    if trace:
+        accepted = len(points) - 1
+    elif accepted:
+        # ``accepted`` reaches step + 1 when the loop's last step accepts its candidate; until
+        # then (x, fx) is the last accepted pair.  So a break or a raise after the acceptance
+        # leaves the candidate last, as in the traced run.
+        points.append((candidate, f_cand) if accepted > step else (x, fx))
+    iterations = accepted - (rule is _SECANT and accepted > 0)
     return tuple.__new__(RunOutcome, (reason, iterations, points, p.known_root))

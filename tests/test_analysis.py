@@ -365,6 +365,20 @@ def test_report_equals_the_one_built_through_replace(case, problems):
     assert report.to_text() == expected.to_text()
 
 
+@pytest.mark.parametrize("case", _CFG_MUS)
+def test_report_runs_traced_whatever_cfg_it_is_given(case, problems):
+    scheme, cfg_mu, given = _CFG_MUS[case]
+    cfg = SolverConfig(scheme=scheme, mu=cfg_mu, epsilon=1e-13)
+    mu = cfg.mu if given is None else given
+    p = problems["log"]
+    report = verify_quadratic_convergence(p, mu, 1.5, cfg)
+    untraced = verify_quadratic_convergence(p, mu, 1.5, cfg._replace(trace=False))
+    assert report.estimate is not None
+    assert untraced == report
+    assert repr(untraced.outcome.pairs) == repr(report.outcome.pairs)
+    assert untraced.to_text() == report.to_text()
+
+
 def test_report_reuses_a_matching_cfg_without_replace(monkeypatch, problems):
     def no_replace(*args, **kwargs):
         raise AssertionError("replace called")
@@ -378,3 +392,6 @@ def test_report_reuses_a_matching_cfg_without_replace(monkeypatch, problems):
     with pytest.raises(AssertionError, match="replace called"):
         newton = SolverConfig(scheme="newton", mu=1.0, epsilon=1e-13)
         verify_quadratic_convergence(problems["log"], newton.mu, 1.5, newton)
+    with pytest.raises(AssertionError, match="replace called"):
+        untraced = SolverConfig(mu=1.0, epsilon=1e-13, trace=False)
+        verify_quadratic_convergence(problems["log"], untraced.mu, 1.5, untraced)

@@ -257,6 +257,38 @@ def test_each_cell_and_row_is_one_call_of_harness_run(monkeypatch, problems):
     assert calls == Counter((0.135, h, 5.0) for h in h_values)
 
 
+# The four table builders, on rows that converge, diverge, meet a zero denominator and exhaust
+# their budget.  sweep_h is given a traced cfg, which it still runs untraced.
+TABLE_BUILDERS = {
+    "run_benchmark": lambda problems: run_benchmark(),
+    "sweep_mu": lambda problems: sweep_mu(problems["exp"], "zheng", [0.5, 1.0 + 1 / math.e], 3.0),
+    "sweep_h": lambda problems: sweep_h(problems["log"], 0.135, [0.05, 0.5, 1.0], 5.0,
+                                        SolverConfig(max_iters=20, trace=True)),
+    "map_basin": lambda problems: map_basin(problems["exp"], "zheng", [0.0, 0.5, 1.0],
+                                            default_x0_axis(problems["exp"], 9)),
+}
+
+
+@pytest.mark.parametrize("builder", TABLE_BUILDERS)
+def test_table_builders_run_untraced_and_make_the_traced_rows(monkeypatch, problems, builder):
+    # A row reads only a run's last pair, so no builder keeps the others.
+    traced = []
+    real_run = harness.run
+
+    def recording_run(p, cfg, x0):
+        traced.append(cfg.trace)
+        return real_run(p, cfg, x0)
+
+    monkeypatch.setattr("rootflow.harness.run", recording_run)
+    rows = TABLE_BUILDERS[builder](problems)
+    assert traced and not any(traced)
+    traced.clear()
+    monkeypatch.setattr("rootflow.harness.run",
+                        lambda p, cfg, x0: recording_run(p, cfg._replace(trace=True), x0))
+    assert repr(TABLE_BUILDERS[builder](problems)) == repr(rows)
+    assert traced and all(traced)
+
+
 def test_basin_csv_renders_without_calling_harness_rows_to_csv(monkeypatch, problems):
     # perfbench wraps harness.rows_to_csv and harness.basin_to_csv to count the
     # bytes each renders, so a basin render through the first would count twice.

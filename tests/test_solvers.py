@@ -536,6 +536,11 @@ def test_config_validation():
         SolverConfig(bootstrap="nope")
     with pytest.raises(ValueError, match=r"^unknown stop_rule 'sometimes'; expected one of \("):
         SolverConfig(stop_rule="sometimes")
+    # trace takes a bool and nothing else, not even a truthy or falsy value
+    for bad in (None, 0, 1, 1.0, "yes", "False"):
+        with pytest.raises(ValueError, match="^trace must be a bool$"):
+            SolverConfig(trace=bad)
+    assert SolverConfig().trace is True and SolverConfig(trace=False).trace is False
     # a bool, or a value that is not a numbers.Real, gets the field's own
     # message: a Decimal setting would end every run nonfinite
     for bad in (None, "1", True, 1j, 10 ** 400, Decimal("1")):
@@ -558,8 +563,9 @@ def test_config_validation():
     assert cfg.resolved() == (1, 0.5)
     # numpy's bool is refused as every setting; its reals and ints pass
     np = pytest.importorskip("numpy")
-    for name in ("mu", "h", "epsilon", "max_iters"):
-        with pytest.raises(ValueError, match="must be (finite|positive and finite|an integer)$"):
+    for name in ("mu", "h", "epsilon", "max_iters", "trace"):
+        with pytest.raises(ValueError,
+                           match="must be (finite|positive and finite|an integer|a bool)$"):
             SolverConfig(**{name: np.True_})
     cfg = SolverConfig(mu=np.float64(0.5), h=np.float32(1), max_iters=np.int64(5))
     assert run(builtin_problems()["log"], cfg, 5.0).iterations <= 5
@@ -917,13 +923,22 @@ def _same_run(out, expected):
         expected.reason, expected.iterations, repr(expected.pairs))
 
 
-def test_exit_draws_reach_every_exit():
-    # A fixed seed, so that the draws and the count are the same on every run.  run must take the
-    # reference's exit on each draw; the rarest exits come up about twice in 1,000 draws.
+def _exit_draws():
+    """The 10,000 draws of _exit_case from a fixed seed, the same on every run."""
     r = random.Random(1)
+    return (_exit_case(r) for _ in range(10_000))
+
+
+def _untraced_pairs(pairs):
+    """What an untraced run keeps of a traced run's pairs: x0's, and the last accepted one."""
+    return pairs[:1] + pairs[1:][-1:]
+
+
+def test_exit_draws_reach_every_exit():
+    # run must take the reference's exit on each draw; the rarest exits come up about twice in
+    # 1,000 draws.
     counts = Counter()
-    for _ in range(10_000):
-        p, cfg, x0 = _exit_case(r)
+    for p, cfg, x0 in _exit_draws():
         expected, refused = _kernel_run(p, cfg, x0)
         counts[_exit_label(cfg, expected, refused)] += 1
         out = run(p, cfg, x0)
@@ -931,6 +946,30 @@ def test_exit_draws_reach_every_exit():
         assert _same_run(out, expected), (p.name, cfg, x0)
     assert set(counts) == EXITS
     assert {label: n for label, n in counts.items() if n < 10} == {}
+
+
+def test_an_untraced_run_keeps_the_traced_runs_first_and_last_pair():
+    # The draws reach every exit, the bootstrap's and a raise in a step among them.
+    for p, cfg, x0 in _exit_draws():
+        traced, untraced = run(p, cfg, x0), run(p, cfg._replace(trace=False), x0)
+        kept = _untraced_pairs(traced.pairs)
+        assert (untraced.reason, untraced.iterations, repr(untraced.pairs)) == (
+            traced.reason, traced.iterations, repr(kept)), (p.name, cfg, x0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_an_untraced_run_that_raises_after_accepting_keeps_the_candidate(sq4, scheme):
+    # f is a Decimal at the first candidate, which passes isfinite and is accepted; the residual
+    # test then raises, as an mpmath epsilon does not compare with a Decimal.
+    cfg = SolverConfig(scheme=scheme, mu=0.5, epsilon=mpmath.mpf("1e-5"), stop_rule="residual")
+    x1 = run(sq4, cfg, 3.0).pairs[1][0]
+    p = ProblemSpec(name="decimal", f=_faulty(sq4.f, x1, "decimal"), df=sq4.df,
+                    domain=sq4.domain, default_x0=3.0)
+    traced, untraced = run(p, cfg, 3.0), run(p, cfg._replace(trace=False), 3.0)
+    assert traced.reason == "nonfinite"
+    assert traced.pairs[-1] == (x1, Decimal(sq4.f(x1)))
+    assert (untraced.reason, untraced.iterations, repr(untraced.pairs)) == (
+        traced.reason, traced.iterations, repr(_untraced_pairs(traced.pairs)))
 
 
 # Runs that the draws seldom reach.  Under "either", a step that fires both stop tests at once
@@ -1159,7 +1198,7 @@ def test_run_outcome_repr_leaves_out_the_pairs(problems):
 def test_inputs_stay_validated_frozen_dataclasses(problems):
     cfg = SolverConfig()
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "scheme", "mu", "h", "epsilon", "max_iters", "bootstrap", "stop_rule"]
+        "scheme", "mu", "h", "epsilon", "max_iters", "bootstrap", "stop_rule", "trace"]
     assert dataclasses.replace(cfg, mu=0.5) == SolverConfig(mu=0.5)
     with pytest.raises(ValueError):
         dataclasses.replace(cfg, h=0.0)
@@ -1203,11 +1242,12 @@ def test_inputs_copy_and_pickle(duplicate):
 def test_inputs_read_as_dataclasses():
     cfg = SolverConfig(scheme="zheng", mu=0.5)
     assert repr(cfg) == ("SolverConfig(scheme='zheng', mu=0.5, h=1.0, epsilon=1e-05, "
-                         "max_iters=500, bootstrap='zheng_first_step', stop_rule='step_size')")
+                         "max_iters=500, bootstrap='zheng_first_step', stop_rule='step_size', "
+                         "trace=True)")
     assert dataclasses.is_dataclass(cfg) and dataclasses.is_dataclass(SIN)
     assert dataclasses.asdict(cfg) == {
         "scheme": "zheng", "mu": 0.5, "h": 1.0, "epsilon": 1e-5, "max_iters": 500,
-        "bootstrap": "zheng_first_step", "stop_rule": "step_size"}
+        "bootstrap": "zheng_first_step", "stop_rule": "step_size", "trace": True}
     assert dataclasses.asdict(SIN) == {"name": "sin", "f": math.sin, "domain": (-1.0, 1.0),
                                        "default_x0": 0.5, "df": math.cos, "known_root": 0.0}
     # each field's default is the constructor's
