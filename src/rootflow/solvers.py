@@ -203,8 +203,8 @@ class RunOutcome(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# public one-step kernels (run's one-point loop, for flow and zheng, and its two-point loop, whose
-# step 0 is the bootstrap, repeat their arithmetic inline; a property test pins that the two agree)
+# public one-step kernels (run's two loops repeat their arithmetic inline; the 10,000 fixed-seed
+# draws of test_exit_draws_reach_every_exit and the RARE_RUNS runs check that the two agree)
 
 def _step(x: float, num: float, den: float, what: str) -> float:
     """x - num / den, the form of every rule.
@@ -295,9 +295,11 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     float) yields ``divergence``; an exhausted budget, ``exhausted``.  The
     trace records every accepted iterate, starting with x0; with
     ``cfg.trace`` False it records x0 and the last accepted iterate only, and
-    the reason, the count and those pairs are the traced run's.  ``iterations``
-    counts accepted steps, and ``max_iters`` bounds it: a rejected
-    candidate, or a step that cannot be taken, is not counted.
+    the reason, the count and those pairs are the traced run's: each loop
+    accepts a candidate at one point, before its stop tests, so the pair it
+    holds at any exit is the last accepted one.  ``iterations`` counts
+    accepted steps, and ``max_iters`` bounds it: a rejected candidate, or a
+    step that cannot be taken, is not counted.
 
     A huge but finite denominator is the step rule's own weakness and ends
     nothing: on x^2 - 1 from 200, ``secant_dyn`` at mu = 1e300 with the
@@ -337,7 +339,6 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     # The stop tests read -epsilon <= d <= epsilon, which is abs(d) <= epsilon for every real d
     # (NaN and +-inf fail both, +-0 and +-epsilon pass both) without a call to abs.  The loops
     # call points.append, not a bound-method local, so CPython 3.11+ inlines the list append.
-    # Untraced, they count the accepted pairs instead, and the last one is appended on exit.
     epsilon, max_iters, trace = cfg.epsilon, cfg.max_iters, cfg.trace
     neg_epsilon = -epsilon
     # One test admits a candidate: inside the domain and ESCAPE_BOUND.
@@ -351,11 +352,13 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
     # Two loops, one per point count: x - num / den with the kernels' expressions, then one
     # guard sequence.  Its den tests are _step's, before f(candidate): a den that is not finite
     # (a bad g, or an overflow) is nonfinite, and a zero den is underflow, or convergence at an
-    # exact root (the quotients are 0/0).
+    # exact root (the quotients are 0/0).  Once f(candidate) passes isfinite, the candidate is
+    # accepted at one point, before the stop tests: it becomes (x, fx), is counted and, traced,
+    # appended.  So (x, fx) is the last accepted pair at every exit, a break or a raise.
     try:
         if rule is not _SECANT:
             flow = rule is _FLOW
-            for step in range(max_iters):
+            for _ in range(max_iters):
                 if flow:
                     g = df(x)
                     num, den = h * fx, mu * fx + g
@@ -376,24 +379,21 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 if not isfinite(f_cand):
                     reason = REASON_NONFINITE
                     break
+                x_prev, x, fx = x, candidate, f_cand
+                accepted += 1
                 if trace:
-                    points.append((candidate, f_cand))
-                else:
-                    accepted += 1
-                if stop_on_step and neg_epsilon <= candidate - x <= epsilon:
+                    points.append((x, fx))
+                if stop_on_step and neg_epsilon <= x - x_prev <= epsilon:
                     reason = REASON_STEP
                     break
-                if stop_on_residual and neg_epsilon <= f_cand <= epsilon:
+                if stop_on_residual and neg_epsilon <= fx <= epsilon:
                     reason = REASON_RESIDUAL
                     break
-                x, fx = candidate, f_cand
         else:
             # Step 0 is the bootstrap, outside the count and the budget: a tiny bootstrap step
             # is no sign of a root, so only the residual test judges it.
             for step in range(max_iters + 1):
                 if step:
-                    x_prev, f_prev = x, fx
-                    x, fx = candidate, f_cand
                     dx = x - x_prev
                     num, den = fx * dx, mu * dx * fx + fx - f_prev
                 elif cfg.bootstrap == "offset_x0":  # den = 1 is exact
@@ -415,25 +415,22 @@ def run(p: ProblemSpec, cfg: SolverConfig, x0: float) -> RunOutcome:
                 if not isfinite(f_cand):
                     reason = REASON_NONFINITE
                     break
+                # Two statements: four targets would build and unpack a tuple each step.
+                x_prev, f_prev = x, fx
+                x, fx = candidate, f_cand
+                accepted += 1
                 if trace:
-                    points.append((candidate, f_cand))
-                else:
-                    accepted += 1
-                if stop_on_step and neg_epsilon <= candidate - x <= epsilon and step:
+                    points.append((x, fx))
+                if stop_on_step and neg_epsilon <= x - x_prev <= epsilon and step:
                     reason = REASON_STEP
                     break
-                if stop_on_residual and neg_epsilon <= f_cand <= epsilon:
+                if stop_on_residual and neg_epsilon <= fx <= epsilon:
                     reason = REASON_RESIDUAL
                     break
     except NONFINITE_ERRORS:
         reason = REASON_NONFINITE
 
-    if trace:
-        accepted = len(points) - 1
-    elif accepted:
-        # ``accepted`` reaches step + 1 when the loop's last step accepts its candidate; until
-        # then (x, fx) is the last accepted pair.  So a break or a raise after the acceptance
-        # leaves the candidate last, as in the traced run.
-        points.append((candidate, f_cand) if accepted > step else (x, fx))
+    if accepted and not trace:
+        points.append((x, fx))
     iterations = accepted - (rule is _SECANT and accepted > 0)
     return tuple.__new__(RunOutcome, (reason, iterations, points, p.known_root))

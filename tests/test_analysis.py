@@ -4,7 +4,6 @@ import sys
 from fractions import Fraction
 
 import mpmath
-import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,9 +167,13 @@ _error_atoms = st.tuples(st.sampled_from(_KINDS), st.floats(min_value=1e-12, max
 _NUMBERS = {
     "float": (float, lambda: sys.float_info.epsilon),
     "mpf": (mpmath.mpf, lambda: mpmath.mp.eps),
-    "float64": (numpy.float64, lambda: sys.float_info.epsilon),
     "Fraction": (lambda v: Fraction(v) if math.isfinite(v) else v, lambda: sys.float_info.epsilon),
 }
+try:
+    import numpy
+    _NUMBERS["float64"] = (numpy.float64, lambda: sys.float_info.epsilon)
+except ImportError:  # numpy is in the test extra; without it the other types still run
+    pass
 
 
 def _errors_of(atoms, root, eps=sys.float_info.epsilon):
