@@ -88,7 +88,7 @@ def estimate_order(trace: IterationTrace) -> OrderEstimate:
         raise InsufficientData("trace has no error sequence (problem lacks a known root)")
     pairs = trace.pairs
     e0 = pairs[0][0] - root if pairs else root
-    eps, log = (sys.float_info.epsilon, math.log) if type(e0) is float else _arithmetic(e0)
+    eps, log = _arithmetic(e0)
     floor = SATURATION_FLOOR_EPSILONS * eps * max(1.0, abs(root))
     inf = math.inf
     orders, constants = [], []

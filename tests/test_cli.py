@@ -25,34 +25,18 @@ def run_cli(capsys, argv):
 # ---------------------------------------------------------------------------
 # bench
 
-def test_bench_csv_to_file(tmp_path, capsys):
-    target = tmp_path / "bench.csv"
-    code, out, _ = run_cli(capsys, ["bench", "--format", "csv", "--output", str(target)])
-    assert code == 0
-    assert out == ""
-    lines = target.read_text().strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 10
+@pytest.mark.parametrize("form", [[], ["--format", "csv"]], ids=["table", "csv"])
+def test_bench_exits_one_and_still_prints_its_rows_when_the_pattern_breaks(capsys, form):
+    # 7 iterations are too few for log/zheng (8) and exp/secant_dyn (41)
+    code, out, err = run_cli(capsys, ["bench", "--max-iters", "7", *form])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("problem") and len(lines) == 10
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
 # solve
-
-def test_solve_converging_run(capsys):
-    code, out, _ = run_cli(capsys, [
-        "solve", "--problem", "trig", "--scheme", "secant-dyn", "--mu", "2.65"])
-    assert code == 0
-    assert "converged" in out
-    assert "iterations : 5" in out
-    assert "0.523599" in out
-
-
-def test_solve_divergence_exits_zero_without_expectation(capsys):
-    code, out, _ = run_cli(capsys, ["solve", "--problem", "log", "--scheme", "newton"])
-    assert code == 0
-    assert "divergence" in out
-    assert "domain_violation" in out
-
 
 @pytest.mark.parametrize("argv, verdict, reason, iterations", [
     # a two-point run takes its bootstrap and then all 3 budgeted steps
@@ -87,27 +71,6 @@ def test_solve_huge_mu(capsys, argv, rows, reason):
     assert f"verdict    : divergence ({reason})\niterations : 0\n" in out
 
 
-def test_solve_expect_converge_exit_code(capsys):
-    code, _, _ = run_cli(capsys, [
-        "solve", "--problem", "log", "--scheme", "newton", "--expect-converge"])
-    assert code == 1
-    code, _, _ = run_cli(capsys, [
-        "solve", "--problem", "log", "--scheme", "secant-dyn", "--mu", "0.135",
-        "--expect-converge"])
-    assert code == 0
-
-
-def test_solve_csv_trace(capsys):
-    code, out, _ = run_cli(capsys, [
-        "solve", "--problem", "log", "--scheme", "zheng", "--mu", "1",
-        "--format", "csv"])
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "n,x,f"
-    assert lines[1].startswith("0,5,")
-    assert len(lines) == 10  # x0 plus eight accepted iterates
-
-
 def test_solve_reads_hyphenated_bootstrap_and_stop_rule(capsys):
     code, out, _ = run_cli(capsys, [
         "solve", "--problem", "log", "--scheme", "secant-dyn", "--mu", "0.135",
@@ -116,8 +79,8 @@ def test_solve_reads_hyphenated_bootstrap_and_stop_rule(capsys):
     cfg = SolverConfig(scheme="secant_dyn", mu=0.135, bootstrap="offset_x0",
                        stop_rule="residual")
     outcome = run(builtin_problems()["log"], cfg, 5.0)
-    assert out.split("\n")[1:-1] == [
-        f"{n},{x:.17g},{fx:.17g}" for n, (x, fx) in enumerate(outcome.pairs)]
+    assert out == "n,x,f\n" + "".join(
+        f"{n},{x:.17g},{fx:.17g}\n" for n, (x, fx) in enumerate(outcome.pairs))
 
 
 def test_solve_unknown_problem_is_a_usage_error(capsys):
@@ -131,14 +94,6 @@ def test_solve_unknown_scheme_is_a_usage_error(capsys):
 # ---------------------------------------------------------------------------
 # order
 
-def test_order_report(capsys):
-    code, out, _ = run_cli(capsys, [
-        "order", "--problem", "trig", "--mu", "2.65", "--epsilon", "1e-13"])
-    assert code == 0
-    assert "final order" in out
-    assert "predicted" in out
-
-
 def test_order_names_a_failed_run_divergence(capsys):
     # mu = 0 on exp's flat tail: the two-point denominator is exactly zero
     code, out, _ = run_cli(capsys, ["order", "--problem", "exp", "--mu", "0", "--x0", "50"])
@@ -150,58 +105,10 @@ def test_order_names_a_failed_run_divergence(capsys):
 # ---------------------------------------------------------------------------
 # sweeps and basin
 
-def test_sweep_mu_csv(capsys):
-    code, out, _ = run_cli(capsys, [
-        "sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
-        "--mu-values", "0.135,0.5,1.0"])
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 4
-
-
 def test_sweep_mu_bad_values_usage_error(capsys):
     assert run_cli(capsys, ["sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
                             "--mu-values", "a,b"]) == (
         2, "", "rootflow: invalid --mu-values list: 'a,b'\n")
-
-
-def test_sweep_h_csv(capsys):
-    code, out, _ = run_cli(capsys, [
-        "sweep-h", "--problem", "log", "--mu", "0.135", "--h-values", "0.1,1.0"])
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 3
-    assert ",euler_flow," in lines[1]
-
-
-def test_basin_csv_and_grid_file(tmp_path, capsys):
-    csv_path = tmp_path / "basin.csv"
-    grid_path = tmp_path / "basin.grid"
-    code, out, _ = run_cli(capsys, [
-        "basin", "--problem", "log", "--scheme", "secant-dyn",
-        "--mu-values", "0.135", "--x0-count", "21",
-        "--output", str(csv_path), "--grid-output", str(grid_path)])
-    assert code == 0
-    csv_lines = csv_path.read_text().strip().split("\n")
-    assert csv_lines[0] == CSV_HEADER
-    assert len(csv_lines) == 22
-    grid_lines = grid_path.read_text().strip().split("\n")
-    assert grid_lines[0].startswith("x0: ")
-    assert len(grid_lines) == 2
-    codes = grid_lines[1].split(": ")[1].split(" ")
-    assert len(codes) == 21
-    assert all(c == "D" or c.startswith("C") for c in codes)
-
-
-def test_basin_runs_are_byte_identical(tmp_path, capsys):
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        code = main(["basin", "--problem", "log", "--scheme", "newton",
-                     "--mu-values", "0", "--x0-count", "51", "--output", str(path)])
-        assert code == 0
-        capsys.readouterr()
-    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # Each bad value, and how the library's message starts: it names the input.
@@ -539,13 +446,6 @@ def test_a_dash_dash_value_is_a_usage_error(tmp_path, monkeypatch, capsys, comma
     assert list(tmp_path.iterdir()) == []
 
 
-def test_trig_basin_at_the_default_count(capsys):
-    code, out, _ = run_cli(capsys, [
-        "basin", "--problem", "trig", "--scheme", "secant-dyn", "--mu-values", "2.65"])
-    assert code == 0
-    assert len(out.strip().split("\n")) == 202
-
-
 # ---------------------------------------------------------------------------
 # the README commands, byte for byte against outputs captured from the
 # implementation that built a full trace in every run
@@ -575,13 +475,15 @@ def test_readme_command_output_is_pinned(capsys, name):
 
 def test_readme_basin_output_is_pinned(tmp_path, capsys):
     csv_path, grid_path = tmp_path / "basin.csv", tmp_path / "basin.grid"
-    code, out, _ = run_cli(capsys, [
-        "basin", "--problem", "log", "--scheme", "secant-dyn", "--mu-values", "0.135",
-        "--output", str(csv_path), "--grid-output", str(grid_path)])
-    assert code == 0
-    assert out == ""
-    assert csv_path.read_bytes() == (GOLDEN / "basin.csv").read_bytes()
-    assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
+    # Twice, for the reason test_readme_command_output_is_pinned gives.
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, [
+            "basin", "--problem", "log", "--scheme", "secant-dyn", "--mu-values", "0.135",
+            "--output", str(csv_path), "--grid-output", str(grid_path)])
+        assert code == 0
+        assert out == ""
+        assert csv_path.read_bytes() == (GOLDEN / "basin.csv").read_bytes()
+        assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
 
 
 def test_basin_heads_that_change_between_rows_are_pinned(capsys):

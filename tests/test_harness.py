@@ -16,7 +16,6 @@ from rootflow import (
     SolverConfig,
     basin_to_csv,
     basin_to_grid_text,
-    benchmark_verdicts_match,
     default_x0_axis,
     map_basin,
     rows_to_csv,
@@ -29,49 +28,8 @@ from rootflow.harness import BENCH_EXPECTED_VERDICTS, BENCH_MU, CSV_HEADER
 from rootflow.solvers import CONVERGED_REASONS, REASON_MAX_ITERS, REASON_NONFINITE
 
 
-def by_key(rows):
-    return {(r.problem, r.scheme): r for r in rows}
-
-
 # ---------------------------------------------------------------------------
 # reference benchmark
-
-def test_benchmark_has_nine_rows_matching_the_expected_pattern():
-    rows = run_benchmark()
-    assert len(rows) == 9
-    assert benchmark_verdicts_match(rows)
-    verdicts = [r.verdict for r in rows]
-    assert verdicts.count("converged") == 4
-
-
-def test_benchmark_counts_and_roots():
-    rows = by_key(run_benchmark())
-    assert rows[("log", "zheng")].iterations == 8
-    assert rows[("log", "secant_dyn")].iterations == 6
-    assert rows[("exp", "secant_dyn")].iterations == 41
-    assert rows[("trig", "secant_dyn")].iterations == 5
-    assert f"{rows[('log', 'secant_dyn')].final_x:.6f}" == "1.000000"
-    assert f"{rows[('exp', 'secant_dyn')].final_x:.6f}" == "1.000000"
-    assert f"{rows[('trig', 'secant_dyn')].final_x:.6f}" == "0.523599"
-
-
-def test_benchmark_divergent_rows_hide_count_and_root():
-    for row in run_benchmark():
-        if row.verdict == "divergence":
-            assert row.iterations is None
-            assert row.final_x is None
-            assert row.reason != ""
-
-
-def test_benchmark_mu_values():
-    rows = by_key(run_benchmark())
-    assert rows[("log", "zheng")].mu == 1.0
-    assert rows[("exp", "zheng")].mu == 1.0 + 1.0 / math.e
-    assert rows[("trig", "zheng")].mu == 0.5 + math.sqrt(3.0) / 6.0
-    assert rows[("log", "secant_dyn")].mu == 0.135
-    assert rows[("exp", "secant_dyn")].mu == 1.18
-    assert rows[("trig", "secant_dyn")].mu == 2.65
-
 
 def _ulps(value, direction, count):
     """The ``count`` floats after ``value`` towards ``direction``, nearest first."""
@@ -105,19 +63,6 @@ def test_each_benchmark_verdict_keeps_its_margin(problems):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def test_sweep_mu_single_value_matches_benchmark(problems):
-    bench = by_key(run_benchmark())[("log", "secant_dyn")]
-    [row] = sweep_mu(problems["log"], "secant_dyn", [0.135], 5.0)
-    assert row.iterations == bench.iterations
-    assert row.final_x == bench.final_x
-    assert row.verdict == bench.verdict
-
-
-def test_sweep_mu_is_deterministic_per_value(problems):
-    rows = sweep_mu(problems["log"], "secant_dyn", [0.135, 0.135], 5.0)
-    assert rows[0] == rows[1]
-
-
 def test_sweep_mu_preserves_order_and_records_all(sq):
     rows = sweep_mu(sq, "secant_dyn", [-1.0, 0.0, 1.0], 1.5)
     assert [r.mu for r in rows] == [-1.0, 0.0, 1.0]
@@ -128,25 +73,6 @@ def test_sweep_mu_preserves_order_and_records_all(sq):
 def test_sweep_mu_rejects_empty(sq):
     with pytest.raises(ValueError):
         sweep_mu(sq, "secant_dyn", [], 1.5)
-
-
-def test_sweep_h_matches_wu_at_unit_step(problems):
-    from rootflow import run as run_solver
-
-    [row] = sweep_h(problems["log"], 0.135, [1.0], 5.0)
-    wu = run_solver(problems["log"], SolverConfig(scheme="wu", mu=0.135), 5.0)
-    assert row.verdict == "converged"
-    assert row.iterations == wu.iterations
-    assert row.final_x == wu.final_x
-
-
-def test_sweep_h_smaller_step_prolongs_the_iteration(problems):
-    rows = {r.h: r for r in sweep_h(problems["log"], 0.135, [1.0, 0.5, 0.1], 5.0)}
-    assert all(r.verdict == "converged" for r in rows.values())
-    assert rows[1.0].iterations == 5
-    assert rows[0.5].iterations == 18
-    assert rows[0.1].iterations == 98
-    assert rows[0.1].iterations > rows[0.5].iterations > rows[1.0].iterations
 
 
 def test_sweep_h_exact_on_linear(linear):
@@ -393,32 +319,6 @@ def test_default_x0_axis_spans_the_domain(problems):
 # ---------------------------------------------------------------------------
 # rendering
 
-def test_csv_header_and_shape():
-    text = rows_to_csv(run_benchmark())
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 10
-    assert all(line.count(",") == 9 for line in lines)
-
-
-def test_csv_field_rendering():
-    rows = by_key(run_benchmark())
-    text = rows_to_csv([rows[("trig", "secant_dyn")], rows[("log", "newton")]])
-    data = text.strip().split("\n")[1:]
-    conv = data[0].split(",")
-    assert conv[0] == "trig"
-    assert conv[5] == "converged"
-    assert conv[7] == "5"
-    assert conv[8] == "0.523599"
-    # 17 significant digits for plain reals
-    assert conv[4] == f"{11.0 * math.pi / 24.0:.17g}"
-    div = data[1].split(",")
-    assert div[5] == "divergence"
-    assert div[6] == "domain_violation"
-    assert div[7] == ""  # no count for divergent rows
-    assert div[8] == ""  # no root either
-
-
 def test_basin_csv_and_grid_text(problems):
     axis = default_x0_axis(problems["log"], 5)
     grid = map_basin(problems["log"], "secant_dyn", [0.135, 0.5], axis)
@@ -443,13 +343,6 @@ def test_basin_csv_and_grid_text(problems):
             assert code == f"C{cell.iterations}"
         else:
             assert code == "D"
-
-
-def test_expected_pattern_constant_is_consistent():
-    assert len(BENCH_EXPECTED_VERDICTS) == 9
-    conv = [k for k, v in BENCH_EXPECTED_VERDICTS.items() if v == "converged"]
-    assert sorted(conv) == [("exp", "secant_dyn"), ("log", "secant_dyn"),
-                            ("log", "zheng"), ("trig", "secant_dyn")]
 
 
 def test_rows_with_a_nonfinite_residual_equal_themselves():

@@ -218,55 +218,6 @@ def test_kernels_refuse_an_overflowed_denominator(sq):
 # ---------------------------------------------------------------------------
 # driver
 
-def test_run_two_point_on_log(problems):
-    p = problems["log"]
-    out = run(p, SolverConfig(scheme="secant_dyn", mu=0.135), 5.0)
-    assert out.verdict == "converged"
-    assert out.reason == "step_below_epsilon"
-    assert out.iterations == 6
-    assert f"{out.final_x:.6f}" == "1.000000"
-    assert out.trace.points[0] == (0, 5.0, math.log(5.0))
-
-
-def test_run_two_point_on_exp(problems):
-    out = run(problems["exp"], SolverConfig(scheme="secant_dyn", mu=1.18), 50.0)
-    assert out.verdict == "converged"
-    assert out.iterations == 41
-    assert f"{out.final_x:.6f}" == "1.000000"
-
-
-def test_run_two_point_on_trig(problems):
-    out = run(problems["trig"], SolverConfig(scheme="secant_dyn", mu=2.65),
-              11.0 * math.pi / 24.0)
-    assert out.verdict == "converged"
-    assert out.iterations == 5
-    assert f"{out.final_x:.6f}" == "0.523599"
-
-
-def test_run_newton_diverges_on_log_by_domain_exit(problems):
-    out = run(problems["log"], SolverConfig(scheme="newton"), 5.0)
-    assert out.verdict == "divergence"
-    assert out.reason == "domain_violation"
-    assert out.iterations == 0  # the rejected candidate is not a step
-    assert out.final_x == 5.0  # last accepted iterate
-
-
-def test_run_zheng_on_log(problems):
-    out = run(problems["log"], SolverConfig(scheme="zheng", mu=1.0), 5.0)
-    assert out.verdict == "converged"
-    assert out.iterations == 8
-    assert f"{out.final_x:.6f}" == "1.000000"
-
-
-def test_run_zheng_diverges_on_exp_and_trig(problems):
-    out = run(problems["exp"], SolverConfig(scheme="zheng", mu=1.0 + 1.0 / math.e), 50.0)
-    assert out.verdict == "divergence"
-    out = run(problems["trig"], SolverConfig(scheme="zheng", mu=0.5 + math.sqrt(3.0) / 6.0),
-              11.0 * math.pi / 24.0)
-    assert out.verdict == "divergence"
-    assert out.reason == "domain_violation"
-
-
 def test_run_starting_at_the_root(problems):
     out = run(problems["trig"], SolverConfig(scheme="secant_dyn", mu=2.65), math.pi / 6.0)
     assert out.verdict == "converged"
