@@ -71,6 +71,17 @@ def test_solve_huge_mu(capsys, argv, rows, reason):
     assert f"verdict    : divergence ({reason})\niterations : 0\n" in out
 
 
+def test_solve_csv_trace(capsys):
+    code, out, _ = run_cli(capsys, [
+        "solve", "--problem", "log", "--scheme", "zheng", "--mu", "1",
+        "--format", "csv"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "n,x,f"
+    assert lines[1].startswith("0,5,")
+    assert len(lines) == 10  # x0 plus eight accepted iterates
+
+
 def test_solve_reads_hyphenated_bootstrap_and_stop_rule(capsys):
     code, out, _ = run_cli(capsys, [
         "solve", "--problem", "log", "--scheme", "secant-dyn", "--mu", "0.135",
@@ -79,8 +90,8 @@ def test_solve_reads_hyphenated_bootstrap_and_stop_rule(capsys):
     cfg = SolverConfig(scheme="secant_dyn", mu=0.135, bootstrap="offset_x0",
                        stop_rule="residual")
     outcome = run(builtin_problems()["log"], cfg, 5.0)
-    assert out == "n,x,f\n" + "".join(
-        f"{n},{x:.17g},{fx:.17g}\n" for n, (x, fx) in enumerate(outcome.pairs))
+    assert out.split("\n")[1:-1] == [
+        f"{n},{x:.17g},{fx:.17g}" for n, (x, fx) in enumerate(outcome.pairs)]
 
 
 def test_solve_unknown_problem_is_a_usage_error(capsys):
@@ -109,6 +120,16 @@ def test_sweep_mu_bad_values_usage_error(capsys):
     assert run_cli(capsys, ["sweep-mu", "--problem", "log", "--scheme", "secant-dyn",
                             "--mu-values", "a,b"]) == (
         2, "", "rootflow: invalid --mu-values list: 'a,b'\n")
+
+
+def test_basin_runs_are_byte_identical(tmp_path, capsys):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        code = main(["basin", "--problem", "log", "--scheme", "newton",
+                     "--mu-values", "0", "--x0-count", "51", "--output", str(path)])
+        assert code == 0
+        capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # Each bad value, and how the library's message starts: it names the input.
@@ -475,15 +496,13 @@ def test_readme_command_output_is_pinned(capsys, name):
 
 def test_readme_basin_output_is_pinned(tmp_path, capsys):
     csv_path, grid_path = tmp_path / "basin.csv", tmp_path / "basin.grid"
-    # Twice, for the reason test_readme_command_output_is_pinned gives.
-    for _ in range(2):
-        code, out, _ = run_cli(capsys, [
-            "basin", "--problem", "log", "--scheme", "secant-dyn", "--mu-values", "0.135",
-            "--output", str(csv_path), "--grid-output", str(grid_path)])
-        assert code == 0
-        assert out == ""
-        assert csv_path.read_bytes() == (GOLDEN / "basin.csv").read_bytes()
-        assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
+    code, out, _ = run_cli(capsys, [
+        "basin", "--problem", "log", "--scheme", "secant-dyn", "--mu-values", "0.135",
+        "--output", str(csv_path), "--grid-output", str(grid_path)])
+    assert code == 0
+    assert out == ""
+    assert csv_path.read_bytes() == (GOLDEN / "basin.csv").read_bytes()
+    assert grid_path.read_bytes() == (GOLDEN / "basin.grid").read_bytes()
 
 
 def test_basin_heads_that_change_between_rows_are_pinned(capsys):
