@@ -96,14 +96,6 @@ def test_constants_keep_their_sign():
     assert est.constant_estimates[1] > 0.0
 
 
-def test_newton_iteration_measures_quadratic(sq):
-    out = run(sq, SolverConfig(scheme="newton", epsilon=1e-14, max_iters=60), 2.0)
-    est = estimate_order(out.trace)
-    assert 1.9 <= est.final_order <= 2.1
-    # the classical Newton constant f''/(2 f') = 0.5 for x^2 - 1
-    assert est.final_constant == pytest.approx(0.5, rel=1e-2)
-
-
 def test_secant_iteration_measures_golden_ratio(sq):
     # free-running secant pair from (2, 1.8); the order settles at phi
     xs = [2.0, 1.8]
@@ -115,15 +107,6 @@ def test_secant_iteration_measures_golden_ratio(sq):
     trace = IterationTrace.from_points([(x, sq.f(x)) for x in xs], known_root=1.0)
     est = estimate_order(trace)
     assert 1.55 <= est.final_order <= 1.70
-
-
-def test_two_point_scheme_with_zero_mu_also_measures_golden_ratio(sq):
-    # bit-identical to the secant method, so the measured order is phi, not 2
-    out = run(sq, SolverConfig(scheme="secant_dyn", mu=0.0, epsilon=1e-14, max_iters=60), 1.5)
-    est = estimate_order(out.trace)
-    assert 1.55 <= est.final_order <= 1.70
-    # and the quadratic constant ratios blow up accordingly
-    assert abs(est.constant_estimates[-1]) > abs(est.constant_estimates[0])
 
 
 def _two_log_estimate(trace):
@@ -260,18 +243,6 @@ def test_predicted_constant_rejects_flat_root():
 # ---------------------------------------------------------------------------
 # verify_quadratic_convergence
 
-def test_quadratic_claim_holds_when_second_derivative_vanishes(quart):
-    # f = x + x^4 has f''(0) = f'''(0) = 0, so the two-point scheme really is
-    # quadratic there with constant exactly mu
-    cfg = SolverConfig(scheme="secant_dyn", epsilon=1e-15, max_iters=100)
-    report = verify_quadratic_convergence(quart, 1.5, 0.3, cfg)
-    assert report.outcome.converged
-    assert report.predicted == pytest.approx(1.5, abs=1e-6)
-    assert 1.9 <= report.estimate.final_order <= 2.1
-    assert report.constant_rel_error <= 0.15
-    assert report.order_gap <= 0.1
-
-
 # Problems whose prediction raises: the estimate stays, the prediction and
 # its relative error are None.  Each: (problem, mu, x0, |order - 2|).
 NO_PREDICTION = {
@@ -313,13 +284,6 @@ def test_report_carries_divergence_as_verdict(problems):
     assert report.order_gap is None and report.constant_rel_error is None
     assert report.x0 == report.outcome.pairs[0][0] == 5.0
     assert "not estimable" in report.to_text()
-
-
-def test_report_text_is_complete(quart):
-    cfg = SolverConfig(scheme="secant_dyn", epsilon=1e-15, max_iters=100)
-    text = verify_quadratic_convergence(quart, 1.5, 0.3, cfg).to_text()
-    for needle in ("problem", "final order", "final const", "predicted", "|order - 2|"):
-        assert needle in text
 
 
 def test_report_scheme_is_forced_to_two_point(problems):

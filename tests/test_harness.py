@@ -101,33 +101,6 @@ def test_sweep_h_validation(problems):
 # ---------------------------------------------------------------------------
 # basin mapping
 
-def test_basin_single_cells(problems):
-    grid = map_basin(problems["trig"], "secant_dyn", [2.65], [11.0 * math.pi / 24.0])
-    cell = grid.cells[0][0]
-    assert (cell.verdict, cell.iterations) == ("converged", 5)
-    grid = map_basin(problems["log"], "newton", [0.0], [5.0])
-    assert grid.cells[0][0].verdict == "divergence"
-
-
-def test_basin_grid_shape_and_population(problems):
-    axis = default_x0_axis(problems["log"], 17)
-    grid = map_basin(problems["log"], "secant_dyn", [0.1, 0.135], axis)
-    assert len(grid.cells) == 2
-    assert all(len(row) == 17 for row in grid.cells)
-    assert all(c.verdict in ("converged", "divergence") for row in grid.cells for c in row)
-
-
-def test_basin_two_point_scheme_beats_newton_on_log(problems):
-    axis = default_x0_axis(problems["log"], 201)
-    newton = map_basin(problems["log"], "newton", [0.0], axis)
-    dyn = map_basin(problems["log"], "secant_dyn", [0.135], axis)
-    f_newton = newton.converged_fraction(0)
-    f_dyn = dyn.converged_fraction(0)
-    assert f_newton == pytest.approx(74 / 201)
-    assert f_dyn == pytest.approx(149 / 201)
-    assert f_dyn > f_newton
-
-
 def test_basin_converged_cells_have_small_residuals(problems):
     axis = default_x0_axis(problems["log"], 201)
     for scheme, mu in (("newton", 0.0), ("secant_dyn", 0.135)):

@@ -1,5 +1,6 @@
 """The analysis against an independent high-precision oracle (mpmath)."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,10 @@ from mpmath import mp
 
 from rootflow import (
     SolverConfig,
+    default_x0_axis,
     estimate_order,
+    euler_flow_step,
+    map_basin,
     predicted_constant,
     run,
     verify_quadratic_convergence,
@@ -83,6 +87,47 @@ def test_exp_zheng_benchmark_verdict_is_decided_by_rounding(problems, quart):
                         if cell != ("exp", "zheng")}
 
 
+# Converged starts among each benchmark cell's 201 default starts at its curated mu: (in float,
+# through map_basin; at 30 digits, through run on the mp f and f', from the same float mu and
+# x0).  Rounding decides only exp/zheng's count.
+CURATED_MU_COUNTS = {
+    ("log", "newton"): (74, 74), ("log", "zheng"): (198, 198), ("log", "secant_dyn"): (149, 149),
+    ("exp", "newton"): (11, 11), ("exp", "zheng"): (185, 201), ("exp", "secant_dyn"): (201, 201),
+    ("trig", "newton"): (168, 168), ("trig", "zheng"): (157, 157),
+    ("trig", "secant_dyn"): (170, 170),
+}
+
+
+def test_curated_mu_basins_in_float_and_at_30_digits(problems, quart):
+    counts = {}
+    for name, scheme in BENCH_EXPECTED_VERDICTS:
+        p, mu = problems[name], BENCH_MU.get((name, scheme), 0.0)
+        axis = default_x0_axis(p, 201)
+        [row] = map_basin(p, scheme, [mu], axis).cells
+        in_float = sum(cell.verdict == VERDICT_CONVERGED for cell in row)
+        cfg = SolverConfig(scheme=scheme, mu=mu, trace=False)
+        with mp.workdps(30):
+            mp_p = mp_problem(problems, quart, name, p.default_x0)
+            at_30_digits = sum(run(mp_p, cfg, x0).converged for x0 in axis)
+        counts[name, scheme] = (in_float, at_30_digits)
+    assert counts == CURATED_MU_COUNTS
+
+
+def test_euler_flow_step_is_damped_newton_on_g_at_50_digits(problems, quart):
+    # g = e^{mu x} f has g' = e^{mu x} (mu f + f'), so the flow step x - h f/(mu f + f')
+    # is x - h g/g'.  The oracle differentiates g numerically.
+    rng = random.Random(13)
+    with mp.workdps(50):
+        for _ in range(300):
+            name = rng.choice(sorted(MP_F))
+            p = mp_problem(problems, quart, name, problems[name].default_x0)
+            x = mp.mpf(rng.uniform(*p.domain))
+            mu, h = rng.uniform(-3, 3), rng.uniform(0.05, 1)
+            g = lambda t: mp.exp(mu * t) * p.f(t)
+            newton_on_g = x - h * g(x) / mp.diff(g, x)
+            assert abs(euler_flow_step(p, x, mu, h) / newton_on_g - 1) < 1e-40, (name, x, mu, h)
+
+
 # Runs of the unmodified driver on mp problems at 400 digits, against the
 # local model of each update rule, with c = f''/(2f') at x*:
 # (scheme, problem, mu, x0, order, limit).  The ratio of order 1 is
@@ -102,9 +147,16 @@ ORACLE_RUNS = {
     "secant_dyn-log": ("secant_dyn", "log", 0.3, "1.5", "two-point", lambda: mp.mpf(-0.5)),
     "secant_dyn-exp": ("secant_dyn", "exp", 0.3, "1.5", "two-point", lambda: mp.mpf(-1)),
     "secant_dyn-trig": ("secant_dyn", "trig", 0.3, "0.6", "two-point", lambda: -mp.sqrt(3) / 6),
+    # at the paper's cancellation value mu = -f''/f' = 1 on log, mu still drops out
+    "secant_dyn-log-mu1": ("secant_dyn", "log", 1.0, "1.5", "two-point", lambda: mp.mpf(-0.5)),
     # secant_dyn where c = 0, as f'' and f''' vanish at the root: order 2, limit mu
     "secant_dyn-quart": ("secant_dyn", "quart", 0.7, "0.3", 2, lambda: mp.mpf(0.7)),
 }
+
+
+def last_step_above_noise(e):
+    """The last n with e_{n+1} above 1e-350, far from the 400-digit rounding noise."""
+    return max(n for n in range(1, len(e) - 1) if abs(e[n + 1]) > mp.mpf(10) ** -350)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_RUNS))
@@ -118,9 +170,8 @@ def test_run_meets_the_local_model_at_400_digits(problems, quart, case):
         cfg = SolverConfig(scheme=scheme, mu=mu, h=0.5, epsilon=1e-300, max_iters=5000)
         out = run(p, cfg, p.default_x0)
         assert out.converged
-        # Errors above 1e-350 are far from the 400-digit rounding noise.
         e = [x - root for x, _ in out.pairs]
-        n = max(n for n in range(1, len(e) - 1) if abs(e[n + 1]) > mp.mpf(10) ** -350)
+        n = last_step_above_noise(e)
         ratio = e[n + 1] / (e[n] * {1: 1, 2: e[n], "two-point": e[n - 1]}[order])
         assert abs(ratio / limit() - 1) < 1e-40
 
@@ -143,6 +194,51 @@ def test_cubic_points_estimate_order_three_at_400_digits(problems, quart, case):
         est = estimate_order(out.trace)
     assert out.converged
     assert est.final_order == pytest.approx(3.0, abs=1e-3)
+
+
+def secant_on_g(name, mu, x0):
+    """The secant method on g = e^{mu x} f, from the pair (x0, x0 - 1/10) until a step falls
+    to 1e-300 or 100 points: x_n - f_n dx / (f_n - e^{-mu dx} f_{n-1}), dx = x_n - x_{n-1}."""
+    f, xs = MP_F[name], [mp.mpf(x0), mp.mpf(x0) - mp.mpf(1) / 10]
+    while abs(xs[-1] - xs[-2]) > mp.mpf(10) ** -300 and len(xs) < 100:
+        dx, fn = xs[-1] - xs[-2], f(xs[-1])
+        xs.append(xs[-1] - fn * dx / (fn - mp.exp(-mu * dx) * f(xs[-2])))
+    return xs
+
+
+# c = f''/(2f') at x*, and a start for the secant on g.  Its constant is g''/(2g') = c + mu
+# (Traub, 1964), so mu tunes it, and at mu = -c the order rises to 2.
+SECANT_ON_G = {
+    "log": ("1.5", lambda: mp.mpf(-0.5)),
+    "exp": ("1.5", lambda: mp.mpf(-1)),
+    "trig": ("0.6", lambda: -mp.sqrt(3) / 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECANT_ON_G))
+def test_secant_on_g_tends_to_c_plus_mu_at_400_digits(name):
+    x0, c = SECANT_ON_G[name]
+    with mp.workdps(400):
+        e = [x - MP_ROOT[name]() for x in secant_on_g(name, 0.3, x0)]
+        n = last_step_above_noise(e)
+        assert abs(e[n + 1] / (e[n] * e[n - 1]) / (c() + mp.mpf(0.3)) - 1) < 1e-40
+
+
+# On exp, -c is 1, where g = x - 1 is linear: the test after this one.
+@pytest.mark.parametrize("name", ["log", "trig"])
+def test_secant_on_g_is_quadratic_at_mu_minus_c_at_400_digits(name):
+    x0, c = SECANT_ON_G[name]
+    with mp.workdps(400):
+        e = [x - MP_ROOT[name]() for x in secant_on_g(name, -c(), x0)]
+        n = last_step_above_noise(e)
+        assert abs(e[n + 1] / (e[n] * e[n - 1])) < 1e-40
+        assert abs(mp.log(abs(e[n + 1] / e[n])) / mp.log(abs(e[n] / e[n - 1])) - 2) < 0.05
+
+
+def test_secant_on_g_lands_on_the_root_where_g_is_linear():
+    with mp.workdps(400):
+        x = secant_on_g("exp", 1, "1.5")[2]
+        assert abs(x - 1) < mp.mpf(10) ** -390
 
 
 def test_estimate_order_floors_at_the_trace_precision(problems):
