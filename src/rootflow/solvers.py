@@ -204,7 +204,7 @@ class RunOutcome(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # public one-step kernels (run's two loops repeat their arithmetic inline; the 10,000 fixed-seed
-# draws of test_exit_draws_reach_every_exit and the RARE_RUNS runs check that the two agree)
+# draws of test_exit_draws_reach_every_exit and the PINNED_RUNS runs check that the two agree)
 
 def _step(x: float, num: float, den: float, what: str) -> float:
     """x - num / den, the form of every rule.

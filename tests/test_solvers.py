@@ -71,64 +71,80 @@ WIDE = (-1e9, 1e9)
 # ---------------------------------------------------------------------------
 # one-step kernels
 
-def test_newton_step_values(problems, sq4, linear):
-    assert newton_step(sq4, 3.0) == pytest.approx(13.0 / 6.0)
-    assert newton_step(linear, 7.0) == 0.0
-    # hand evaluation: 5 - 5 ln 5
-    assert newton_step(problems["log"], 5.0) == pytest.approx(-3.0471895621705016)
+@pytest.fixture(scope="session")
+def named(problems, sq, sq4, linear, expm1p):
+    """The problems that the kernel tables name."""
+    return {**problems, "sq": sq, "sq4": sq4, "linear": linear, "expm1p": expm1p}
 
 
-def test_newton_first_log_step_leaves_the_domain(problems):
-    x1 = newton_step(problems["log"], 5.0)
-    with pytest.raises(DomainViolation):
-        eval_f(problems["log"], x1)
+def _call_id(kernel, name, args):
+    return "-".join((kernel.__name__, name, *map(repr, args)))
 
 
-def test_euler_flow_step_values(problems, linear):
-    assert euler_flow_step(linear, 4.0, 0.0, 1.0) == 0.0
-    assert euler_flow_step(linear, 4.0, 0.0, 0.5) == 2.0
+# (kernel, problem, the arguments after the problem, the point it returns), bit for bit.
+KERNEL_VALUES = [
+    (newton_step, "sq4", (3.0,), 13.0 / 6.0),
+    (newton_step, "linear", (7.0,), 0.0),
+    # hand evaluation: 5 - 5 ln 5, outside log's domain, where
+    # test_problems::test_eval_f_rejects_points_outside_interval refuses f
+    (newton_step, "log", (5.0,), -3.0471895621705016),
+    (euler_flow_step, "linear", (4.0, 0.0, 1.0), 0.0),
+    (euler_flow_step, "linear", (4.0, 0.0, 0.5), 2.0),
     # 5 - ln 5 / (0.135 ln 5 + 0.2), checked against a separate calculator
-    assert euler_flow_step(problems["log"], 5.0, 0.135, 1.0) == pytest.approx(
-        1.1429721079771804
-    )
-
-
-def test_wu_step_value(expm1p):
+    (euler_flow_step, "log", (5.0, 0.135, 1.0), 1.1429721079771804),
     # 0.1 - (e^0.1 - 1)/((e^0.1 - 1) + e^0.1)
-    assert wu_step(expm1p, 0.1, 1.0) == pytest.approx(0.01310643412106173)
-
-
-def test_zheng_step_exact_on_linear(linear):
-    assert zheng_step(linear, 4.0, 0.0) == 0.0
-
-
-def test_zheng_step_probe_may_exit_the_interval(problems):
-    # from x = 5 the probe sits at 5 + ln 5, past the interval edge, and the
-    # step must still evaluate
-    assert zheng_step(problems["log"], 5.0, 1.0) == pytest.approx(4.097255683445856)
-
-
-def test_secant_dyn_step_values(sq, linear):
-    assert secant_dyn_step(linear, 1.0, 2.0, 0.0) == 0.0
+    (wu_step, "expm1p", (0.1, 1.0), 0.01310643412106173),
+    (zheng_step, "linear", (4.0, 0.0), 0.0),
+    # from x = 5 the probe sits at 5 + ln 5, past the interval edge, and the step must still
+    # evaluate
+    (zheng_step, "log", (5.0, 1.0), 4.097255683445856),
+    (secant_dyn_step, "linear", (1.0, 2.0, 0.0), 0.0),
     # hand evaluation on x^2 - 1 from the pair (2, 1.5)
-    assert secant_dyn_step(sq, 2.0, 1.5, 0.0) == pytest.approx(1.1428571428571428)
+    (secant_dyn_step, "sq", (2.0, 1.5, 0.0), 8.0 / 7.0),
+    (secant_step, "sq4", (3.0, 2.5), 23.0 / 11.0),
+    # x = 2 is an exact binary root of x^2 - 4; every kernel with a nonzero denominator must
+    # return it unchanged
+    *((kernel, "sq4", args, 2.0) for kernel, args in (
+        (newton_step, (2.0,)), (euler_flow_step, (2.0, 0.7, 0.25)), (wu_step, (2.0, 0.7)),
+        (secant_dyn_step, (3.0, 2.0, 0.5)), (secant_step, (3.0, 2.0)))),
+]
 
 
-def test_secant_step_value(sq4):
-    assert secant_step(sq4, 3.0, 2.5) == pytest.approx(2.0909090909090908)
+@pytest.mark.parametrize("kernel, name, args, point", KERNEL_VALUES,
+                         ids=[_call_id(*row[:3]) for row in KERNEL_VALUES])
+def test_kernel_values(named, kernel, name, args, point):
+    assert kernel(named[name], *args) == point
 
 
-def test_secant_stagnant_pair(sq):
+# (kernel, problem, the arguments after the problem, what it raises, the whole message): a
+# denominator of exactly 0 is DenominatorUnderflow, one that is not a finite real NonFiniteValue.
+KERNEL_REFUSALS = [
     # a pair that coincides makes the secant denominator exactly 0
-    with pytest.raises(DenominatorUnderflow,
-                       match=r"^mu\*\(x - x_prev\)\*f \+ f - f\(x_prev\) is 0 at x = 1\.5$"):
-        secant_dyn_step(sq, 1.5, 1.5, 0.7)
-
-
-def test_euler_flow_step_flat_derivative(sq4):
+    (secant_dyn_step, "sq", (1.5, 1.5, 0.7), DenominatorUnderflow,
+     "mu*(x - x_prev)*f + f - f(x_prev) is 0 at x = 1.5"),
     # f'(0) = 0, so with mu = 0 the flow denominator mu*f + f' is exactly 0
-    with pytest.raises(DenominatorUnderflow, match=r"^mu\*f \+ f' is 0 at x = 0\.0$"):
-        euler_flow_step(sq4, 0.0, 0.0, 1.0)
+    (euler_flow_step, "sq4", (0.0, 0.0, 1.0), DenominatorUnderflow, "mu*f + f' is 0 at x = 0.0"),
+    # the one-point difference quotient degenerates at an exact root: its denominator is exactly
+    # zero there
+    (zheng_step, "sq4", (2.0, 0.5), DenominatorUnderflow, "mu*f^2 + f(x+f) - f is 0 at x = 2.0"),
+    # x^2 - 1 at 200: f = 39999, and mu f^2, mu f or mu dx f overflows.  x - num/inf would return
+    # x, a step of exactly 0.
+    (zheng_step, "sq", (200.0, 1e300), NonFiniteValue,
+     "(mu*f^2 + f(x+f) - f)(200.0) is not a finite real"),
+    (wu_step, "sq", (200.0, 1e306), NonFiniteValue, "(mu*f + f')(200.0) is not a finite real"),
+    (euler_flow_step, "sq", (200.0, 1e306, 0.5), NonFiniteValue,
+     "(mu*f + f')(200.0) is not a finite real"),
+    (secant_dyn_step, "sq", (200.0, 199.998, 1e307), NonFiniteValue,
+     "(mu*(x - x_prev)*f + f - f(x_prev))(199.998) is not a finite real"),
+]
+
+
+@pytest.mark.parametrize("kernel, name, args, error, message", KERNEL_REFUSALS,
+                         ids=[_call_id(*row[:3]) for row in KERNEL_REFUSALS])
+def test_kernel_refusals(named, kernel, name, args, error, message):
+    with pytest.raises(error) as raised:
+        kernel(named[name], *args)
+    assert str(raised.value) == message
 
 
 @given(
@@ -184,46 +200,8 @@ def test_secant_dyn_matches_closed_form_secant(xp, xc, sq):
     assert secant_dyn_step(sq, xp, xc, 0.0) == pytest.approx(closed, rel=1e-14)
 
 
-def test_kernels_fix_exact_roots(sq4):
-    # x = 2 is an exact binary root of x^2 - 4; every kernel with a nonzero
-    # denominator must return it unchanged
-    assert newton_step(sq4, 2.0) == 2.0
-    assert euler_flow_step(sq4, 2.0, 0.7, 0.25) == 2.0
-    assert wu_step(sq4, 2.0, 0.7) == 2.0
-    assert secant_dyn_step(sq4, 3.0, 2.0, 0.5) == 2.0
-    assert secant_step(sq4, 3.0, 2.0) == 2.0
-    # the one-point difference quotient degenerates at an exact root: its
-    # denominator is exactly zero there
-    with pytest.raises(DenominatorUnderflow,
-                       match=r"^mu\*f\^2 \+ f\(x\+f\) - f is 0 at x = 2\.0$"):
-        zheng_step(sq4, 2.0, 0.5)
-
-
-def test_kernels_refuse_an_overflowed_denominator(sq):
-    # x^2 - 1 at 200: f = 39999, and mu f^2, mu f or mu dx f overflows.  x - num/inf would
-    # return x, a step of exactly 0.
-    with pytest.raises(NonFiniteValue,
-                       match=r"^\(mu\*f\^2 \+ f\(x\+f\) - f\)\(200\.0\) is not a finite real$"):
-        zheng_step(sq, 200.0, 1e300)
-    flow = r"^\(mu\*f \+ f'\)\(200\.0\) is not a finite real$"
-    with pytest.raises(NonFiniteValue, match=flow):
-        wu_step(sq, 200.0, 1e306)
-    with pytest.raises(NonFiniteValue, match=flow):
-        euler_flow_step(sq, 200.0, 1e306, 0.5)
-    with pytest.raises(NonFiniteValue, match=r"^\(mu\*\(x - x_prev\)\*f \+ f - f\(x_prev\)\)"
-                                             r"\(199\.998\) is not a finite real$"):
-        secant_dyn_step(sq, 200.0, 199.998, 1e307)
-
-
 # ---------------------------------------------------------------------------
 # driver
-
-def test_run_starting_at_the_root(problems):
-    out = run(problems["trig"], SolverConfig(scheme="secant_dyn", mu=2.65), math.pi / 6.0)
-    assert out.verdict == "converged"
-    assert out.iterations <= 1
-    assert out.final_x == pytest.approx(math.pi / 6.0, abs=1e-12)
-
 
 # The reason each stop rule gives for a run that ends at an exact root.
 ROOT_REASONS = {"step_size": {"step_below_epsilon"}, "residual": {"residual_below_epsilon"},
@@ -247,47 +225,6 @@ def test_run_ends_converged_at_an_exact_root(scheme, bootstrap, stop_rule):
             assert out.final_x == pytest.approx(1.0, abs=1e-5)
 
 
-@pytest.mark.parametrize("stop_rule", STOP_RULES)
-@pytest.mark.parametrize("scheme", ["newton", "wu", "euler_flow"])
-def test_run_ends_converged_at_a_flat_exact_root(scheme, stop_rule):
-    # f = f' = 0 at x = 1, so mu f + f' is exactly 0: no step can be taken,
-    # and none is needed.
-    p = ProblemSpec(name="double", f=lambda x: (x - 1.0) ** 2, df=lambda x: 2.0 * (x - 1.0),
-                    domain=(-10.0, 10.0), known_root=1.0, default_x0=3.0)
-    out = run(p, SolverConfig(scheme=scheme, mu=0.5, stop_rule=stop_rule), 1.0)
-    assert out.reason == ("residual_below_epsilon" if stop_rule == "residual"
-                          else "step_below_epsilon")
-    assert out.iterations == 0
-    assert out.pairs == [(1.0, 0.0)]
-
-
-def test_run_offset_bootstrap(problems):
-    cfg = SolverConfig(scheme="secant_dyn", mu=0.135, bootstrap="offset_x0")
-    out = run(problems["log"], cfg, 5.0)
-    assert out.verdict == "converged"
-    assert out.iterations == 7
-    assert f"{out.final_x:.6f}" == "1.000000"
-
-
-@pytest.mark.parametrize("x0, iterations", [(0.6, 5), (0.9, 4)])
-def test_run_offset_bootstrap_is_not_step_tested(problems, x0, iterations):
-    # The offset step is epsilon * max(1, |x0|), which for |x0| <= 1 passes
-    # the step test; it must not count as convergence on its own.
-    cfg = SolverConfig(scheme="secant_dyn", mu=0.5, bootstrap="offset_x0")
-    out = run(problems["log"], cfg, x0)
-    assert out.reason == "step_below_epsilon"
-    assert out.iterations == iterations
-    assert abs(out.final_fx) < 1e-10
-
-
-def test_run_residual_stop_rule(problems):
-    cfg = SolverConfig(scheme="zheng", mu=1.0, stop_rule="residual")
-    out = run(problems["log"], cfg, 5.0)
-    assert out.verdict == "converged"
-    assert out.reason == "residual_below_epsilon"
-    assert abs(problems["log"].f(out.final_x)) <= 1e-5
-
-
 def test_run_rejects_x0_outside_domain(problems):
     with pytest.raises(DomainViolation):
         run(problems["log"], SolverConfig(scheme="newton"), 7.0)
@@ -300,28 +237,6 @@ def test_run_needs_derivative_for_derivative_schemes():
     # derivative-free schemes are fine
     out = run(p, SolverConfig(scheme="secant_dyn", mu=0.0, epsilon=1e-10), 1.5)
     assert out.verdict == "converged"
-
-
-def test_run_exhausts_budget_with_tiny_euler_step(problems):
-    cfg = SolverConfig(scheme="euler_flow", mu=0.135, h=1e-4)
-    out = run(problems["log"], cfg, 5.0)
-    assert out.verdict == "exhausted"
-    assert out.reason == "max_iters_reached"
-    assert out.iterations == 500
-
-
-def test_run_escape_bound():
-    # Newton on the cube root maps x to -2x, so |x| doubles every step and
-    # passes ESCAPE_BOUND = 1e12 long before the domain's edge at 1e15: 39
-    # steps are taken, and the 40th candidate is rejected.
-    p = ProblemSpec(name="cbrt", f=lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x),
-                    df=lambda x: abs(x) ** (-2.0 / 3.0) / 3.0,
-                    domain=(-1e15, 1e15), default_x0=1.0)
-    out = run(p, SolverConfig(scheme="newton"), 1.0)
-    assert out.verdict == "divergence"
-    assert out.reason == "escape_bound_exceeded"
-    assert out.iterations == 39
-    assert abs(out.final_x) <= ESCAPE_BOUND < 2.0 * abs(out.final_x)
 
 
 # On x^2 - 1 from 200, where f = 39999, each denominator overflows: mu f^2 for zheng and for the
@@ -350,53 +265,6 @@ def test_run_overflowed_denominator_is_nonfinite(sq, scheme, mu, bootstrap, kept
     with pytest.raises(NonFiniteValue,
                        match=rf"^\(mu\*.*\)\({re.escape(repr(xs[-1]))}\) is not a finite real$"):
         _kernel_next(sq, cfg, xs)
-
-
-@pytest.mark.parametrize("bootstrap, mu, epsilon, stop_rule, reason", [
-    # The bootstrap's step (1/mu for zheng_first_step, the offset for
-    # offset_x0) vanishes against x0.  The step test does not judge the
-    # bootstrap, so under every rule the first counted step meets the
-    # coincident pair: its secant denominator is exactly 0, and
-    # |ln 5| = 1.61 is no root.
-    ("zheng_first_step", 1e20, 1e-5, "either", "denominator_underflow"),
-    ("zheng_first_step", 1e20, 1e-5, "residual", "denominator_underflow"),
-    ("zheng_first_step", 1e20, 1e-5, "step_size", "denominator_underflow"),
-    ("offset_x0", 0.5, 1e-17, "either", "denominator_underflow"),
-    ("offset_x0", 0.5, 1e-17, "step_size", "denominator_underflow"),
-    ("offset_x0", 0.5, 1e-310, "either", "denominator_underflow"),
-    ("offset_x0", 0.5, 1e-310, "residual", "denominator_underflow"),
-    ("offset_x0", 0.5, 1e-310, "step_size", "denominator_underflow"),
-])
-def test_run_stagnant_pair(problems, bootstrap, mu, epsilon, stop_rule, reason):
-    # Both starting points are 5.0.
-    cfg = SolverConfig(scheme="secant_dyn", mu=mu, epsilon=epsilon, bootstrap=bootstrap,
-                       stop_rule=stop_rule)
-    out = run(problems["log"], cfg, 5.0)
-    assert out.reason == reason
-    assert out.iterations == 0
-    assert [pt.x for pt in out.trace.points] == [5.0, 5.0]
-
-
-@pytest.mark.parametrize("scheme", ["zheng", "secant_dyn"])
-def test_run_tiny_scaled_problem_converges(scheme):
-    # f = 1e-160 (x - 1): the zheng denominator mu f^2 = 2e-320 is subnormal
-    # but not 0, and f^2 / (mu f^2) = 2 is the exact step to the root.
-    # secant_dyn's bootstrap is that step; its first secant step confirms it.
-    p = ProblemSpec(name="tiny", f=lambda x: 1e-160 * (x - 1.0), domain=(-10.0, 10.0),
-                    known_root=1.0, default_x0=3.0)
-    out = run(p, SolverConfig(scheme=scheme, mu=0.5), 3.0)
-    assert out.converged
-    assert out.iterations == 1
-    assert out.final_x == 1.0
-
-
-def test_run_flat_derivative_diverges():
-    # f' vanishes at the start; the Newton correction is undefined
-    p = ProblemSpec(name="flat", f=lambda x: x * x + 1.0, df=lambda x: 2.0 * x,
-                    domain=WIDE, default_x0=0.0)
-    out = run(p, SolverConfig(scheme="newton"), 0.0)
-    assert out.verdict == "divergence"
-    assert out.reason == "denominator_underflow"
 
 
 def test_verdict_reason_coupling(problems):
@@ -656,26 +524,6 @@ def test_run_guards_f_at_x0(sq4, scheme, bad):
     assert calls == [3.0]
 
 
-@pytest.mark.parametrize("df, domain, reason", [
-    # From 2, newton's candidate is 2 + 1e200 / 1e-290 = inf: past the
-    # escape bound and, on a bounded domain, past its edge, but it is not a
-    # finite real first.
-    (-1e-290, (-math.inf, math.inf), "nonfinite"),
-    (-1e-290, (-1e15, 1e15), "nonfinite"),
-    # Here it is 2 + 1e213: outside the domain is a domain exit first.
-    (-1e-13, (-1e15, 1e15), "domain_violation"),
-    (-1e-13, (-math.inf, math.inf), "escape_bound_exceeded"),
-    # With f' = 1e-290 the candidate is -inf, on a domain that it also leaves.
-    (1e-290, WIDE, "nonfinite"),
-])
-def test_run_names_the_first_failed_candidate_check(df, domain, reason):
-    p = ProblemSpec(name="steep", f=lambda x: 1e200 * (x - 1.0), df=lambda x: df,
-                    domain=domain, default_x0=2.0)
-    out = run(p, SolverConfig(scheme="newton"), 2.0)
-    assert out.reason == reason
-    assert out.pairs == [(2.0, 1e200)]
-
-
 # ---------------------------------------------------------------------------
 # run against a reference that takes every step with the public kernels
 
@@ -915,36 +763,142 @@ def test_an_untraced_run_that_raises_after_accepting_keeps_the_candidate(sq4, sc
         traced.reason, traced.iterations, repr(_untraced_pairs(traced.pairs)))
 
 
-# Runs that the draws seldom reach.  Under "either", a step that fires both stop tests at once
-# reports the step: one such run per update rule, the two-point rule's under each bootstrap.  And
-# the residual test ends a two-point run at its bootstrap point, under each bootstrap.  Each row:
-# problem, scheme, bootstrap, stop rule, mu, x0, epsilon, and the exit the run takes.
-RARE_RUNS = [
-    ("trig", "newton", "offset_x0", "either", 0.0, 0.35997415822383044, 1e-5,
-     "one-point loop: step_below_epsilon, both stop tests fired"),
-    ("trig", "zheng", "offset_x0", "either", 2.0, 1.4398966328953218, 1e-13,
-     "one-point loop: step_below_epsilon, at an exact root"),
-    ("trig", "secant_dyn", "zheng_first_step", "either", -0.5, 0.35997415822383044, 1e-5,
-     "two-point loop: step_below_epsilon, both stop tests fired"),
-    ("trig", "secant", "offset_x0", "either", 0.5, 0.17998707911191522, 1e-5,
-     "two-point loop: step_below_epsilon, both stop tests fired"),
-    ("log", "secant_dyn", "zheng_first_step", "residual", 0.0, 0.99725, 1e-5,
-     "two-point loop: residual_below_epsilon, in the bootstrap step"),
-    ("log", "secant_dyn", "offset_x0", "either", 0.0, 1.000010989893846, 1e-5,
-     "two-point loop: residual_below_epsilon, in the bootstrap step"),
+# The problems of the pinned runs besides log and trig.
+LOG, TRIG = EXIT_PROBLEMS["log"], EXIT_PROBLEMS["trig"]
+DOUBLE = ProblemSpec(name="double", f=lambda x: (x - 1.0) ** 2, df=lambda x: 2.0 * (x - 1.0),
+                     domain=(-10.0, 10.0), known_root=1.0, default_x0=3.0)
+CBRT = ProblemSpec(name="cbrt", f=lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x),
+                   df=lambda x: abs(x) ** (-2.0 / 3.0) / 3.0, domain=(-1e15, 1e15), default_x0=1.0)
+TINY = ProblemSpec(name="tiny", f=lambda x: 1e-160 * (x - 1.0), domain=(-10.0, 10.0),
+                   known_root=1.0, default_x0=3.0)
+FLAT = ProblemSpec(name="flat", f=lambda x: x * x + 1.0, df=lambda x: 2.0 * x, domain=WIDE,
+                   default_x0=0.0)
+
+
+def _steep(df, domain):
+    """1e200 (x - 1) with the constant f' = df."""
+    return ProblemSpec(name="steep", f=lambda x: 1e200 * (x - 1.0), df=lambda x: df,
+                       domain=domain, default_x0=2.0)
+
+
+def _pinned(case_id, p, x0, cfg, reason, iterations, **pins):
+    """A PINNED_RUNS row.  ``pins`` holds what else the run must give: its last pair as
+    ``final``, all its ``pairs``, or the ``exit`` that _exit_label names."""
+    return pytest.param(p, x0, cfg, reason, iterations, pins, id=case_id)
+
+
+NEWTON = SolverConfig(scheme="newton")
+# Fixed runs, each pinned and checked against the reference.
+PINNED_RUNS = [
+    # From trig's root rounded to a float, where f is not 0, the bootstrap lands where f is
+    # exactly 0, and the first secant step stays there.
+    _pinned("trig-secant_dyn-from-the-root", TRIG, math.pi / 6.0,
+            SolverConfig(scheme="secant_dyn", mu=2.65), "step_below_epsilon", 1,
+            final=(0.5235987755982989, 0.0)),
+    # f = f' = 0 at x = 1, so mu f + f' is exactly 0: no step can be taken, and none is needed.
+    *(_pinned(f"flat-exact-root-{scheme}-{stop_rule}", DOUBLE, 1.0,
+              SolverConfig(scheme=scheme, mu=0.5, stop_rule=stop_rule),
+              "residual_below_epsilon" if stop_rule == "residual" else "step_below_epsilon", 0,
+              pairs=[(1.0, 0.0)])
+      for scheme in ("newton", "wu", "euler_flow") for stop_rule in STOP_RULES),
+    # The offset_x0 bootstrap on the benchmark's log cell converges to 1 at six decimals.
+    _pinned("log-offset-bootstrap", LOG, 5.0,
+            SolverConfig(scheme="secant_dyn", mu=0.135, bootstrap="offset_x0"),
+            "step_below_epsilon", 7, final=(1.0000000000001719, 1.7186252421195946e-13)),
+    # The offset step is epsilon * max(1, |x0|), which for |x0| <= 1 passes the step test; it
+    # must not count as convergence on its own.
+    *(_pinned(f"log-offset-bootstrap-not-step-tested-from-{x0}", LOG, x0,
+              SolverConfig(scheme="secant_dyn", mu=0.5, bootstrap="offset_x0"),
+              "step_below_epsilon", iterations, final=final)
+      for x0, iterations, final in ((0.6, 5, (0.9999999999719048, -2.8095192839256417e-11)),
+                                    (0.9, 4, (0.999999999999942, -5.795364188543485e-14)))),
+    # The residual rule ends zheng's run on log once |f| <= epsilon, a step before the step rule.
+    _pinned("log-zheng-residual-rule", LOG, 5.0,
+            SolverConfig(scheme="zheng", mu=1.0, stop_rule="residual"),
+            "residual_below_epsilon", 7, final=(1.0000010315272578, 1.0315267258092998e-06)),
+    # Steps of h = 1e-4 spend the budget of 500 long before log's root.
+    _pinned("log-euler_flow-tiny-step", LOG, 5.0,
+            SolverConfig(scheme="euler_flow", mu=0.135, h=1e-4), "max_iters_reached", 500),
+    # Newton on the cube root maps x to -2x, so |x| doubles every step and passes
+    # ESCAPE_BOUND = 1e12 long before the domain's edge at 1e15: 39 steps are taken, to about
+    # -2^39, and the 40th candidate is rejected.
+    _pinned("cbrt-newton-escape", CBRT, 1.0, NEWTON, "escape_bound_exceeded", 39,
+            final=(-549755813887.97656, -8191.999999999879)),
+    # The bootstrap's step from 5 (1/mu for zheng_first_step, the offset for offset_x0) vanishes
+    # against 5.  The step test does not judge the bootstrap, so under every rule the first
+    # counted step meets the coincident pair: its secant denominator is exactly 0, and
+    # |ln 5| = 1.61 is no root.
+    *(_pinned(f"log-stagnant-pair-{bootstrap}-{epsilon}-{stop_rule}", LOG, 5.0,
+              SolverConfig(scheme="secant_dyn", mu=mu, epsilon=epsilon, bootstrap=bootstrap,
+                           stop_rule=stop_rule),
+              "denominator_underflow", 0, pairs=[(5.0, math.log(5.0))] * 2)
+      for bootstrap, mu, epsilon, stop_rules in (
+          ("zheng_first_step", 1e20, 1e-5, STOP_RULES),
+          ("offset_x0", 0.5, 1e-17, ("either", "step_size")),
+          ("offset_x0", 0.5, 1e-310, STOP_RULES))
+      for stop_rule in stop_rules),
+    # f = 1e-160 (x - 1): the zheng denominator mu f^2 = 2e-320 is subnormal but not 0, and
+    # f^2 / (mu f^2) = 2 is the exact step to the root.  secant_dyn's bootstrap is that step; its
+    # first secant step confirms it.
+    *(_pinned(f"tiny-{scheme}", TINY, 3.0, SolverConfig(scheme=scheme, mu=0.5),
+              "step_below_epsilon", 1, final=(1.0, 0.0)) for scheme in ("zheng", "secant_dyn")),
+    # f' vanishes at the start, where f does not: the Newton correction is undefined.
+    _pinned("flat-derivative-newton", FLAT, 0.0, NEWTON, "denominator_underflow", 0),
+    # Newton from 2 on 1e200 (x - 1): the first candidate fails the checks in run's order.  With
+    # f' = -1e-290 it is 2 + 1e200 / 1e-290 = inf: past the escape bound and, on a bounded domain,
+    # past its edge, but it is not a finite real first.  With f' = -1e-13 it is 2 + 1e213:
+    # outside the domain is a domain exit first.  With f' = 1e-290 it is -inf, on a domain that
+    # it also leaves.
+    *(_pinned(f"steep-{case_id}", _steep(df, domain), 2.0, NEWTON, reason, 0,
+              pairs=[(2.0, 1e200)])
+      for case_id, df, domain, reason in (
+          ("inf-unbounded", -1e-290, (-math.inf, math.inf), "nonfinite"),
+          ("inf-bounded", -1e-290, (-1e15, 1e15), "nonfinite"),
+          ("outside-bounded", -1e-13, (-1e15, 1e15), "domain_violation"),
+          ("outside-unbounded", -1e-13, (-math.inf, math.inf), "escape_bound_exceeded"),
+          ("minus-inf", 1e-290, WIDE, "nonfinite"))),
+    # Exits that the draws seldom reach.  Under "either", a step that fires both stop tests at
+    # once reports the step: one such run per update rule, the two-point rule's under each
+    # bootstrap.
+    _pinned("both-stop-tests-newton", TRIG, 0.35997415822383044,
+            SolverConfig(scheme="newton", mu=0.0, bootstrap="offset_x0", stop_rule="either"),
+            "step_below_epsilon", 3,
+            exit="one-point loop: step_below_epsilon, both stop tests fired"),
+    _pinned("both-stop-tests-zheng", TRIG, 1.4398966328953218,
+            SolverConfig(scheme="zheng", mu=2.0, epsilon=1e-13, bootstrap="offset_x0",
+                         stop_rule="either"),
+            "step_below_epsilon", 6, exit="one-point loop: step_below_epsilon, at an exact root"),
+    _pinned("both-stop-tests-secant_dyn-zheng_first_step", TRIG, 0.35997415822383044,
+            SolverConfig(scheme="secant_dyn", mu=-0.5, stop_rule="either"),
+            "step_below_epsilon", 3,
+            exit="two-point loop: step_below_epsilon, both stop tests fired"),
+    _pinned("both-stop-tests-secant-offset_x0", TRIG, 0.17998707911191522,
+            SolverConfig(scheme="secant", mu=0.5, bootstrap="offset_x0", stop_rule="either"),
+            "step_below_epsilon", 4,
+            exit="two-point loop: step_below_epsilon, both stop tests fired"),
+    # The residual test ends a two-point run at its bootstrap point, under each bootstrap.
+    _pinned("bootstrap-residual-zheng_first_step", LOG, 0.99725,
+            SolverConfig(scheme="secant_dyn", mu=0.0, stop_rule="residual"),
+            "residual_below_epsilon", 0,
+            exit="two-point loop: residual_below_epsilon, in the bootstrap step"),
+    _pinned("bootstrap-residual-offset_x0", LOG, 1.000010989893846,
+            SolverConfig(scheme="secant_dyn", mu=0.0, bootstrap="offset_x0", stop_rule="either"),
+            "residual_below_epsilon", 0,
+            exit="two-point loop: residual_below_epsilon, in the bootstrap step"),
 ]
 
 
-@pytest.mark.parametrize("name, scheme, bootstrap, stop_rule, mu, x0, epsilon, exit_label",
-                         RARE_RUNS, ids=[f"{r[1]}-{r[2]}-{r[3]}" for r in RARE_RUNS])
-def test_run_takes_the_reference_exit_on_rare_runs(name, scheme, bootstrap, stop_rule, mu, x0,
-                                                   epsilon, exit_label):
-    p = EXIT_PROBLEMS[name]
-    cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, bootstrap=bootstrap,
-                       stop_rule=stop_rule)
+@pytest.mark.parametrize("p, x0, cfg, reason, iterations, pins", PINNED_RUNS)
+def test_pinned_run(p, x0, cfg, reason, iterations, pins):
     expected, refused = _kernel_run(p, cfg, x0)
-    assert _exit_label(cfg, expected, refused) == exit_label
-    assert _same_run(run(p, cfg, x0), expected)
+    out = run(p, cfg, x0)
+    assert _same_run(out, expected)
+    kept = expected._replace(pairs=_untraced_pairs(expected.pairs))
+    assert _same_run(run(p, cfg._replace(trace=False), x0), kept)
+    assert (out.reason, out.iterations) == (reason, iterations)
+    found = {"final": out.pairs[-1], "pairs": out.pairs,
+             "exit": _exit_label(cfg, expected, refused)}
+    assert {key: found[key] for key in pins} == pins
 
 
 def _float64():
