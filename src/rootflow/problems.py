@@ -135,10 +135,11 @@ class ProblemSpec(_Record):
             and by the error-constant oracle.
         known_root: a solution x* with f(x*) = 0, used for error tracking.
 
-    Construction checks the spec: a ``domain`` that is not a pair of
-    numbers with a < b, or a ``default_x0`` or ``known_root`` that is not a
-    ``numbers.Number`` or does not compare with it (None, a complex, a
-    str), raises ValueError naming the field; a
+    Construction checks the fields in order: an ``f`` that is not callable,
+    a ``domain`` that is not a pair of numbers with a < b, a ``default_x0``
+    or ``known_root`` that is not a ``numbers.Number`` or does not compare
+    with it (None, a complex, a str), or a ``df`` that is neither None nor
+    callable raises ValueError naming the field; a
     ``default_x0`` or ``known_root`` outside the domain raises
     DomainViolation named after the field, an f(known_root) that is not a
     finite real raises NonFiniteValue, and a residual that is too large
@@ -161,6 +162,8 @@ class ProblemSpec(_Record):
         if any(c in self.name for c in ',"\n\r'):  # it is an unquoted CSV field
             raise ValueError("name must not contain a comma, a quote or a line break, "
                              f"got {self.name!r}")
+        if not callable(self.f):
+            raise ValueError(f"f must be callable, got {self.f!r}")
         try:
             a, b = self.domain
             ordered = a < b
@@ -172,6 +175,8 @@ class ProblemSpec(_Record):
             raise ValueError(f"domain must satisfy a < b, got [{a!r}, {b!r}]")
         if not _within(self.default_x0, a, b, "default_x0"):
             raise DomainViolation(self.default_x0, self.domain, "default_x0")
+        if not (self.df is None or callable(self.df)):
+            raise ValueError(f"df must be None or callable, got {self.df!r}")
         root = self.known_root
         if root is not None:
             if not _within(root, a, b, "known_root"):

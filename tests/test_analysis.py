@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -13,6 +14,7 @@ from rootflow import (
     InsufficientData,
     IterationTrace,
     MissingDerivative,
+    NonFiniteValue,
     ProblemSpec,
     SolverConfig,
     estimate_order,
@@ -66,28 +68,6 @@ def test_saturated_tail_is_trimmed():
     est = estimate_order(synthetic_trace(errors))
     # the last two are below the ~2.2e-13 floor around a unit-scale root
     assert est.usable_steps == 3
-
-
-def test_exact_zero_truncates():
-    with pytest.raises(InsufficientData):
-        estimate_order(synthetic_trace([1e-1, 1e-2, 0.0, 0.5]))
-
-
-def test_insufficient_points():
-    with pytest.raises(InsufficientData):
-        estimate_order(synthetic_trace([1e-1, 1e-2, 1e-4]))
-
-
-def test_stalled_errors_are_uninformative():
-    # |e_n| exactly constant: no ratio carries order information
-    with pytest.raises(InsufficientData):
-        estimate_order(synthetic_trace([0.1, -0.1, 0.1, -0.1]))
-
-
-def test_trace_without_errors_is_rejected():
-    trace = IterationTrace.from_points([(1.0, 0.5), (0.9, 0.2)], known_root=None)
-    with pytest.raises(InsufficientData):
-        estimate_order(trace)
 
 
 def test_constants_keep_their_sign():
@@ -222,24 +202,6 @@ def test_predicted_constant_values(problems, sq):
     assert predicted_constant(problems["exp"], 2.0) == pytest.approx(0.0, abs=1e-7)
 
 
-def test_predicted_constant_requires_derivative_and_root():
-    p = ProblemSpec(name="noderiv", f=lambda x: x * x - 1.0, domain=WIDE,
-                    known_root=1.0, default_x0=1.5)
-    with pytest.raises(MissingDerivative):
-        predicted_constant(p, 0.0)
-    q = ProblemSpec(name="noroot", f=lambda x: x * x - 1.0, df=lambda x: 2.0 * x,
-                    domain=WIDE, default_x0=1.5)
-    with pytest.raises(ValueError):
-        predicted_constant(q, 0.0)
-
-
-def test_predicted_constant_rejects_flat_root():
-    cube = ProblemSpec(name="cube", f=lambda x: x ** 3, df=lambda x: 3.0 * x * x,
-                       domain=WIDE, known_root=0.0, default_x0=0.5)
-    with pytest.raises(DerivativeZero):
-        predicted_constant(cube, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # verify_quadratic_convergence
 
@@ -269,6 +231,43 @@ def test_report_keeps_its_estimate_without_a_prediction(case):
     assert report.predicted is None
     assert report.constant_rel_error is None
     assert "predicted" not in report.to_text()
+
+
+# id -> (call, what it raises, the whole message): what estimate_order and predicted_constant
+# refuse, the latter on NO_PREDICTION's problems among others
+ANALYSIS_REFUSALS = {
+    # an exact zero ends the usable prefix, so only 2 points remain
+    "exact-zero": (partial(estimate_order, synthetic_trace([1e-1, 1e-2, 0.0, 0.5])),
+                   InsufficientData, "need at least 4 usable points, have 2"),
+    "three-points": (partial(estimate_order, synthetic_trace([1e-1, 1e-2, 1e-4])),
+                     InsufficientData, "need at least 4 usable points, have 3"),
+    # |e_n| exactly constant: no ratio carries order information
+    "stalled": (partial(estimate_order, synthetic_trace([0.1, -0.1, 0.1, -0.1])),
+                InsufficientData, "no informative error ratios (|e_n| is not shrinking)"),
+    "no-root-trace": (partial(estimate_order, IterationTrace.from_points([(1.0, 0.5), (0.9, 0.2)],
+                                                                         known_root=None)),
+                      InsufficientData, "trace has no error sequence (problem lacks a known root)"),
+    "predicted-no-df": (partial(predicted_constant, NO_PREDICTION["no df"][0], 0.0),
+                        MissingDerivative, "problem 'noderiv' has no derivative evaluator"),
+    "predicted-no-root": (partial(predicted_constant,
+                                  ProblemSpec(name="noroot", f=lambda x: x * x - 1.0,
+                                              df=lambda x: 2.0 * x, domain=WIDE, default_x0=1.5),
+                                  0.0), ValueError, "problem 'noroot' has no known root"),
+    "predicted-flat-root": (partial(predicted_constant, NO_PREDICTION["x^3"][0], 0.0),
+                            DerivativeZero, "f'(x*) is 0 at x* = 0.0"),
+    **{f"predicted-{case}": (partial(predicted_constant, NO_PREDICTION[case][0], 0.5),
+                             NonFiniteValue, "f'(0.0) is not a finite real")
+       for case in ("df raises at x*", "df is NaN at x*")},
+}
+
+
+@pytest.mark.parametrize("case", ANALYSIS_REFUSALS)
+def test_analysis_refusals(case):
+    call, error, message = ANALYSIS_REFUSALS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_report_x0_is_the_first_trace_point(quart):

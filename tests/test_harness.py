@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 import mpmath
@@ -12,10 +13,13 @@ from hypothesis import given, strategies as st
 from rootflow import (
     BasinGrid,
     BenchmarkRow,
+    DomainViolation,
+    MissingDerivative,
     ProblemSpec,
     SolverConfig,
     basin_to_csv,
     basin_to_grid_text,
+    builtin_problems,
     default_x0_axis,
     map_basin,
     rows_to_csv,
@@ -70,11 +74,6 @@ def test_sweep_mu_preserves_order_and_records_all(sq):
     assert [r.iterations for r in rows] == [4, 5, 5]
 
 
-def test_sweep_mu_rejects_empty(sq):
-    with pytest.raises(ValueError):
-        sweep_mu(sq, "secant_dyn", [], 1.5)
-
-
 def test_sweep_h_exact_on_linear(linear):
     # lands on the root in one application; the step rule needs one more
     # zero-length step to notice, a residual rule sees it immediately
@@ -84,18 +83,6 @@ def test_sweep_h_exact_on_linear(linear):
     assert row.iterations == 2
     [row] = sweep_h(linear, 0.0, [1.0], 3.0, SolverConfig(stop_rule="residual"))
     assert row.iterations == 1
-
-
-def test_sweep_h_validation(problems):
-    with pytest.raises(ValueError):
-        sweep_h(problems["log"], 0.135, [0.0], 5.0)
-    with pytest.raises(ValueError):
-        sweep_h(problems["log"], 0.135, [], 5.0)
-    from rootflow import ProblemSpec
-
-    noderiv = ProblemSpec(name="noderiv", f=lambda x: x, domain=(-1.0, 1.0), default_x0=0.5)
-    with pytest.raises(ValueError):
-        sweep_h(noderiv, 0.0, [1.0], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +209,48 @@ def test_rows_name_the_mu_and_h_the_run_used(problems):
     assert row.h == 0.5
 
 
-def test_basin_validates_axes(problems):
-    with pytest.raises(ValueError, match="^mu axis must be non-empty$"):
-        map_basin(problems["log"], "newton", [], [5.0])
-    with pytest.raises(ValueError, match="^x0 axis must be non-empty$"):
-        map_basin(problems["log"], "newton", [0.0], [])
-    with pytest.raises(ValueError, match=r"^x0 = 7\.0 is outside"):
-        map_basin(problems["log"], "newton", [0.0], [7.0])
-    for bad in (2.5, True, "5"):
-        with pytest.raises(ValueError, match="^x0 count must be an integer$"):
-            default_x0_axis(problems["log"], bad)
-    with pytest.raises(ValueError, match="^x0 count must be at least 1$"):
-        default_x0_axis(problems["log"], 0)
+LOG = builtin_problems()["log"]
+NODERIV = ProblemSpec(name="noderiv", f=lambda x: x, domain=(-1.0, 1.0), default_x0=0.5)
+# id -> (call, what it raises, the whole message): an empty axis, or a value a run or the count
+# refuses
+BUILDER_REFUSALS = {
+    "sweep_mu-empty": (partial(sweep_mu, LOG, "secant_dyn", [], 5.0), ValueError,
+                       "mu values must be non-empty"),
+    "sweep_h-empty": (partial(sweep_h, LOG, 0.135, [], 5.0), ValueError,
+                      "h values must be non-empty"),
+    "sweep_h-zero": (partial(sweep_h, LOG, 0.135, [0.0], 5.0), ValueError,
+                     "h must be positive and finite"),
+    "sweep_h-no-df": (partial(sweep_h, NODERIV, 0.0, [1.0], 0.5), MissingDerivative,
+                      "scheme 'euler_flow' needs a derivative, problem 'noderiv' has none"),
+    "map_basin-empty-mu": (partial(map_basin, LOG, "newton", [], [5.0]), ValueError,
+                           "mu axis must be non-empty"),
+    "map_basin-empty-x0": (partial(map_basin, LOG, "newton", [0.0], []), ValueError,
+                           "x0 axis must be non-empty"),
+    "map_basin-x0-outside": (partial(map_basin, LOG, "newton", [0.0], [7.0]), DomainViolation,
+                             "x0 = 7.0 is outside the legal domain [0.5, 5.0]"),
+    **{f"default_x0_axis-{bad!r}": (partial(default_x0_axis, LOG, bad), ValueError,
+                                    "x0 count must be an integer") for bad in (2.5, True, "5")},
+    "default_x0_axis-0": (partial(default_x0_axis, LOG, 0), ValueError,
+                          "x0 count must be at least 1"),
     # b - a overflows: the spaced starts would be NaN
-    for domain in ((-math.inf, math.inf), (-1e308, 1e308)):
-        wide = ProblemSpec(name="wide", f=lambda x: x, domain=domain, default_x0=0.0)
-        with pytest.raises(ValueError, match=r"^domain \[.*\] is too wide to space x0 values$"):
-            default_x0_axis(wide, 5)
+    **{f"default_x0_axis-{a!r}-{b!r}": (
+        partial(default_x0_axis, ProblemSpec(name="wide", f=lambda x: x, domain=(a, b),
+                                             default_x0=0.0), 5),
+        ValueError, f"domain [{a!r}, {b!r}] is too wide to space x0 values")
+       for a, b in ((-math.inf, math.inf), (-1e308, 1e308))},
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_REFUSALS)
+def test_builder_refusals(case):
+    call, error, message = BUILDER_REFUSALS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_basin_validates_axes(problems):
     # numpy's ints are counts, and its bool is not
     np = pytest.importorskip("numpy")
     axis = default_x0_axis(problems["log"], np.int64(5))

@@ -1,9 +1,9 @@
 import math
 import random
-import re
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
-from dataclasses import replace
+from functools import partial
 
 import mpmath
 import pytest
@@ -58,48 +58,9 @@ def test_eval_f_values(problems):
     assert eval_f(problems["trig"], math.pi / 6.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_eval_f_rejects_points_outside_interval(problems):
-    # Newton's first step on the log problem lands near -3.047, illegal there
-    with pytest.raises(DomainViolation):
-        eval_f(problems["log"], -3.047)
-    with pytest.raises(DomainViolation):
-        eval_f(problems["exp"], 60.0)
-
-
 def test_eval_f_unchecked_allows_finite_values_anywhere(problems):
     # difference-quotient probes may step past the interval edge
     assert eval_f_unchecked(problems["log"], 6.609) == pytest.approx(math.log(6.609))
-    with pytest.raises(NonFiniteValue):
-        eval_f_unchecked(problems["log"], -1.0)
-    with pytest.raises(NonFiniteValue):
-        eval_f_unchecked(problems["log"], 0.0)
-
-
-def test_eval_f_unchecked_rejects_non_real_values():
-    # x ** 0.5 is complex below zero, and math.log raises TypeError on it; an
-    # int past the float range is not finite
-    for f in (lambda x: x ** 0.5, lambda x: math.log(x ** 0.5), lambda x: 10 ** 400):
-        p = ProblemSpec(name="odd", f=f, domain=(-1e9, 1e9), default_x0=1.0)
-        with pytest.raises(NonFiniteValue, match=r"^f\(-4\.0\) is not a finite real$"):
-            eval_f_unchecked(p, -4.0)
-    # eval_df judges f' by the same guard: a raising, NaN or complex f'
-    for df, x in ((lambda x: 1.0 / x, 0.0), (lambda x: math.nan, 1.0), (lambda x: x ** 0.5, -4.0)):
-        p = ProblemSpec(name="odd", f=lambda x: x, df=df, domain=(-1e9, 1e9), default_x0=1.0)
-        with pytest.raises(NonFiniteValue, match=rf"^f'\({x!r}\) is not a finite real$"):
-            eval_df(p, x)
-    # numpy's FloatingPointError, under np.seterr(over="raise"), is an
-    # ArithmeticError like OverflowError, and fails the same guard
-    def overflows(x):
-        raise FloatingPointError("overflow encountered in exp")
-    p = ProblemSpec(name="fpe", f=overflows, df=overflows, domain=(-1e9, 1e9), default_x0=1.0)
-    for evaluate, name in ((eval_f, "f"), (eval_f_unchecked, "f"), (eval_df, "f'")):
-        with pytest.raises(NonFiniteValue, match=rf"^{name}\(2\.0\) is not a finite real$"):
-            evaluate(p, 2.0)
-    # and a missing f' is a ValueError
-    nodf = ProblemSpec(name="nodf", f=lambda x: x, domain=(-1e9, 1e9), default_x0=1.0)
-    assert issubclass(MissingDerivative, ValueError)
-    with pytest.raises(MissingDerivative, match="problem 'nodf' has no derivative evaluator"):
-        eval_df(nodf, 1.0)
 
 
 @given(x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -125,31 +86,10 @@ def test_derivative_matches_central_difference(problems, name):
         assert p.df(x) == pytest.approx(fd, rel=1e-6)
 
 
-def test_spec_is_immutable(problems):
-    with pytest.raises(AttributeError):
-        problems["log"].default_x0 = 2.0
-
-
 def test_spec_validation():
     f = lambda x: x
-    with pytest.raises(ValueError, match=r"domain must satisfy a < b"):
-        ProblemSpec(name="bad", f=f, domain=(2.0, 1.0), default_x0=1.5)
-    # a field of the wrong shape or type is a ValueError naming that field, not a raw unpacking
-    # or comparison error; ends that compare but are not numbers, such as strs, are refused too
-    for domain in ((0.0, 1.0, 2.0), (0.0,), None, 1.0, (None, 1.0), (0.0, 1j), ("0", "1"),
-                   ((0.0,), (1.0,))):
-        with pytest.raises(ValueError, match=r"^domain must be a pair \(a, b\) with a < b, got "):
-            ProblemSpec(name="bad", f=f, domain=domain, default_x0=0.5)
-    for x0 in (None, 0.5j, "0.5"):
-        with pytest.raises(ValueError, match=rf"^default_x0 = {re.escape(repr(x0))} cannot be "
-                                             r"compared with the domain \[0\.0, 1\.0\]$"):
-            ProblemSpec(name="bad", f=f, domain=(0.0, 1.0), default_x0=x0)
-    for root in ("1", 1j, [1.0]):
-        with pytest.raises(ValueError, match=rf"^known_root = {re.escape(repr(root))} cannot be "
-                                             r"compared with the domain \[0\.0, 2\.0\]$"):
-            ProblemSpec(name="bad", f=f, domain=(0.0, 2.0), default_x0=0.5, known_root=root)
-    # every number that compares as a real still builds: ints, a Fraction, a Decimal, an mpmath
-    # real, a list or an infinite domain
+    # every number that compares as a real builds: ints, a Fraction, a Decimal, an mpmath real, a
+    # list or an infinite domain
     for domain, x0, root in (((0, 2), 1, 0), ([0.0, 2.0], Fraction(1, 2), 0.0),
                              ((-math.inf, math.inf), 0.5, Fraction(0)),
                              ((Decimal(0), Decimal(2)), Decimal("0.5"), Decimal(0)),
@@ -160,30 +100,6 @@ def test_spec_validation():
     sq = ProblemSpec(name="sq", f=lambda x: x * x - 1.0, domain=(Decimal(-2), Decimal(2)),
                      default_x0=1.5, known_root=1.0)
     assert run(sq, SolverConfig(scheme="zheng", mu=0.5), 1.5).reason == "step_below_epsilon"
-    # the name is an unquoted CSV field: a comma, a quote or a line break
-    # would corrupt its row
-    for name in ("a,b", "a\nb", "a\rb", ",", '"q', 'a"b'):
-        with pytest.raises(ValueError,
-                           match=r"^name must not contain a comma, a quote or a line break"):
-            ProblemSpec(name=name, f=f, domain=(0.0, 1.0), default_x0=0.5)
-    # a name that is not a str is refused before the character rule reads it
-    for name in (None, 5, b"log"):
-        with pytest.raises(ValueError, match=r"^name must be a string, got "):
-            ProblemSpec(name=name, f=f, domain=(0.0, 1.0), default_x0=0.5)
-    with pytest.raises(DomainViolation,
-                       match=r"^default_x0 = 3\.0 is outside the legal domain \[0\.0, 1\.0\]$"):
-        ProblemSpec(name="bad", f=f, domain=(0.0, 1.0), default_x0=3.0)
-    with pytest.raises(DomainViolation,
-                       match=r"^known_root = 3\.0 is outside the legal domain \[1\.0, 2\.0\]$"):
-        ProblemSpec(name="bad", f=f, domain=(1.0, 2.0), default_x0=1.5, known_root=3.0)
-    with pytest.raises(ValueError, match=r"exceeds 1e-12"):
-        # claimed root is not a root
-        ProblemSpec(name="bad", f=f, domain=(0.0, 2.0), default_x0=1.0, known_root=1.0)
-    # f(known_root) passes the guard every f value passes: a complex residual
-    # is not a finite real, however small its modulus, and neither is a raise
-    for bad in (lambda x: complex(x - 1.0, 1e-13), lambda x: 1.0 / (x - 1.0)):
-        with pytest.raises(NonFiniteValue, match=r"^f\(1\.0\) is not a finite real$"):
-            ProblemSpec(name="bad", f=bad, domain=(0.0, 2.0), default_x0=1.5, known_root=1.0)
     np = pytest.importorskip("numpy")
     spec = ProblemSpec(name="ok", f=f, domain=(np.float64(0), np.float32(2)),
                        default_x0=np.int64(1), known_root=np.float64(0))
@@ -195,31 +111,134 @@ def scaled(p, k, **changes):
 
 
 def test_root_check_with_a_derivative_scales_with_f(problems):
-    trig = problems["trig"]
-    # |f(pi/6)| = 1.1e-12 once f is scaled by 1e4, yet pi/6 is the same root:
-    # the Newton correction f/f' there is still 6e-17.
-    assert scaled(trig, 1e4).known_root == math.pi / 6.0
-    # Scaled by 1e-13, the wrong root 0.6 has |f| = 1.3e-14, below 1e-12;
-    # its Newton correction is 0.078, so it is refused.
-    with pytest.raises(ValueError, match=r"exceeds 1e-12 \* max\(1, \|x\*\|\) \* \|f'\(x\*\)\|"):
-        scaled(trig, 1e-13, known_root=0.6)
+    # |f(pi/6)| = 1.1e-12 once trig's f is scaled by 1e4, yet pi/6 is the same root: the Newton
+    # correction f/f' there is still 6e-17.  PROBLEM_REFUSALS refuses a wrong root scaled small.
+    assert scaled(problems["trig"], 1e4).known_root == math.pi / 6.0
 
 
 def test_root_check_reads_the_derivative_only_off_an_exact_root():
-    bad_df = lambda x: 1.0 / (x - 1.0)
-    # f(1) == 0 exactly passes without calling f'
-    ProblemSpec(name="ok", f=lambda x: x - 1.0, df=bad_df, domain=(0.0, 2.0),
+    # f(1) == 0 exactly passes without calling f'; PROBLEM_REFUSALS calls it off the root
+    ProblemSpec(name="ok", f=lambda x: x - 1.0, df=lambda x: 1.0 / (x - 1.0), domain=(0.0, 2.0),
                 default_x0=1.5, known_root=1.0)
+
+
+def test_missing_derivative_is_a_value_error():
+    assert issubclass(MissingDerivative, ValueError)
+
+
+def _spec(name="bad", f=lambda x: x, domain=(0.0, 1.0), default_x0=0.5, **fields):
+    """A ProblemSpec of f(x) = x on [0, 1] from 0.5, with the fields given."""
+    return ProblemSpec(name=name, f=f, domain=domain, default_x0=default_x0, **fields)
+
+
+def _overflows(x):
+    """Fails as numpy does under np.seterr(over="raise"): an ArithmeticError, as OverflowError."""
+    raise FloatingPointError("overflow encountered in exp")
+
+
+LOG, EXP, TRIG = builtin_problems().values()
+WIDE = (-1e9, 1e9)
+FPE = ProblemSpec(name="fpe", f=_overflows, df=_overflows, domain=WIDE, default_x0=1.0)
+# id -> (call, what it raises, the whole message, and for a DomainViolation or NonFiniteValue
+# the point it carries)
+PROBLEM_REFUSALS = {
+    # A spec checks its fields in order: the name, f, the domain, default_x0, df, known_root.
+    # The name is an unquoted CSV field: a comma, a quote or a line break would corrupt its row;
+    # a name that is not a str is refused before that rule reads it.
+    **{f"name-{name!r}": (partial(_spec, name=name), ValueError, "name must not contain a comma, "
+                          f"a quote or a line break, got {name!r}")
+       for name in ("a,b", "a\nb", "a\rb", ",", '"q', 'a"b')},
+    **{f"name-{name!r}": (partial(_spec, name=name), ValueError,
+                          f"name must be a string, got {name!r}")
+       for name in (None, 5, b"log")},
+    "name-before-f": (partial(_spec, name=5, f=None), ValueError, "name must be a string, got 5"),
+    # an f or df that is not callable would end every run nonfinite, as if it diverged
+    "f-None": (partial(_spec, f=None), ValueError, "f must be callable, got None"),
+    "f-before-domain": (partial(_spec, f=None, domain=None), ValueError,
+                        "f must be callable, got None"),
+    "f-before-the-root-check": (partial(_spec, f=None, known_root=0.25), ValueError,
+                                "f must be callable, got None"),
+    # a domain of the wrong shape or type is a ValueError naming it, not a raw unpacking or
+    # comparison error; ends that compare but are not numbers, such as strs, are refused too
+    **{f"domain-{domain!r}": (partial(_spec, domain=domain), ValueError,
+                              f"domain must be a pair (a, b) with a < b, got {domain!r}")
+       for domain in ((0.0, 1.0, 2.0), (0.0,), None, 1.0, (None, 1.0), (0.0, 1j), ("0", "1"),
+                      ((0.0,), (1.0,)))},
+    **{f"domain-{a!r}-{b!r}": (partial(_spec, domain=(a, b), default_x0=1.0), ValueError,
+                               f"domain must satisfy a < b, got [{a!r}, {b!r}]")
+       for a, b in ((2.0, 1.0), (1.0, 1.0))},
+    **{f"default_x0-{x0!r}": (partial(_spec, default_x0=x0), ValueError,
+                              f"default_x0 = {x0!r} cannot be compared with the domain [0.0, 1.0]")
+       for x0 in (None, 0.5j, "0.5")},
+    "default_x0-outside": (partial(_spec, default_x0=3.0), DomainViolation,
+                           "default_x0 = 3.0 is outside the legal domain [0.0, 1.0]", 3.0),
+    "df-2.0": (partial(_spec, df=2.0), ValueError, "df must be None or callable, got 2.0"),
+    "default_x0-before-df": (partial(_spec, default_x0=3.0, df=2.0), DomainViolation,
+                             "default_x0 = 3.0 is outside the legal domain [0.0, 1.0]", 3.0),
+    "df-before-known_root": (partial(_spec, df=2.0, known_root=3.0), ValueError,
+                             "df must be None or callable, got 2.0"),
+    **{f"known_root-{root!r}": (partial(_spec, domain=(0.0, 2.0), known_root=root), ValueError,
+                                f"known_root = {root!r} cannot be compared with the domain "
+                                "[0.0, 2.0]") for root in ("1", 1j, [1.0])},
+    "known_root-outside": (partial(_spec, domain=(1.0, 2.0), default_x0=1.5, known_root=3.0),
+                           DomainViolation, "known_root = 3.0 is outside the legal domain "
+                                            "[1.0, 2.0]", 3.0),
+    "known_root-not-a-root": (partial(_spec, domain=(0.0, 2.0), known_root=1.0), ValueError,
+                              "|f(known_root)| = 1.000e+00 exceeds 1e-12"),
+    # Scaled by 1e-13, trig's wrong root 0.6 has |f| = 1.3e-14, below 1e-12; its Newton
+    # correction is 0.078, so it is refused.
+    "known_root-scaled-small": (partial(scaled, TRIG, 1e-13, known_root=0.6),
+                                ValueError, "|f(known_root)| = 1.293e-14 exceeds 1e-12 * "
+                                            "max(1, |x*|) * |f'(x*)| = 1.651e-25"),
+    # f(known_root) passes the guard every f value passes: a complex residual is not a finite
+    # real, however small its modulus, and neither is a raise
+    **{f"known_root-f-{case_id}": (partial(_spec, f=f, domain=(0.0, 2.0), known_root=1.0),
+                                   NonFiniteValue, "f(1.0) is not a finite real", 1.0)
+       for case_id, f in (("complex", lambda x: complex(x - 1.0, 1e-13)),
+                          ("raises", lambda x: 1.0 / (x - 1.0)))},
     # a nonzero residual needs f'(x*), which passes the one guard
-    with pytest.raises(NonFiniteValue, match=r"^f'\(1\.0\) is not a finite real$"):
-        ProblemSpec(name="bad", f=lambda x: x - 1.0 + 1e-20, df=bad_df, domain=(0.0, 2.0),
-                    default_x0=1.5, known_root=1.0)
+    "known_root-df-raises": (partial(_spec, f=lambda x: x - 1.0 + 1e-20, domain=(0.0, 2.0),
+                                     known_root=1.0, df=lambda x: 1.0 / (x - 1.0)),
+                             NonFiniteValue, "f'(1.0) is not a finite real", 1.0),
+    "assign-default_x0": (partial(setattr, LOG, "default_x0", 2.0), AttributeError,
+                          "cannot assign to field 'default_x0'"),
+    # Newton's first step on log lands near -3.047, illegal there
+    "eval_f-log-outside": (partial(eval_f, LOG, -3.047), DomainViolation,
+                           "x = -3.047 is outside the legal domain [0.5, 5.0]", -3.047),
+    "eval_f-exp-outside": (partial(eval_f, EXP, 60.0), DomainViolation,
+                           "x = 60.0 is outside the legal domain [-1.0, 50.0]", 60.0),
+    # a probe point needs only a finite real: ln is undefined at and below 0
+    **{f"eval_f_unchecked-log-{x}": (partial(eval_f_unchecked, LOG, x), NonFiniteValue,
+                                     f"f({x!r}) is not a finite real", x) for x in (-1.0, 0.0)},
+    # x ** 0.5 is complex below zero, and math.log raises TypeError on it; an int past the float
+    # range is not finite
+    **{f"eval_f_unchecked-{case_id}": (partial(eval_f_unchecked, _spec(f=f, domain=WIDE), -4.0),
+                                       NonFiniteValue, "f(-4.0) is not a finite real", -4.0)
+       for case_id, f in (("complex", lambda x: x ** 0.5),
+                          ("log-of-complex", lambda x: math.log(x ** 0.5)),
+                          ("int-past-float", lambda x: 10 ** 400))},
+    # eval_df judges f' by the same guard: a raising, NaN or complex f'
+    **{f"eval_df-{case_id}": (partial(eval_df, _spec(domain=WIDE, df=df), x), NonFiniteValue,
+                              f"f'({x!r}) is not a finite real", x)
+       for case_id, df, x in (("raises", lambda x: 1.0 / x, 0.0), ("nan", lambda x: math.nan, 1.0),
+                              ("complex", lambda x: x ** 0.5, -4.0))},
+    **{f"{evaluate.__name__}-fpe": (partial(evaluate, FPE, 2.0), NonFiniteValue,
+                                    f"{name}(2.0) is not a finite real", 2.0)
+       for evaluate, name in ((eval_f, "f"), (eval_f_unchecked, "f"), (eval_df, "f'"))},
+    "eval_df-no-df": (partial(eval_df, _spec(name="nodf"), 1.0), MissingDerivative,
+                      "problem 'nodf' has no derivative evaluator"),
+    # f(1.5) = 1.25 is fine; it is f' that divides by zero, and the kernel's error names it
+    "euler_flow_step-df": (partial(euler_flow_step, _spec(f=lambda x: x * x - 1.0, domain=WIDE,
+                                                          df=lambda x: 1.0 / (x - x)), 1.5, 0.5,
+                                   1.0), NonFiniteValue, "f'(1.5) is not a finite real", 1.5),
+}
 
 
-def test_nonfinite_value_names_the_evaluator_that_failed():
-    # f(1.5) = 1.25 is fine; it is f' that divides by zero
-    p = ProblemSpec(name="baddf", f=lambda x: x * x - 1.0, df=lambda x: 1.0 / (x - x),
-                    domain=(-1e9, 1e9), default_x0=1.5)
-    with pytest.raises(NonFiniteValue, match=r"^f'\(1\.5\) is not a finite real$") as exc:
-        euler_flow_step(p, 1.5, 0.5, 1.0)
-    assert exc.value.x == 1.5
+@pytest.mark.parametrize("case", PROBLEM_REFUSALS)
+def test_problem_refusals(case):
+    call, error, message, *x = PROBLEM_REFUSALS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+    assert [raised.value.x] == x if x else not hasattr(raised.value, "x")
