@@ -7,10 +7,12 @@ roots.  Sweeps vary mu or the Euler step length h.  The basin mapper grids
 initial values (and mu) and runs every cell independently, which quantifies
 how much wider the two-point scheme's set of workable starting points is.
 
-Every table row is one run, a :class:`BenchmarkRow`, whether it comes from
-the benchmark, a sweep or a basin cell.  Its verdict is the run's own,
-except that a row folds ``exhausted`` into ``divergence``: a table has two
-verdict words, and the reason column keeps the two endings apart.
+Every table row is one run, a :class:`BenchmarkRow`, and :func:`map_basin`
+builds every one: a mu sweep is the basin of its one start, an h sweep is
+one one-cell basin per h, and the benchmark is nine one-cell basins.  A
+row's verdict is the run's own, except that a row folds ``exhausted`` into
+``divergence``: a table has two verdict words, and the reason column keeps
+the two endings apart.
 """
 
 from __future__ import annotations
@@ -93,38 +95,21 @@ class BasinGrid(NamedTuple):
         return sum(1 for c in row if c.verdict == VERDICT_CONVERGED) / len(row)
 
 
-def _row(p: ProblemSpec, cfg: SolverConfig, x0: float, mu: float, h: float) -> BenchmarkRow:
-    """The row of one run; ``(mu, h)`` is ``cfg.resolved()``, which a caller resolves once.
-
-    A row reads only the last pair, so every table builder runs untraced (``trace=False``).
-    """
-    reason, iterations, pairs, _ = run(p, cfg, x0)
-    final_x, fx = pairs[-1]
-    if reason in CONVERGED_REASONS:
-        verdict = VERDICT_CONVERGED
-    else:  # the one place an exhausted run reads as divergence
-        verdict, iterations, final_x = VERDICT_DIVERGED, None, None
-    # abs(nan) is a fresh NaN, and a row holding one is unequal to itself recomputed, so a
-    # NaN residual stays the run's own object.  tuple.__new__ skips the Python-level __new__.
-    return tuple.__new__(BenchmarkRow, (p.name, cfg.scheme, mu, h, x0, verdict, reason,
-                                        iterations, final_x, fx if fx != fx else abs(fx)))
-
-
 def run_benchmark(epsilon: float = _DEFAULTS.epsilon,
                   max_iters: int = _DEFAULTS.max_iters) -> list[BenchmarkRow]:
-    """Run the 3 problems x 3 methods reference benchmark.
+    """Run the 3 problems x 3 methods reference benchmark: nine one-cell basins.
 
     Returns nine rows in problem-major order (newton, zheng, secant_dyn
     within each problem), each run from the problem's default initial value
     with the curated mu for the parameterized schemes.
     """
     problems = builtin_problems()
+    cfg = SolverConfig(epsilon=epsilon, max_iters=max_iters)
     rows = []
     for pname, scheme in BENCH_EXPECTED_VERDICTS:
         p = problems[pname]
         mu = BENCH_MU.get((pname, scheme), _DEFAULTS.mu)
-        cfg = SolverConfig(scheme=scheme, mu=mu, epsilon=epsilon, max_iters=max_iters, trace=False)
-        rows.append(_row(p, cfg, p.default_x0, *cfg.resolved()))
+        rows += map_basin(p, scheme, (mu,), (p.default_x0,), cfg).cells[0]
     return rows
 
 
@@ -144,20 +129,18 @@ def _axis(values: Iterable[float], name: str) -> tuple[float, ...]:
 
 def sweep_mu(p: ProblemSpec, scheme: str, mu_values: Iterable[float], x0: float,
              cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
-    """One benchmark row per mu, in input order."""
-    mu_values = _axis(mu_values, "mu values")
-    base = cfg if cfg is not None else _DEFAULTS
-    cfgs = (base._replace(scheme=scheme, mu=mu, trace=False) for mu in mu_values)
-    return [_row(p, c, x0, *c.resolved()) for c in cfgs]
+    """One benchmark row per mu, in input order: the basin of the one start x0."""
+    grid = map_basin(p, scheme, _axis(mu_values, "mu values"), (x0,), cfg)
+    return [row for row, in grid.cells]
 
 
 def sweep_h(p: ProblemSpec, mu: float, h_values: Iterable[float], x0: float,
             cfg: SolverConfig | None = None) -> list[BenchmarkRow]:
-    """One row per Euler step length h, for the euler_flow scheme."""
+    """One row per Euler step length h, for the euler_flow scheme: a one-cell basin per h."""
     h_values = _axis(h_values, "h values")
     base = cfg if cfg is not None else _DEFAULTS
-    cfgs = (base._replace(scheme="euler_flow", mu=mu, h=h, trace=False) for h in h_values)
-    return [_row(p, c, x0, *c.resolved()) for c in cfgs]
+    cfgs = (base._replace(scheme="euler_flow", mu=mu, h=h) for h in h_values)
+    return [map_basin(p, "euler_flow", (mu,), (x0,), c).cells[0][0] for c in cfgs]
 
 
 def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
@@ -165,7 +148,9 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
     """Fill a |mu_axis| x |x0_axis| grid with independent run verdicts.
 
     Every x0 must lie inside the problem's domain.  Cells are pure and
-    order-independent; the grid is evaluated row by row.
+    order-independent; the grid is evaluated row by row.  Every table row is
+    built here, one ``run`` call per cell; a row reads only the run's last
+    pair, so every cell runs untraced (``trace=False``).
     """
     mu_axis, x0_axis = _axis(mu_axis, "mu axis"), _axis(x0_axis, "x0 axis")
     base = cfg if cfg is not None else _DEFAULTS
@@ -173,7 +158,20 @@ def map_basin(p: ProblemSpec, scheme: str, mu_axis: Iterable[float],
     for mu in mu_axis:
         c = base._replace(scheme=scheme, mu=mu, trace=False)
         run_mu, run_h = c.resolved()
-        cells.append(tuple([_row(p, c, x0, run_mu, run_h) for x0 in x0_axis]))
+        row = []
+        for x0 in x0_axis:
+            reason, iterations, pairs, _ = run(p, c, x0)
+            final_x, fx = pairs[-1]
+            if reason in CONVERGED_REASONS:
+                verdict = VERDICT_CONVERGED
+            else:  # the one place an exhausted run reads as divergence
+                verdict, iterations, final_x = VERDICT_DIVERGED, None, None
+            # A NaN residual stays the run's own object: abs(nan) is a fresh NaN, and a row
+            # holding one is unequal to itself recomputed.  tuple.__new__ skips the Python __new__.
+            row.append(tuple.__new__(BenchmarkRow, (p.name, scheme, run_mu, run_h, x0, verdict,
+                                                    reason, iterations, final_x,
+                                                    fx if fx != fx else abs(fx))))
+        cells.append(tuple(row))
     return BasinGrid(mu_axis=mu_axis, x0_axis=x0_axis, cells=tuple(cells))
 
 

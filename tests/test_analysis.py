@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 import sys
 from fractions import Fraction
 from functools import partial
@@ -17,12 +18,15 @@ from rootflow import (
     NonFiniteValue,
     ProblemSpec,
     SolverConfig,
+    default_x0_axis,
     estimate_order,
     predicted_constant,
     run,
     secant_step,
     verify_quadratic_convergence,
 )
+from rootflow.harness import BENCH_MU
+from rootflow.problems import NONFINITE_ERRORS
 
 WIDE = (-1e9, 1e9)
 
@@ -361,3 +365,47 @@ def test_report_reuses_a_matching_cfg_without_replace(monkeypatch, problems):
     with pytest.raises(AssertionError, match="replace called"):
         untraced = SolverConfig(mu=1.0, epsilon=1e-13, trace=False)
         verify_quadratic_convergence(problems["log"], untraced.mu, 1.5, untraced)
+
+
+# ---------------------------------------------------------------------------
+# "higher accuracy", quotient for quotient
+
+# problem -> (iterates compared, those where the two-point quotient is closer to f'(x_n), of them
+# those whose probe is undefined, iterates with |x_n - x*| > 0.1, the two-point closer among
+# those, and the median relative errors, two-point and Zheng's), over secant_dyn's own runs at
+# the benchmark's mu and epsilon 1e-10 from the 201 default starts
+QUOTIENT_TALLIES = {
+    "log": (1032, 63, 28, 258, 63, ("1.3e-02", "8.9e-04")),
+    "exp": (4715, 453, 0, 3441, 249, ("4.4e-01", "1.1e-03")),
+    "trig": (1008, 312, 0, 144, 82, ("2.6e-03", "9.5e-04")),
+}
+
+
+@pytest.mark.parametrize("name", QUOTIENT_TALLIES)
+def test_zheng_quotient_is_closer_to_the_derivative_at_most_iterates(problems, name):
+    # The paper calls its two-point quotient (f_n - f_{n-1})/(x_n - x_{n-1}) the more accurate.
+    # At the same iterates of its own scheme, Zheng's probe quotient (f(x_n + f_n) - f_n)/f_n is
+    # closer to f'(x_n) at most of them, on each of the paper's problems.  Both denominators
+    # carry the same mu f term, so only the derivative estimates differ.  A probe that f
+    # refuses, or whose quotient is not finite, has an infinite error: the two-point is closer.
+    p = problems[name]
+    cfg = SolverConfig(scheme="secant_dyn", mu=BENCH_MU[name, "secant_dyn"], epsilon=1e-10)
+    rows = []  # per iterate: the two-point and Zheng relative errors, and whether it is far
+    for x0 in default_x0_axis(p, 201):
+        pairs = run(p, cfg, x0).pairs
+        for (x_prev, f_prev), (x, fx) in zip(pairs, pairs[1:]):
+            if x == x_prev or fx == 0.0:
+                continue
+            d = p.df(x)
+            try:
+                zheng = abs(((p.f(x + fx) - fx) / fx - d) / d)
+            except NONFINITE_ERRORS:
+                zheng = math.inf
+            rows.append((abs(((fx - f_prev) / (x - x_prev) - d) / d),
+                         zheng if math.isfinite(zheng) else math.inf,
+                         abs(x - p.known_root) > 0.1))
+    closer = [far for two_point, zheng, far in rows if two_point < zheng]
+    undefined = sum(zheng == math.inf for _, zheng, _ in rows)
+    medians = tuple(f"{statistics.median(errors):.1e}" for errors in list(zip(*rows))[:2])
+    assert (len(rows), len(closer), undefined, sum(far for *_, far in rows), sum(closer),
+            medians) == QUOTIENT_TALLIES[name]

@@ -141,6 +141,10 @@ def test_each_cell_and_row_is_one_call_of_harness_run(monkeypatch, problems):
     h_values = [0.05, 0.5, 1.0]
     sweep_h(log, 0.135, h_values, 5.0)
     assert calls == Counter((0.135, h, 5.0) for h in h_values)
+    calls.clear()
+    run_benchmark()
+    assert calls == Counter((BENCH_MU.get(key, 0.0), 1.0, problems[key[0]].default_x0)
+                            for key in BENCH_EXPECTED_VERDICTS)
 
 
 # The four table builders, on rows that converge, diverge, meet a zero denominator and exhaust
@@ -211,15 +215,31 @@ def test_rows_name_the_mu_and_h_the_run_used(problems):
 
 LOG = builtin_problems()["log"]
 NODERIV = ProblemSpec(name="noderiv", f=lambda x: x, domain=(-1.0, 1.0), default_x0=0.5)
-# id -> (call, what it raises, the whole message): an empty axis, or a value a run or the count
-# refuses
+# id -> (call, what it raises, the whole message): an empty axis, or a setting, value or start
+# that the config, a run or the count refuses
 BUILDER_REFUSALS = {
+    "run_benchmark-epsilon-0": (partial(run_benchmark, epsilon=0.0), ValueError,
+                                "epsilon must be positive and finite"),
+    "run_benchmark-max_iters-0": (partial(run_benchmark, max_iters=0), ValueError,
+                                  "max iters must be at least 1"),
     "sweep_mu-empty": (partial(sweep_mu, LOG, "secant_dyn", [], 5.0), ValueError,
                        "mu values must be non-empty"),
+    "sweep_mu-bogus-scheme": (partial(sweep_mu, LOG, "bogus", [1.0], 5.0), ValueError,
+                              "unknown scheme 'bogus'; expected one of ('newton', 'euler_flow', "
+                              "'wu', 'zheng', 'secant_dyn', 'secant')"),
+    "sweep_mu-nan": (partial(sweep_mu, LOG, "zheng", [math.nan], 5.0), ValueError,
+                     "mu must be finite"),
+    "sweep_mu-x0-outside": (partial(sweep_mu, LOG, "zheng", [1.0], 7.0), DomainViolation,
+                            "x0 = 7.0 is outside the legal domain [0.5, 5.0]"),
     "sweep_h-empty": (partial(sweep_h, LOG, 0.135, [], 5.0), ValueError,
                       "h values must be non-empty"),
+    # mu is checked, and named, before h
+    "sweep_h-nan-mu": (partial(sweep_h, LOG, math.nan, [0.0], 5.0), ValueError,
+                       "mu must be finite"),
     "sweep_h-zero": (partial(sweep_h, LOG, 0.135, [0.0], 5.0), ValueError,
                      "h must be positive and finite"),
+    "sweep_h-x0-outside": (partial(sweep_h, LOG, 0.135, [1.0], 7.0), DomainViolation,
+                           "x0 = 7.0 is outside the legal domain [0.5, 5.0]"),
     "sweep_h-no-df": (partial(sweep_h, NODERIV, 0.0, [1.0], 0.5), MissingDerivative,
                       "scheme 'euler_flow' needs a derivative, problem 'noderiv' has none"),
     "map_basin-empty-mu": (partial(map_basin, LOG, "newton", [], [5.0]), ValueError,

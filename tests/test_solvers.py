@@ -47,7 +47,6 @@ from rootflow import (
     zheng_step,
 )
 from rootflow import solvers
-from rootflow.harness import _row
 from rootflow.problems import NONFINITE_ERRORS
 from rootflow.solvers import (
     _SCHEME_TABLE,
@@ -279,7 +278,7 @@ def test_verdict_reason_coupling(problems):
             assert out.reason in ("step_below_epsilon", "residual_below_epsilon")
         else:
             assert out.reason not in ("step_below_epsilon", "residual_below_epsilon")
-        row = _row(p, cfg, x0, *cfg.resolved())
+        [[row]] = map_basin(p, cfg.scheme, [cfg.mu], [x0], cfg).cells
         assert row.verdict == (VERDICT_DIVERGED if out.verdict == VERDICT_EXHAUSTED
                                else out.verdict)
         assert row.reason == out.reason
