@@ -226,7 +226,7 @@ def _perfbench_printing(tree, value):
 
 def test_a_result_line_is_read_as_json(tmp_path):
     _perfbench_printing(tmp_path, "1.5")
-    done = _bench_record().run_once(tmp_path, "basin", 1)
+    done = _bench_record().run_once(tmp_path, "basin", 1, 5)
     assert done == {"result": {"correct": True, "attempted": 1, "failed": 0,
                                "metrics": {"ops_per_s": {"value": 1.5}}},
                     "record": {}, "cached": False}
@@ -236,4 +236,29 @@ def test_a_result_line_is_read_as_json(tmp_path):
 def test_a_result_line_with_a_non_number_is_refused(tmp_path, value):
     _perfbench_printing(tmp_path, value)
     with pytest.raises(ValueError, match=f"{value} is not a JSON number"):
-        _bench_record().run_once(tmp_path, "basin", 1)
+        _bench_record().run_once(tmp_path, "basin", 1, 5)
+
+
+def test_each_run_the_script_starts_lasts_the_declared_run_seconds(tmp_path, monkeypatch):
+    bench_record = _bench_record()
+    declared = _load(ROOT / "BENCHMARK.json")
+    record = json.dumps(dict.fromkeys(bench_record.IDENTICAL))
+    result = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {m["name"]: {"value": 1.0} for m in declared["end_to_end"]}})
+    runs, started = [], subprocess.run
+
+    def run(argv, **kwargs):  # a perfbench run prints a record line and a result line
+        if argv[1:2] != ["perfbench/run.py"]:  # platform's own commands
+            return started(argv, **kwargs)
+        runs.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout=f"record: {record}\n{result}\n")
+
+    monkeypatch.setattr(bench_record, "export", lambda source, dest: (None, "tree"))
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    monkeypatch.chdir(ROOT)
+    assert bench_record.main(["--parent", "HEAD", "--change", ".", "--seeds", "1,2",
+                              "--claim", "basin:ops_per_s", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(runs) == 2 * 2 * len(declared["workloads"])
+    seconds = str(declared["run_seconds"])
+    assert all(argv[argv.index("--seconds") + 1] == seconds for argv in runs)
+    assert f"--seconds {seconds} " in _load(tmp_path / "r.json")["command"]

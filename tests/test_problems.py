@@ -16,11 +16,13 @@ from rootflow import (
     ProblemSpec,
     SolverConfig,
     builtin_problems,
+    default_x0_axis,
     euler_flow_step,
     eval_f,
     eval_f_unchecked,
     run,
 )
+from rootflow.harness import BENCH_MU
 from rootflow.problems import eval_df
 
 
@@ -84,6 +86,34 @@ def test_derivative_matches_central_difference(problems, name):
         h = 1e-6 * max(1.0, abs(x))
         fd = (p.f(x + h) - p.f(x - h)) / (2.0 * h)
         assert p.df(x) == pytest.approx(fd, rel=1e-6)
+
+
+# The mu for which mu f + f' is positive across the whole domain: there g = e^{mu x} f rises
+# monotonically, so the flow dx/dt = -f/(mu f + f'), the Newton flow of g, reaches the root from
+# every start.  mu f + f' is linear in mu, and each end is the mu at which it vanishes at one
+# end of the domain.
+ADMISSIBLE_MU = {
+    "log": (-1.0 / (5.0 * math.log(5.0)), 2.0 / math.log(2.0)),
+    "exp": (48.0 / 49.0, 1.5),
+    "trig": (-2.0 * math.cos(11.0 * math.pi / 24.0) / (2.0 * math.sin(11.0 * math.pi / 24.0) - 1.0),
+             2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSIBLE_MU))
+def test_mu_f_plus_df_is_positive_across_the_domain_just_inside_the_admissible_mu(problems, name):
+    p = problems[name]
+    xs = default_x0_axis(p, 2001)
+    lo, hi = ADMISSIBLE_MU[name]
+
+    def positive(mu):
+        return all(mu * p.f(x) + p.df(x) > 0.0 for x in xs)
+
+    assert [positive(mu) for mu in (lo - 1e-9, lo + 1e-9, hi - 1e-9, hi + 1e-9)] == [
+        False, True, True, False]
+    # every curated benchmark mu is admissible but trig/secant_dyn's 2.65
+    inside = {scheme: lo < mu < hi for (pname, scheme), mu in BENCH_MU.items() if pname == name}
+    assert inside == {"zheng": True, "secant_dyn": name != "trig"}
 
 
 def test_spec_validation():

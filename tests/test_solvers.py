@@ -66,6 +66,10 @@ from rootflow.solvers import (
 )
 
 WIDE = (-1e9, 1e9)
+# run reads cfg.bootstrap only in its two-point loop, so a one-point scheme runs under the
+# default bootstrap alone; test_lazy_trace_contract pins that the other runs the same.
+SCHEME_BOOTSTRAPS = [(scheme, bootstrap) for scheme in SCHEMES for bootstrap in BOOTSTRAPS
+                     if _SCHEME_TABLE[scheme][0] is _SECANT or bootstrap == "zheng_first_step"]
 NODERIV = ProblemSpec(name="noderiv", f=lambda x: x * x - 1.0, domain=WIDE, default_x0=1.5)
 
 
@@ -219,8 +223,7 @@ ROOT_REASONS = {"step_size": {"step_below_epsilon"}, "residual": {"residual_belo
 
 
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
-@pytest.mark.parametrize("bootstrap", BOOTSTRAPS)
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme, bootstrap", SCHEME_BOOTSTRAPS)
 def test_run_ends_converged_at_an_exact_root(scheme, bootstrap, stop_rule):
     # zheng's quotient (f(x + f) - f) / f is 0/0 where f(x) == 0, and so is
     # the zheng bootstrap's; a run that reaches the root, or starts on it,
@@ -455,8 +458,7 @@ def _misbehaving_at(g, bad_x, bad):
     return fn
 
 
-@pytest.mark.parametrize("bootstrap", BOOTSTRAPS)
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme, bootstrap", SCHEME_BOOTSTRAPS)
 def test_run_decimal_valued_f_diverges(scheme, bootstrap):
     # Decimal(x) - 2 passes math.isfinite, but Decimal and float do not mix in
     # the update arithmetic, or in the zheng probe x + f(x)
@@ -991,8 +993,7 @@ def _check_lazy_trace(out):
 
 
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
-@pytest.mark.parametrize("bootstrap", BOOTSTRAPS)
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme, bootstrap", SCHEME_BOOTSTRAPS)
 def test_lazy_trace_contract(problems, scheme, bootstrap, stop_rule):
     for p in problems.values():
         a, b = p.domain
@@ -1005,6 +1006,10 @@ def test_lazy_trace_contract(problems, scheme, bootstrap, stop_rule):
             assert fresh == out
             assert out == run(p, cfg, x0)
             assert hash(fresh) == hash(out)
+            if _SCHEME_TABLE[scheme][0] is not _SECANT:
+                # the one-point loop reads no bootstrap: the other one gives the same reason,
+                # iterations and pairs
+                assert run(p, dataclasses.replace(cfg, bootstrap="offset_x0"), x0) == out
 
 
 @pytest.mark.parametrize("case", ["converged", "diverged", "nonfinite"])

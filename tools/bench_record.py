@@ -6,8 +6,9 @@
 Run it from a git checkout.  Each side runs from its own ``git archive`` of a
 tree: a revision's, or, for a working-tree PATH, the one ``git add --all``
 would stage from it (tracked files, and untracked ones not ignored).  Every
-run is unmodified ``perfbench/run.py --workload W --seed N --seconds 5 --trace 0``
-under ``PYTHONDONTWRITEBYTECODE=1 PYTHONUNBUFFERED=1``, one at a time: per
+run is unmodified ``perfbench/run.py --workload W --seed N --seconds S --trace 0``,
+where S is the ``run_seconds`` of ``BENCHMARK.json``, the length the benchmark
+runs, under ``PYTHONDONTWRITEBYTECODE=1 PYTHONUNBUFFERED=1``, one at a time: per
 seed basin, then precision, then cli, the parent first on odd seeds and the
 change first on even ones.  The record gives, per workload and end-to-end
 metric of ``BENCHMARK.json``, both sides' runs in seed order and the figures
@@ -29,7 +30,6 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-SECONDS = 5
 BETTER = "better: won at least 9 in 10 pairs, by more than the parent's IQR"
 RULE = ("the change wins at least 9 of 10 pairs and its median exceeds "
         "the parent's by more than the parent's IQR")
@@ -73,13 +73,14 @@ def export(source: str, dest: Path) -> tuple[str | None, str]:
     return commit, _git("rev-parse", tree + ":src/rootflow", cwd=cwd).decode().strip()
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One perfbench run in ``tree``: its result line, its record line and the cache state."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run of ``seconds`` in ``tree``: its result line, its record line and the
+    cache state."""
     cached = (tree / "src" / "rootflow" / "__pycache__").exists()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONUNBUFFERED="1")
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(SECONDS), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=tree, env=env, check=True, stdout=subprocess.PIPE,
                          text=True).stdout.splitlines()
     record = next(json.loads(line[len("record: "):]) for line in out if line.startswith("record: "))
@@ -162,6 +163,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the record to write")
     args = parser.parse_args(argv)
     declared = json.loads(Path("BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
     workloads = [w["name"] for w in declared["workloads"]]  # basin, precision, cli
     claim = args.claim.partition(":")[::2]
     if claim[0] not in workloads or claim[1] not in {m["name"] for m in declared["end_to_end"]}:
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for workload in workloads:
                 for side in SIDES if seed % 2 else SIDES[::-1]:
-                    done = run_once(trees[side], workload, seed)
+                    done = run_once(trees[side], workload, seed, seconds)
                     runs[workload][side].append(done)
                     value = done["result"]["metrics"]["ops_per_s"]["value"]
                     print(f"seed {seed} {workload} {side}: ops_per_s {value:.6g}", file=sys.stderr)
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
                  "tools/bench_record.py. For each metric: each side's median and quartiles "
                  "(statistics.quantiles, inclusive), the change's median relative to the "
                  "parent's, and the pairs the change won (ties count for neither)."),
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "seeds": args.seeds,
         "order": ("odd seeds run the parent first, even seeds the change first; one run at a "
                   "time, seed by seed, basin then precision then cli"),
