@@ -168,21 +168,28 @@ def test_unwritable_output_is_a_usage_error(tmp_path, command, target):
     assert err.count("\n") == 1
 
 
-# Commands whose stdout or stderr fails the write, each in a child process:
-# a full device, or a pipe whose reader has gone, as in
+# The CLI's process contract, each case in a child process: its exit code,
+# buffered or not, and never a traceback.  `python -m rootflow.cli` ends in the
+# same `sys.exit(main())` as the installed `rootflow` script.  One case per
+# exit code, and help; then commands whose stdout or stderr fails the write, a
+# usage error: a full device, or a pipe whose reader has gone, as in
 # `rootflow basin ... | head -1`.  Buffered, the write fails at the flush;
-# unbuffered, in the write itself.  Each case: argv, then where stdout and
-# stderr go (None: a pipe read here).
+# unbuffered, in the write itself.  Each case: argv, where stdout and stderr go
+# (None: a pipe read here), then the exit code.
 SOLVE = ["solve", "--problem", "log", "--scheme", "newton"]
-UNWRITABLE_STREAMS = {
-    "/dev/full": (["bench"], "/dev/full", None),
-    "closed-pipe": (["bench"], "closed-pipe", None),
-    "--help >full": (["--help"], "/dev/full", None),
-    "solve --help >full": (["solve", "--help"], "/dev/full", None),
-    "--bogus 2>full": (["--bogus", "1", *SOLVE], None, "/dev/full"),
-    "--max-iters 0 2>full": ([*SOLVE, "--max-iters", "0"], None, "/dev/full"),
-    "bench >full 2>full": (["bench"], "/dev/full", "/dev/full"),
-    "--output full 2>full": ([*SOLVE, "--output", "/dev/full"], None, "/dev/full"),
+CHILD_RUNS = {
+    "bench": (["bench"], None, None, 0),
+    "--expect-converge": ([*SOLVE, "--expect-converge"], None, None, 1),
+    "--bogus": (["--bogus", "1", *SOLVE], None, None, 2),
+    "--help": (["--help"], None, None, 0),
+    "/dev/full": (["bench"], "/dev/full", None, 2),
+    "closed-pipe": (["bench"], "closed-pipe", None, 2),
+    "--help >full": (["--help"], "/dev/full", None, 2),
+    "solve --help >full": (["solve", "--help"], "/dev/full", None, 2),
+    "--bogus 2>full": (["--bogus", "1", *SOLVE], None, "/dev/full", 2),
+    "--max-iters 0 2>full": ([*SOLVE, "--max-iters", "0"], None, "/dev/full", 2),
+    "bench >full 2>full": (["bench"], "/dev/full", "/dev/full", 2),
+    "--output full 2>full": ([*SOLVE, "--output", "/dev/full"], None, "/dev/full", 2),
 }
 
 
@@ -195,9 +202,9 @@ def unwritable_fd(target):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("case", list(UNWRITABLE_STREAMS))
+@pytest.mark.parametrize("case", list(CHILD_RUNS))
 def test_unwritable_stdout_is_a_usage_error(case, unbuffered):
-    argv, stdout, stderr = UNWRITABLE_STREAMS[case]
+    argv, stdout, stderr, code = CHILD_RUNS[case]
     if "/dev/full" in (stdout, stderr) and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full here")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -213,13 +220,22 @@ def test_unwritable_stdout_is_a_usage_error(case, unbuffered):
         for fd in fds:
             if fd != subprocess.PIPE:
                 os.close(fd)
-    assert child.returncode == 2
-    if stdout is None:
-        assert child.stdout == ""
-    if stderr is None:  # so stdout is the stream that failed
+    assert child.returncode == code
+    if stdout is None:  # a usage error prints nothing there, and any other run does
+        assert (child.stdout == "") == (code == 2)
+    if stderr is None:
         assert "Traceback" not in child.stderr and "Exception ignored" not in child.stderr
-        assert child.stderr.startswith("rootflow: cannot write stdout: ")
-        assert child.stderr.count("\n") == 1
+        assert sum(line.startswith("rootflow") for line in child.stderr.splitlines()) <= 1
+        if stdout is not None:  # so stdout is the stream that failed
+            assert child.stderr.startswith("rootflow: cannot write stdout: ")
+            assert child.stderr.count("\n") == 1
+
+
+def test_console_script_runs_main():
+    # pyproject.toml read as text: Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip().splitlines() == ['rootflow = "rootflow.cli:main"']
 
 
 # Values each flag accepts, and values some flag rejects.  Outputs go to the
